@@ -302,19 +302,16 @@ func BenchmarkPriceParallel(b *testing.B) {
 						b.Fatalf("cost drifted across runs: %v vs %v", rep.Cost, serialRef.Cost)
 					}
 				}
-				if serialRef != nil {
-					b.ReportMetric(serialRef.PlanCache.HitRate(), "cache-hit-rate")
-				}
 			})
 		}
 	}
 }
 
 // BenchmarkPricingAllocs measures steady-state candidate pricing on the
-// WAN instance with a warm planner memo and placement scratch,
-// reporting allocations per priced candidate (the number the checked-in
-// budget in internal/synth's alloc tests pins). ReportAllocs covers the
-// whole loop; allocs/candidate is the per-unit view.
+// WAN instance with a grown placement scratch, reporting allocations
+// per priced candidate (the number the checked-in budget in
+// internal/synth's alloc tests pins). ReportAllocs covers the whole
+// loop; allocs/candidate is the per-unit view.
 func BenchmarkPricingAllocs(b *testing.B) {
 	cg := workloads.WAN()
 	lib := workloads.WANLibrary()
@@ -326,8 +323,8 @@ func BenchmarkPricingAllocs(b *testing.B) {
 	for k := 2; k < len(enum.ByK); k++ {
 		sets = append(sets, enum.ByK[k]...)
 	}
-	opt := place.Options{Planner: p2p.NewPlanner(lib), Scratch: &place.Scratch{}}
-	for _, set := range sets { // warm memo and scratch
+	opt := place.Options{Scratch: &place.Scratch{}}
+	for _, set := range sets { // grow the scratch
 		if _, err := place.Optimize(cg, lib, set, opt); err != nil {
 			b.Fatal(err)
 		}

@@ -194,8 +194,8 @@ type Options struct {
 	Timeout time.Duration
 	// Observer, when non-nil, collects the run's observability data:
 	// a span trace of every synthesis phase, a registry of algorithm
-	// counters (prune hits, branch-and-bound nodes, planner cache
-	// traffic, …), and runtime/pprof phase labels. Build one with
+	// counters (prune hits, branch-and-bound nodes, pricings, …), and
+	// runtime/pprof phase labels. Build one with
 	// NewObserver, run Synthesize, then export with the observer's
 	// Tracer()/Metrics() accessors. Nil (the default) disables
 	// observability at negligible cost. See docs/OBSERVABILITY.md.

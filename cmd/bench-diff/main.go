@@ -14,15 +14,13 @@
 // …) must match the seed exactly — they are pure functions of the
 // instance, so any drift is an algorithmic change that needs a seed
 // regeneration in the same commit (go run ./cmd/cdcs-bench -short
-// -json BENCH_seed.json). Scheduling-dependent counters are excluded
-// via -ignore (default "p2p/cache/").
+// -json BENCH_seed.json).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/benchfmt"
 	"repro/internal/buildinfo"
@@ -33,7 +31,6 @@ func main() {
 	runPath := flag.String("run", "", "fresh baseline to gate (required)")
 	timeTol := flag.Float64("time-tolerance", 0.30, "allowed fractional wall-time regression per run")
 	absSlack := flag.Float64("abs-slack-ms", 50, "absolute grace in ms added to every time limit (negative disables)")
-	ignore := flag.String("ignore", "p2p/cache/", "comma-separated counter-name prefixes excluded from exact match")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -57,20 +54,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := benchfmt.DiffOptions{
+	violations := benchfmt.Diff(seed, cur, benchfmt.DiffOptions{
 		TimeTolerance: *timeTol,
 		AbsSlackMs:    *absSlack,
-	}
-	// An empty -ignore means "ignore nothing", which DiffOptions encodes
-	// as a non-nil empty slice.
-	opt.IgnorePrefixes = []string{}
-	for _, p := range strings.Split(*ignore, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			opt.IgnorePrefixes = append(opt.IgnorePrefixes, p)
-		}
-	}
-
-	violations := benchfmt.Diff(seed, cur, opt)
+	})
 	if len(violations) == 0 {
 		counters := 0
 		for _, r := range seed.Runs {

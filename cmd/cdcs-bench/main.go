@@ -159,15 +159,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, strings.Join(names, ", "))
 		os.Exit(2)
 	}
-	if !*md {
-		// Cumulative planner-cache behavior across every run above.
-		// Misses count actual solves under the single-flight cache, so
-		// misses == entries on a quiesced process unless a planner was
-		// reused across instances.
-		cur := sink.Metrics().Snapshot().CounterMap()
-		fmt.Printf("plan cache totals: %d hits / %d misses / %d entries\n\n",
-			cur["p2p/cache/hits"], cur["p2p/cache/misses"], cur["p2p/cache/entries"])
-	}
 	if *jsonPath != "" {
 		if err := baseline.Write(*jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, "cdcs-bench: write baseline:", err)

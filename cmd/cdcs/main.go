@@ -393,9 +393,6 @@ func printReport(cg *model.ConstraintGraph, rep *synth.Report) {
 	fmt.Printf("result optimal      : %v\n", rep.ResultOptimal())
 	if rep.Workers > 0 {
 		fmt.Printf("pricing workers     : %d\n", rep.Workers)
-		fmt.Printf("plan cache          : %d hits / %d misses (%.1f%% hit rate), %d entries over %d shards\n",
-			rep.PlanCache.Hits, rep.PlanCache.Misses, 100*rep.PlanCache.HitRate(),
-			rep.PlanCache.Entries, rep.PlanCache.Shards)
 		fmt.Printf("phase timings       : enumerate %v, price %v, solve %v, materialize %v\n",
 			rep.Timings.Enumerate, rep.Timings.Price, rep.Timings.Solve, rep.Timings.Materialize)
 	}

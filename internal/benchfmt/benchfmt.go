@@ -9,9 +9,7 @@
 // observability layer's algorithm counters (prune hits, B&B nodes, …),
 // which are pure functions of the instance and compared exactly — a
 // counter drift is an algorithmic change, not noise, and must be
-// reviewed via a seed regeneration in the same commit. Counters whose
-// split is scheduling-dependent (the p2p planner's cache hit/miss pair;
-// see docs/OBSERVABILITY.md) are excluded by prefix.
+// reviewed via a seed regeneration in the same commit.
 package benchfmt
 
 import (
@@ -19,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 )
 
 // Baseline is one cdcs-bench trajectory point: the environment it ran
@@ -83,12 +80,6 @@ type DiffOptions struct {
 	// do not flap the gate; 0 means the default 50ms. Set negative to
 	// disable the grace entirely.
 	AbsSlackMs float64
-	// IgnorePrefixes lists counter-name prefixes excluded from the
-	// exact-match comparison; nil means the default {"p2p/cache/"}
-	// (the planner cache's hit/miss split is scheduling-dependent under
-	// parallel pricing). An explicit empty non-nil slice ignores
-	// nothing.
-	IgnorePrefixes []string
 }
 
 func (o DiffOptions) timeTolerance() float64 {
@@ -106,19 +97,6 @@ func (o DiffOptions) absSlackMs() float64 {
 		return 0
 	}
 	return o.AbsSlackMs
-}
-
-func (o DiffOptions) ignored(name string) bool {
-	prefixes := o.IgnorePrefixes
-	if prefixes == nil {
-		prefixes = []string{"p2p/cache/"}
-	}
-	for _, p := range prefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
 }
 
 // Violation is one gate failure, already formatted for the log.
@@ -171,17 +149,17 @@ func Diff(seed, cur *Baseline, opt DiffOptions) []Violation {
 					c.ElapsedMs, limit, s.ElapsedMs,
 					int(opt.timeTolerance()*100), opt.absSlackMs())})
 		}
-		out = append(out, diffCounters(s, c, opt)...)
+		out = append(out, diffCounters(s, c)...)
 	}
 	return out
 }
 
-// diffCounters exact-matches every non-ignored counter present in both
-// the seed run and the current run. One side lacking a counter the
-// other has is a violation only when the seed has it and the current
-// run recorded counters at all — an old seed without counters, or a
-// current run without metrics, compares vacuously.
-func diffCounters(s, c *Run, opt DiffOptions) []Violation {
+// diffCounters exact-matches every counter of the seed run against the
+// current run. One side lacking a counter the other has is a violation
+// only when the seed has it and the current run recorded counters at
+// all — an old seed without counters, or a current run without
+// metrics, compares vacuously.
+func diffCounters(s, c *Run) []Violation {
 	if len(s.Counters) == 0 || c.Counters == nil {
 		return nil
 	}
@@ -192,9 +170,6 @@ func diffCounters(s, c *Run, opt DiffOptions) []Violation {
 	sort.Strings(names)
 	var out []Violation
 	for _, name := range names {
-		if opt.ignored(name) {
-			continue
-		}
 		got, ok := c.Counters[name]
 		if !ok {
 			out = append(out, Violation{RunID: s.ID, Kind: "counter",

@@ -15,8 +15,6 @@ func seedAndCopy() (*Baseline, *Baseline) {
 					Counters: map[string]int64{
 						"merging/sets_tested": 57,
 						"ucp/nodes":           12,
-						"p2p/cache/hits":      40,
-						"p2p/cache/misses":    9,
 					}},
 			},
 		}
@@ -79,22 +77,6 @@ func TestDiffCounterDriftFails(t *testing.T) {
 	if v[0].Kind != "counter" || v[1].Kind != "counter" ||
 		v[0].Detail[:len("merging")] != "merging" || v[1].Detail[:len("ucp")] != "ucp" {
 		t.Fatalf("violations wrong or unsorted: %v", v)
-	}
-}
-
-func TestDiffIgnoresSchedulingDependentPrefixes(t *testing.T) {
-	seed, cur := seedAndCopy()
-	// The planner cache split moves between hits and misses under
-	// parallel pricing; the default ignore list excludes it.
-	cur.Runs[1].Counters["p2p/cache/hits"] = 35
-	cur.Runs[1].Counters["p2p/cache/misses"] = 14
-	if v := Diff(seed, cur, DiffOptions{}); len(v) != 0 {
-		t.Fatalf("ignored-prefix drift must pass, got %v", v)
-	}
-	// An explicit empty (non-nil) list ignores nothing.
-	v := Diff(seed, cur, DiffOptions{IgnorePrefixes: []string{}})
-	if len(v) != 2 {
-		t.Fatalf("want 2 violations with empty ignore list, got %v", v)
 	}
 }
 

@@ -14,7 +14,8 @@
 //     key independently picks the peer with the highest score), and
 //   - minimal disruption: removing a peer reassigns only the keys it
 //     owned — every other key keeps its owner, so a restarting
-//     replica does not reshuffle the fleet's cache/WAL locality.
+//     replica does not reshuffle which replica holds each workload's
+//     jobs and WAL records.
 //
 // The score is FNV-1a over "peer\x00key" passed through a splitmix64
 // finalizer: FNV alone clusters badly on shared prefixes (peer

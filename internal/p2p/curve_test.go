@@ -1,0 +1,265 @@
+package p2p
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/library"
+)
+
+func curveTestLib() *library.Library {
+	return &library.Library{
+		Links: []library.Link{
+			{Name: "radio", Bandwidth: 11, MaxSpan: math.Inf(1), CostPerLength: 2},
+			{Name: "optical", Bandwidth: 1000, MaxSpan: math.Inf(1), CostPerLength: 4},
+			{Name: "short", Bandwidth: 50, MaxSpan: 10, CostFixed: 3},
+		},
+		Nodes: []library.Node{
+			{Name: "rep", Kind: library.Repeater, Cost: 1},
+			{Name: "mux", Kind: library.Mux},
+			{Name: "demux", Kind: library.Demux},
+		},
+	}
+}
+
+// randomCurveLib draws a small valid library. Bandwidths and spans come
+// from short lists so that requirements land on their multiples, and
+// each node kind is present only sometimes so that libraries without
+// repeaters or switches occur.
+func randomCurveLib(r *rand.Rand) *library.Library {
+	bws := []float64{0.3, 1, 2.5, 10, 11, 100, 1000}
+	spans := []float64{0.1, 0.6, 1, 3.7, 10, math.Inf(1)}
+	lib := &library.Library{}
+	for i, n := 0, 1+r.Intn(4); i < n; i++ {
+		l := library.Link{
+			Name:      string(rune('a' + i)),
+			Bandwidth: bws[r.Intn(len(bws))],
+			MaxSpan:   spans[r.Intn(len(spans))],
+		}
+		if r.Intn(2) == 0 {
+			l.CostFixed = r.Float64() * 5
+		}
+		if l.CostFixed == 0 || r.Intn(2) == 0 {
+			l.CostPerLength = 0.01 + r.Float64()*4
+		}
+		lib.Links = append(lib.Links, l)
+	}
+	for _, kind := range []library.NodeKind{library.Repeater, library.Repeater, library.Mux, library.Demux} {
+		if r.Intn(3) > 0 {
+			lib.Nodes = append(lib.Nodes, library.Node{
+				Name: kind.String() + string(rune('0'+len(lib.Nodes))), Kind: kind, Cost: r.Float64() * 3,
+			})
+		}
+	}
+	return lib
+}
+
+// nearMultiples returns multiples of unit and values just either side
+// of them: one ulp, and offsets around the num.Eps ceiling tolerance.
+func nearMultiples(unit float64) []float64 {
+	var out []float64
+	for _, k := range []float64{1, 2, 3, 7} {
+		m := k * unit
+		out = append(out, m, math.Nextafter(m, 0), math.Nextafter(m, math.Inf(1)))
+		for _, rel := range []float64{1e-12, 5e-10, 1e-9, 2e-9} {
+			out = append(out, unit*(k+rel), unit*(k-rel))
+		}
+	}
+	return out
+}
+
+// checkCurve asserts that one curve agrees with BestPlan at every
+// distance: the same cost bit for bit, and +Inf exactly where BestPlan
+// errors.
+func checkCurve(t *testing.T, lib *library.Library, b float64, opt Options, ds []float64) {
+	t.Helper()
+	var c Curve
+	c.Reset(b, lib, opt)
+	for _, d := range ds {
+		got := c.Cost(d)
+		want, err := BestPlan(d, b, lib, opt)
+		switch {
+		case err != nil && !math.IsInf(got, 1):
+			t.Fatalf("d=%g b=%g %+v over %+v: Cost = %v, BestPlan errs: %v", d, b, opt, lib, got, err)
+		case err == nil && math.Float64bits(got) != math.Float64bits(want.Cost):
+			t.Fatalf("d=%g b=%g %+v over %+v: Cost = %v, BestPlan %v (%v)", d, b, opt, lib, got, want.Cost, want)
+		}
+	}
+}
+
+// TestCurveMatchesBestPlan pins the hoisted curve to the reference
+// planner over seeded random libraries, options and requirements,
+// concentrating the requirements on the edges where a hoisted value
+// could round differently: distances at multiples of MaxSpan and
+// bandwidths at multiples of a link's bandwidth.
+func TestCurveMatchesBestPlan(t *testing.T) {
+	invalid := []float64{-1, math.Copysign(0, -1), math.NaN(), math.Inf(1)}
+	fixed := curveTestLib()
+	// Hand-picked cases: one requirement under options that change its
+	// plan (a duplicated access leg versus a trunk forced to one chain)
+	// and requirements no link can meet.
+	for _, c := range []struct {
+		d, b float64
+		opt  Options
+	}{
+		{5, 60, Options{}},
+		{5, 60, Options{MaxChains: 1}},
+		{100, 5000, Options{MaxChains: 1}},
+		{5, 10, Options{}},
+		{100, 25, Options{}},
+		{3, 40, Options{}},
+		{42, 2000, Options{MaxChains: 1}},
+		{7, 10, Options{ChargeSwitchesOnDuplication: true}},
+	} {
+		checkCurve(t, fixed, c.b, c.opt, append([]float64{c.d}, invalid...))
+	}
+	for _, b := range []float64{0, -3, math.NaN(), math.Inf(1)} {
+		checkCurve(t, fixed, b, Options{}, []float64{0, 5})
+	}
+
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		lib := randomCurveLib(r)
+		opt := Options{
+			ChargeSwitchesOnDuplication: r.Intn(2) == 0,
+			MaxSegments:                 []int{0, 1, 2, 5}[r.Intn(4)],
+			MaxChains:                   []int{0, 1, 2, 3}[r.Intn(4)],
+		}
+		ds := append([]float64{0, r.Float64() * 50}, invalid...)
+		bs := []float64{r.Float64() * 300}
+		for _, l := range lib.Links {
+			if !l.Unbounded() {
+				ds = append(ds, nearMultiples(l.MaxSpan)...)
+			}
+			bs = append(bs, nearMultiples(l.Bandwidth)...)
+		}
+		for _, b := range bs {
+			checkCurve(t, lib, b, opt, ds)
+		}
+	}
+}
+
+// TestCurveDistinguishesOptions: one requirement priced under options
+// that change its plan. Placement reuses a curve across candidates, so
+// a curve reset under new options must not keep the old options'
+// pricing: a trunk forced to one chain must not be priced as the
+// duplicated access leg it was reset from.
+func TestCurveDistinguishesOptions(t *testing.T) {
+	lib := curveTestLib()
+	multi, err := BestPlan(5, 60, lib, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := BestPlan(5, 60, lib, Options{MaxChains: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if multi.Chains <= 1 || single.Chains != 1 || multi.Cost == single.Cost {
+		t.Fatalf("want a duplicated and a single-chain plan of different cost, got %v and %v", multi, single)
+	}
+	var c Curve
+	for round := 0; round < 2; round++ {
+		c.Reset(60, lib, Options{})
+		if got := c.Cost(5); got != multi.Cost {
+			t.Fatalf("round %d: multi-chain curve prices %v, want %v", round, got, multi.Cost)
+		}
+		c.Reset(60, lib, Options{MaxChains: 1})
+		if got := c.Cost(5); got != single.Cost {
+			t.Fatalf("round %d: single-chain curve prices %v, want %v", round, got, single.Cost)
+		}
+	}
+}
+
+// TestCurvePricesErrorsAtInf: a requirement no link meets under the
+// options is priced at +Inf on every ask, with an infinite rate, and a
+// reset to a feasible bandwidth prices finitely again.
+func TestCurvePricesErrorsAtInf(t *testing.T) {
+	lib := curveTestLib()
+	if _, err := BestPlan(100, 5000, lib, Options{MaxChains: 1}); err == nil {
+		t.Fatal("expected infeasibility error")
+	}
+	var c Curve
+	c.Reset(5000, lib, Options{MaxChains: 1})
+	for i := 0; i < 3; i++ {
+		if got := c.Cost(100); !math.IsInf(got, 1) {
+			t.Fatalf("ask %d: infeasible requirement priced %v, want +Inf", i, got)
+		}
+	}
+	if r := c.Rate(); !math.IsInf(r, 1) {
+		t.Errorf("infeasible curve rate = %v, want +Inf", r)
+	}
+	c.Reset(500, lib, Options{MaxChains: 1})
+	want, err := BestPlan(100, 500, lib, Options{MaxChains: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Cost(100); got != want.Cost {
+		t.Errorf("after reset to a feasible bandwidth: %v, want %v", got, want.Cost)
+	}
+}
+
+// TestCurveRejectsNonFinite: NaN and infinite requirements are errors
+// of BestPlan and +Inf on the curve, never NaN or a finite price. A
+// NaN would poison the placement minimizer, and an infinite bandwidth
+// would overflow the chain count into a negative cost.
+func TestCurveRejectsNonFinite(t *testing.T) {
+	lib := curveTestLib()
+	// A link with a fixed cost alone prices any finite-span distance
+	// finitely; it must still not price an infinite one.
+	lib.Links = append(lib.Links, library.Link{Name: "free", Bandwidth: 20, MaxSpan: math.Inf(1), CostFixed: 7})
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := [][2]float64{
+		{nan, 10}, {5, nan}, {nan, nan},
+		{inf, 10}, {-inf, 10}, {5, inf}, {5, -inf},
+	}
+	var c Curve
+	for i := 0; i < 3; i++ {
+		for _, p := range bad {
+			if _, err := BestPlan(p[0], p[1], lib, Options{}); err == nil {
+				t.Fatalf("BestPlan(%g, %g) succeeded, want error", p[0], p[1])
+			}
+			c.Reset(p[1], lib, Options{})
+			if got := c.Cost(p[0]); !math.IsInf(got, 1) {
+				t.Fatalf("curve prices (%g, %g) at %v, want +Inf", p[0], p[1], got)
+			}
+		}
+	}
+}
+
+// TestCurveRate: on a purely length-priced library the curve is the
+// line through the origin with slope Rate, and Rate honours MaxChains.
+func TestCurveRate(t *testing.T) {
+	lib := wanLib() // radio 11 Mbps at 2/m, optical 1000 Mbps at 4/m
+	var c Curve
+	if r := c.Rate(); !math.IsInf(r, 1) {
+		t.Errorf("zero curve rate = %v, want +Inf", r)
+	}
+	for _, tc := range []struct {
+		b    float64
+		opt  Options
+		want float64
+	}{
+		{10, Options{}, 2},               // one radio
+		{20, Options{}, 4},               // two radios tie one optical
+		{30, Options{}, 4},               // three radios (6/m) lose to optical
+		{20, Options{MaxChains: 1}, 4},   // duplication ruled out
+		{2000, Options{}, 8},             // two opticals
+		{2000, Options{MaxChains: 1}, 0}, // infeasible
+	} {
+		c.Reset(tc.b, lib, tc.opt)
+		got := c.Rate()
+		if tc.want == 0 {
+			if !math.IsInf(got, 1) {
+				t.Errorf("b=%g %+v: rate %v, want +Inf", tc.b, tc.opt, got)
+			}
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("b=%g %+v: rate %v, want %v", tc.b, tc.opt, got, tc.want)
+		}
+		if d := 37.5; math.Abs(c.Cost(d)-got*d) > 1e-9 {
+			t.Errorf("b=%g %+v: Cost(%g) = %v, want rate·d = %v", tc.b, tc.opt, d, c.Cost(d), got*d)
+		}
+	}
+}

@@ -145,12 +145,15 @@ func planFor(l library.Link, d, b float64, lib *library.Library, opt Options) (P
 // BestPlan returns the minimum-cost stand-alone implementation of a
 // requirement (distance d, bandwidth b) over all library link types, per
 // the four-step recipe below Definition 2.7. It returns an error when no
-// link type can satisfy the requirement within the option bounds.
+// link type can satisfy the requirement within the option bounds, and
+// for a negative, NaN or infinite distance or bandwidth: an infinite
+// distance admits no finite-cost plan, and an infinite bandwidth would
+// overflow the chain count.
 func BestPlan(d, b float64, lib *library.Library, opt Options) (Plan, error) {
-	if d < 0 || math.IsNaN(d) {
+	if d < 0 || math.IsNaN(d) || math.IsInf(d, 1) {
 		return Plan{}, fmt.Errorf("p2p: invalid distance %g", d)
 	}
-	if b <= 0 || math.IsNaN(b) {
+	if b <= 0 || math.IsNaN(b) || math.IsInf(b, 1) {
 		return Plan{}, fmt.Errorf("p2p: invalid bandwidth %g", b)
 	}
 	var best Plan
@@ -168,6 +171,115 @@ func BestPlan(d, b float64, lib *library.Library, opt Options) (Plan, error) {
 		return Plan{}, fmt.Errorf("p2p: no library link satisfies d=%g b=%g", d, b)
 	}
 	return best, nil
+}
+
+// Curve is BestPlan's cost as a function of distance alone. For one
+// fixed bandwidth, library and Options it hoists what planFor derives
+// per call: each link's chain count, its feasibility, the repeater
+// cost and the switch cost. Cost(d) is then a few multiply-adds per
+// link, with no error values, lookups or allocations. Placement prices
+// thousands of probe positions per candidate at k+1 fixed bandwidths,
+// which is what the curve is for; BestPlan stays the reference it
+// must agree with.
+//
+// The zero Curve prices every distance at +Inf. Reset re-targets a
+// curve and reuses its storage.
+type Curve struct {
+	terms []curveTerm
+}
+
+// curveTerm is planFor for one link with everything but the segment
+// count resolved.
+type curveTerm struct {
+	chains, fixed, perLength, maxSpan float64
+	// repeater is the cost of one repeater, or 0 when maxSegments is 1
+	// because the library has none.
+	repeater float64
+	// switches is the demux+mux charge, 0 unless the term duplicates
+	// under ChargeSwitchesOnDuplication.
+	switches    float64
+	maxSegments int
+}
+
+// Reset makes c the curve of bandwidth b over lib under opt, reusing
+// c's storage.
+func (c *Curve) Reset(b float64, lib *library.Library, opt Options) {
+	c.terms = c.terms[:0]
+	if b <= 0 || math.IsNaN(b) || math.IsInf(b, 1) {
+		return // BestPlan rejects the bandwidth at every distance
+	}
+	maxSegments, repeater := opt.maxSegments(), lib.NodeCost(library.Repeater)
+	if math.IsInf(repeater, 1) {
+		maxSegments, repeater = 1, 0
+	}
+	demux, mux := lib.NodeCost(library.Demux), lib.NodeCost(library.Mux)
+	for _, l := range lib.Links {
+		if l.Bandwidth <= 0 {
+			continue
+		}
+		chains := 1
+		if num.Below(l.Bandwidth, b) {
+			chains = num.Ceil(b / l.Bandwidth)
+			if chains > opt.maxChains() {
+				continue
+			}
+		}
+		t := curveTerm{
+			chains: float64(chains), fixed: l.CostFixed, perLength: l.CostPerLength,
+			maxSpan: l.MaxSpan, repeater: repeater, maxSegments: maxSegments,
+		}
+		if l.MaxSpan <= 0 {
+			t.maxSegments = 0 // planFor cannot segment such a link
+		}
+		if chains > 1 && opt.ChargeSwitchesOnDuplication {
+			if math.IsInf(demux, 1) || math.IsInf(mux, 1) {
+				continue
+			}
+			t.switches = demux + mux
+		}
+		c.terms = append(c.terms, t)
+	}
+}
+
+// Cost returns BestPlan(d, b, lib, opt).Cost for the curve's b, lib and
+// opt, bit for bit, and +Inf exactly where BestPlan errors. The
+// arithmetic mirrors planFor term by term so that no rounding differs.
+func (c *Curve) Cost(d float64) float64 {
+	best := math.Inf(1)
+	if d < 0 || math.IsNaN(d) || math.IsInf(d, 1) {
+		return best
+	}
+	for i := range c.terms {
+		t := &c.terms[i]
+		segments := 1
+		if !num.AtMost(d, t.maxSpan) {
+			if segments = num.Ceil(d / t.maxSpan); segments < 1 {
+				segments = 1
+			}
+			if segments > t.maxSegments {
+				continue
+			}
+		}
+		cost := t.chains*(float64(segments)*t.fixed+t.perLength*d+float64(segments-1)*t.repeater) + t.switches
+		if num.Improves(cost, best) {
+			best = cost
+		}
+	}
+	return best
+}
+
+// Rate returns the minimum over the curve's terms of
+// chains·CostPerLength, or +Inf when no link is feasible. When every
+// link is unbounded with zero fixed cost this is the per-length weight
+// the curve's cheapest plan charges.
+func (c *Curve) Rate() float64 {
+	best := math.Inf(1)
+	for _, t := range c.terms {
+		if r := t.chains * t.perLength; num.Improves(r, best) {
+			best = r
+		}
+	}
+	return best
 }
 
 // Instantiate materializes a plan for channel ch into the implementation

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/library"
+	"repro/internal/p2p"
 )
 
 // convexSeed solves the hub-placement problem exactly when the library
@@ -13,19 +14,20 @@ import (
 //
 //	c(x₁,x₂) = Σᵢ wᵢ·‖uᵢ−x₁‖ + w_t·‖x₁−x₂‖ + Σᵢ wᵢ·‖x₂−vᵢ‖ + const
 //
-// with distance-independent weights (wᵢ = cheapest per-length rate that
-// carries bandwidth bᵢ, duplication included; w_t likewise for the
-// single-chain trunk). The objective is jointly convex, and block
+// with distance-independent weights: wᵢ is the per-length rate of
+// channel i's access curve (duplication included) and w_t that of the
+// single-chain trunk curve, so the weights are the ones Optimize's
+// evaluation charges. The objective is jointly convex, and block
 // minimization over x₁ (a weighted median of the sources plus x₂) and
 // x₂ (a weighted median of the destinations plus x₁) converges to the
 // global optimum.
 //
 // The second return is false when the library is not purely
-// length-priced or the trunk bandwidth is infeasible; callers then fall
-// back to the general pattern search.
+// length-priced or a curve is infeasible; callers then fall back to the
+// general pattern search.
 func convexSeed(
 	norm geom.Norm, lib *library.Library,
-	sources, dests []geom.Point, bws []float64, trunkBW float64,
+	sources, dests []geom.Point, access []p2p.Curve, trunk *p2p.Curve,
 	sc *Scratch,
 ) ([2]geom.Point, bool) {
 	for _, l := range lib.Links {
@@ -33,32 +35,14 @@ func convexSeed(
 			return [2]geom.Point{}, false
 		}
 	}
-	rate := func(b float64, singleChain bool) (float64, bool) {
-		best := math.Inf(1)
-		for _, l := range lib.Links {
-			chains := 1
-			if l.Bandwidth < b {
-				if singleChain {
-					continue
-				}
-				chains = int(math.Ceil(b/l.Bandwidth - 1e-12))
-			}
-			if r := float64(chains) * l.CostPerLength; r < best {
-				best = r
-			}
-		}
-		return best, !math.IsInf(best, 1)
-	}
-	weights := resizeFloats(&sc.weights, len(bws))
-	for i, b := range bws {
-		w, ok := rate(b, false)
-		if !ok {
+	weights := resize(&sc.weights, len(access))
+	for i := range access {
+		if weights[i] = access[i].Rate(); math.IsInf(weights[i], 1) {
 			return [2]geom.Point{}, false
 		}
-		weights[i] = w
 	}
-	wTrunk, ok := rate(trunkBW, true)
-	if !ok {
+	wTrunk := trunk.Rate()
+	if math.IsInf(wTrunk, 1) {
 		return [2]geom.Point{}, false
 	}
 

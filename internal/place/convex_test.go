@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/library"
 	"repro/internal/model"
+	"repro/internal/p2p"
 	"repro/internal/workloads"
 )
 
@@ -161,3 +162,37 @@ var errNoLink = errorString("no feasible link")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// TestConvexSeedHonoursMaxChains: the seed must weight every leg at the
+// rate pricing charges for it. A 30 Mbps leg would cost 3/m as three
+// parallel radios, but MaxChains=2 rules that out, so every leg and the
+// 60 Mbps trunk cost 7/m on optical. The optimum is then a Steiner
+// tree: each hub at the 120° point of its two ports and the other hub.
+// Weighting the legs at 3/m instead lets the trunk outweigh them, which
+// collapses both seed hubs onto the destinations, farther from the
+// optimum than the short polish reaches.
+func TestConvexSeedHonoursMaxChains(t *testing.T) {
+	lib := &library.Library{
+		Links: []library.Link{
+			{Name: "radio", Bandwidth: 11, MaxSpan: math.Inf(1), CostPerLength: 1},
+			{Name: "optical", Bandwidth: 1000, MaxSpan: math.Inf(1), CostPerLength: 7},
+		},
+		Nodes: []library.Node{{Name: "mux", Kind: library.Mux}, {Name: "demux", Kind: library.Demux}},
+	}
+	const length, half = 100.0, 5.0
+	cg := model.NewConstraintGraph(geom.Euclidean)
+	var ids []model.ChannelID
+	for i, y := range []float64{-half, half} {
+		name := string(rune('0' + i))
+		u := cg.MustAddPort(model.Port{Name: "u" + name, Position: geom.Pt(0, y)})
+		v := cg.MustAddPort(model.Port{Name: "v" + name, Position: geom.Pt(length, y)})
+		ids = append(ids, cg.MustAddChannel(model.Channel{Name: "c" + name, From: u, To: v, Bandwidth: 30}))
+	}
+	cand, err := Optimize(cg, lib, ids, Options{P2P: p2p.Options{MaxChains: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 7 * (length + 2*math.Sqrt(3)*half); math.Abs(cand.Cost-want) > 1e-6*want {
+		t.Errorf("cost %.9f, want the Steiner optimum %.9f (mux %v, demux %v)", cand.Cost, want, cand.MuxPos, cand.DemuxPos)
+	}
+}

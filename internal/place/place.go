@@ -34,14 +34,6 @@ import (
 type Options struct {
 	// P2P configures the embedded point-to-point planner.
 	P2P p2p.Options
-	// Planner, when non-nil, memoizes every point-to-point sub-problem
-	// the optimization prices (access legs and trunk). It must have been
-	// built over the same library Optimize is called with. When nil,
-	// Optimize uses a private per-call planner, so repeated probes
-	// within one pattern search still hit the memo table; sharing one
-	// planner across calls (as synth.Synthesize does) additionally
-	// reuses sub-problems across candidates.
-	Planner *p2p.Planner
 	// MaxIter bounds pattern-search iterations per start; zero means 120.
 	MaxIter int
 	// Capacity selects how the trunk is sized: the sum of merged
@@ -49,10 +41,10 @@ type Options struct {
 	// or their maximum (the literal Definition 2.8 bound, for ablation).
 	Capacity TrunkCapacity
 	// Scratch, when non-nil, supplies reusable buffers for the per-call
-	// endpoint/weight staging and the convex-seed alternation, making a
-	// warm Optimize call (planner memo hot) allocate only the candidate
-	// it returns. A scratch must not be shared between concurrent
-	// Optimize calls; synthesis keeps one per pricing worker.
+	// endpoint staging, cost curves and convex-seed alternation, so
+	// that once it has grown an Optimize call allocates only the
+	// candidate it returns. A scratch must not be shared between
+	// concurrent Optimize calls; synthesis keeps one per pricing worker.
 	Scratch *Scratch
 }
 
@@ -62,6 +54,8 @@ type Options struct {
 type Scratch struct {
 	sources, dests     []geom.Point
 	bws                []float64
+	access             []p2p.Curve
+	trunk              p2p.Curve
 	pts                []geom.Point
 	weights            []float64
 	srcSites, dstSites []geom.Point
@@ -123,15 +117,17 @@ func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	sources := resizePoints(&sc.sources, len(channels))
-	dests := resizePoints(&sc.dests, len(channels))
-	bws := resizeFloats(&sc.bws, len(channels))
+	sources := resize(&sc.sources, len(channels))
+	dests := resize(&sc.dests, len(channels))
+	bws := resize(&sc.bws, len(channels))
+	access := resize(&sc.access, len(channels))
 	var trunkBW float64
 	for i, ch := range channels {
 		c := cg.Channel(ch)
 		sources[i] = cg.Position(c.From)
 		dests[i] = cg.Position(c.To)
 		bws[i] = c.Bandwidth
+		access[i].Reset(c.Bandwidth, lib, opt.P2P)
 		if opt.Capacity == MaxBandwidth {
 			trunkBW = math.Max(trunkBW, c.Bandwidth)
 		} else {
@@ -144,30 +140,17 @@ func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.
 	// (Definition 2.8's q*).
 	trunkOpt := opt.P2P
 	trunkOpt.MaxChains = 1
-
-	planner := opt.Planner
-	if planner == nil {
-		planner = p2p.NewPlanner(lib)
-	}
+	trunk := &sc.trunk
+	trunk.Reset(trunkBW, lib, trunkOpt)
 
 	// eval prices the structure at given hub positions without building
-	// the full candidate (the search calls it thousands of times).
+	// the full candidate (the search calls it thousands of times). Each
+	// curve cost equals its BestPlan cost bit for bit and the sum runs
+	// in build's order, so eval(x1, x2) is exactly build's total.
 	eval := func(x1, x2 geom.Point) float64 {
-		trunk, err := planner.BestPlan(norm.Distance(x1, x2), trunkBW, trunkOpt)
-		if err != nil {
-			return math.Inf(1)
-		}
-		total := mux.Cost + demux.Cost + trunk.Cost
-		for i := range channels {
-			in, err := planner.BestPlan(norm.Distance(sources[i], x1), bws[i], opt.P2P)
-			if err != nil {
-				return math.Inf(1)
-			}
-			out, err := planner.BestPlan(norm.Distance(x2, dests[i]), bws[i], opt.P2P)
-			if err != nil {
-				return math.Inf(1)
-			}
-			total += in.Cost + out.Cost
+		total := mux.Cost + demux.Cost + trunk.Cost(norm.Distance(x1, x2))
+		for i := range access {
+			total += access[i].Cost(norm.Distance(sources[i], x1)) + access[i].Cost(norm.Distance(x2, dests[i]))
 		}
 		return total
 	}
@@ -184,18 +167,18 @@ func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.
 			AccessIn:  make([]p2p.Plan, 0, len(channels)),
 			AccessOut: make([]p2p.Plan, 0, len(channels)),
 		}
-		trunk, err := planner.BestPlan(norm.Distance(x1, x2), trunkBW, trunkOpt)
+		trunk, err := p2p.BestPlan(norm.Distance(x1, x2), trunkBW, lib, trunkOpt)
 		if err != nil {
 			return nil, err
 		}
 		cand.TrunkPlan = trunk
 		total := mux.Cost + demux.Cost + trunk.Cost
 		for i := range channels {
-			in, err := planner.BestPlan(norm.Distance(sources[i], x1), bws[i], opt.P2P)
+			in, err := p2p.BestPlan(norm.Distance(sources[i], x1), bws[i], lib, opt.P2P)
 			if err != nil {
 				return nil, err
 			}
-			out, err := planner.BestPlan(norm.Distance(x2, dests[i]), bws[i], opt.P2P)
+			out, err := p2p.BestPlan(norm.Distance(x2, dests[i]), bws[i], lib, opt.P2P)
 			if err != nil {
 				return nil, err
 			}
@@ -222,7 +205,7 @@ func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.
 	// jointly convex weighted sum of norms, solved directly by
 	// alternating weighted medians; a short small-step polish absorbs
 	// the iteration tolerance.
-	if seed, ok := convexSeed(norm, lib, sources, dests, bws, trunkBW, sc); ok {
+	if seed, ok := convexSeed(norm, lib, sources, dests, access, trunk, sc); ok {
 		bestCost, bestX1, bestX2 = patternSearch(eval, seed[0], seed[1], initStep*0.02, 20)
 	} else {
 		// General path: multistart pattern search from the endpoint
@@ -298,20 +281,11 @@ func patternSearch(
 	return bestCost, x1, x2
 }
 
-// resizePoints returns *buf resized to n, growing the backing array
-// only when the scratch has never seen a merging this large.
-func resizePoints(buf *[]geom.Point, n int) []geom.Point {
+// resize returns *buf resized to n, growing the backing array only
+// when the scratch has never seen a merging this large.
+func resize[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]geom.Point, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// resizeFloats is resizePoints for float64 buffers.
-func resizeFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

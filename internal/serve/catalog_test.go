@@ -99,7 +99,7 @@ func TestMetricCatalogMatchesDocs(t *testing.T) {
 // docMetricNames extracts every metric name from the "## Metric
 // catalog" section of docs/OBSERVABILITY.md: backticked tokens that
 // look like registry names (lowercase path with a '/'), excluding
-// prefix mentions like `p2p/cache/`.
+// prefix mentions that end in a slash, like `serve/batch/`.
 func docMetricNames(t *testing.T) map[string]bool {
 	t.Helper()
 	data, err := os.ReadFile("../../docs/OBSERVABILITY.md")

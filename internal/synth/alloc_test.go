@@ -6,32 +6,30 @@ import (
 	"repro/internal/library"
 	"repro/internal/merging"
 	"repro/internal/model"
-	"repro/internal/p2p"
 	"repro/internal/place"
 	"repro/internal/workloads"
 )
 
-// The checked-in allocation budget for warm candidate pricing, enforced
-// by `make bench-alloc` (part of the CI bench-gate job).
+// The checked-in allocation budget for candidate pricing, enforced by
+// `make bench-alloc` (part of the CI bench-gate job).
 //
-// A "warm" pricing is the steady state of Step 1c: the planner memo
-// already holds every point-to-point sub-problem and the pricing lane's
-// place.Scratch has grown to the largest merging. In that state the
-// only remaining allocations are the returned candidate itself — its
-// struct, the Channels copy, and the two exact-capacity access-plan
-// slices — which is 4 allocations per candidate on both the Euclidean
-// (WAN) and Manhattan (NoC) pricing paths. The budget leaves headroom
-// of two for toolchain drift while still pinning the ≥50% reduction
-// over the pre-flattening implementation, which measured 21.68
-// allocations per candidate on the same WAN workload (per-iteration
-// probe-slice literals in the pattern search, per-call direction
-// slices, unpooled endpoint staging, and sync.Map boxing).
+// Once the pricing lane's place.Scratch has grown to the largest
+// merging (its buffers and cost curves), the only remaining
+// allocations are the returned candidate itself — its struct, the
+// Channels copy, and the two exact-capacity access-plan slices — which
+// is 4 allocations per candidate on both the Euclidean (WAN) and
+// Manhattan (NoC) pricing paths. The budget leaves headroom of two for
+// toolchain drift while still pinning the ≥50% reduction over the
+// pre-flattening implementation, which measured 21.68 allocations per
+// candidate on the same WAN workload (per-iteration probe-slice
+// literals in the pattern search, per-call direction slices, unpooled
+// endpoint staging, and sync.Map boxing).
 const allocBudgetPerCandidate = 6.0
 
 // pricingAllocsPerCandidate prices every enumerated merging of the
-// workload twice — once to warm the planner memo and scratch, once
-// under testing.AllocsPerRun — and returns the steady-state average
-// allocation count per priced candidate.
+// workload under testing.AllocsPerRun, whose own warm-up run grows the
+// scratch, and returns the average allocation count per priced
+// candidate.
 func pricingAllocsPerCandidate(t testing.TB, cg *model.ConstraintGraph, lib *library.Library) float64 {
 	t.Helper()
 	enum, err := merging.Enumerate(cg, lib, merging.Options{Policy: merging.MaxIndexRef})
@@ -45,35 +43,33 @@ func pricingAllocsPerCandidate(t testing.TB, cg *model.ConstraintGraph, lib *lib
 	if len(sets) == 0 {
 		t.Fatal("workload enumerates no mergings")
 	}
-	opt := place.Options{Planner: p2p.NewPlanner(lib), Scratch: &place.Scratch{}}
-	price := func() {
+	opt := place.Options{Scratch: &place.Scratch{}}
+	allocs := testing.AllocsPerRun(10, func() {
 		for _, set := range sets {
 			if _, err := place.Optimize(cg, lib, set, opt); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	price() // warm the planner memo and grow the scratch
-	allocs := testing.AllocsPerRun(10, price)
+	})
 	perCand := allocs / float64(len(sets))
 	t.Logf("%d candidates, %.1f allocs/run, %.2f allocs/candidate (budget %.1f)",
 		len(sets), allocs, perCand, allocBudgetPerCandidate)
 	return perCand
 }
 
-// TestAllocBudgetWAN pins the warm pricing allocation budget on the
+// TestAllocBudgetWAN pins the pricing allocation budget on the
 // paper's Euclidean WAN instance (the E5 workload).
 func TestAllocBudgetWAN(t *testing.T) {
 	if got := pricingAllocsPerCandidate(t, workloads.WAN(), workloads.WANLibrary()); got > allocBudgetPerCandidate {
-		t.Errorf("WAN warm pricing allocates %.2f/candidate, budget %.1f", got, allocBudgetPerCandidate)
+		t.Errorf("WAN pricing allocates %.2f/candidate, budget %.1f", got, allocBudgetPerCandidate)
 	}
 }
 
-// TestAllocBudgetNoC pins the warm pricing allocation budget on the
+// TestAllocBudgetNoC pins the pricing allocation budget on the
 // Manhattan NoC instance (the E14 workload), which exercises the L1
 // median scratch path.
 func TestAllocBudgetNoC(t *testing.T) {
 	if got := pricingAllocsPerCandidate(t, workloads.NoC(), workloads.NoCLibrary()); got > allocBudgetPerCandidate {
-		t.Errorf("NoC warm pricing allocates %.2f/candidate, budget %.1f", got, allocBudgetPerCandidate)
+		t.Errorf("NoC pricing allocates %.2f/candidate, budget %.1f", got, allocBudgetPerCandidate)
 	}
 }

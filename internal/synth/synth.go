@@ -132,10 +132,6 @@ type Report struct {
 	UCPStats ucp.Stats
 	// SolverOptimal is true when the covering solver proved optimality.
 	SolverOptimal bool
-	// PlanCache reports the run's memoized point-to-point planner: how
-	// many BestPlan sub-problems were answered from the memo table
-	// (shared by Step 1a and every Step 1c pricing) versus solved.
-	PlanCache p2p.CacheStats
 	// Workers is the pricing worker-pool size the run actually used.
 	Workers int
 	// Degradation records what (if anything) a deadline, per-phase
@@ -281,15 +277,6 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 	if (opt.Place.P2P == p2p.Options{}) {
 		opt.Place.P2P = opt.P2P
 	}
-	// One memo table serves the whole run: Step 1a's per-channel plans
-	// and every access-leg/trunk sub-problem of Step 1c. BestPlan is a
-	// pure function of (distance, bandwidth, options) over the library,
-	// so sharing the table across pricing workers cannot change any
-	// result.
-	planner := p2p.NewPlanner(lib)
-	if opt.Place.Planner == nil {
-		opt.Place.Planner = planner
-	}
 	report.Workers = opt.workers()
 
 	// --- Step 1a: optimum point-to-point plans. ---
@@ -302,7 +289,7 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 	p2pPlans := make([]p2p.Plan, n)
 	for i := 0; i < n; i++ {
 		ch := model.ChannelID(i)
-		plan, err := planner.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), opt.P2P)
+		plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, opt.P2P)
 		if err != nil {
 			endPlan()
 			return nil, nil, fmt.Errorf("synth: channel %q: %w", cg.Channel(ch).Name, err)
@@ -438,19 +425,13 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 	endMat()
 	report.Timings.Materialize = time.Since(phase)
 	events.Publish(obs.Event{Type: obs.EventPhaseEnd, Phase: "materialize"})
-	report.PlanCache = planner.Stats()
 	report.Elapsed = time.Since(start)
 	publishRun(ctx, report)
 	return ig, report, nil
 }
 
-// publishRun adds the run's summary counters — including the memoized
-// planner's cache statistics, which only settle once every phase has
-// run — to the registry carried by ctx (no-op without one). The
-// planner's single-flight fill makes misses count unique sub-problems
-// solved (deterministic at any worker count); cmd/bench-diff still
-// ignores the p2p/cache/ prefix by default so baselines recorded under
-// the old attempt-counting semantics keep comparing cleanly.
+// publishRun adds the run's summary counters to the registry carried
+// by ctx (no-op without one).
 func publishRun(ctx context.Context, r *Report) {
 	m := obs.FromContext(ctx).Metrics()
 	if m == nil {
@@ -461,10 +442,6 @@ func publishRun(ctx context.Context, r *Report) {
 	m.Counter("synth/priced_mergings").Add(int64(r.PricedMergings))
 	m.Counter("synth/infeasible_mergings").Add(int64(r.InfeasibleMergings))
 	m.Counter("synth/dominated_mergings").Add(int64(r.DominatedMergings))
-	m.Counter("p2p/cache/hits").Add(r.PlanCache.Hits)
-	m.Counter("p2p/cache/misses").Add(r.PlanCache.Misses)
-	m.Counter("p2p/cache/entries").Add(r.PlanCache.Entries)
-	m.Gauge("p2p/cache/shards").Set(int64(r.PlanCache.Shards))
 	m.Gauge("synth/price/workers").Set(int64(r.Workers))
 }
 

@@ -160,12 +160,22 @@ done
 [ "$state" = done ] || fail "durable job A did not finish (state: $state)"
 costA=$(curl -fsS "http://$ADDR/v1/jobs/$idA" | sed -n 's/.*"cost": *\([0-9.]*\).*/\1/p')
 
+# The slow job the kill -9 must catch mid-run: a 12-channel on-chip
+# instance that takes seconds on one worker, committed as the output of
+# `cdcs-gen -kind soc -channels 12 -modules 9 -seed 7`.
+slow=$(jq -nc --slurpfile g scripts/testdata/soc12.graph.json \
+    --slurpfile l scripts/testdata/soc12.lib.json \
+    '{graph: $g[0], library: $l[0], options: {workers: 1}}')
+
 # A batch with two fast members and one slow one: the fast members
 # finish before the crash, the slow one is caught mid-run. Submitted
 # while both job slots are free so the fast members cannot starve
 # behind a pair of big jobs.
-cbatch=$(curl -fsS -X POST "http://$ADDR/v1/batch" \
-    -d '{"workload":"crash-batch","graphs":[{"name":"fast-wan","example":"wan","options":{"workers":1}},{"name":"fast-lan","example":"lan","options":{"workers":1}},{"name":"slow","example":"mpeg4","options":{"workers":1}}]}')
+cbatch=$(jq -nc --argjson slow "$slow" '{workload: "crash-batch", graphs: [
+    {name: "fast-wan", example: "wan", options: {workers: 1}},
+    {name: "fast-lan", example: "lan", options: {workers: 1}},
+    ({name: "slow"} + $slow)]}' \
+    | curl -fsS -X POST "http://$ADDR/v1/batch" -d @-)
 cbid=$(printf '%s' "$cbatch" | sed -n 's/.*"id": *"\(b-[0-9]*\)".*/\1/p' | head -n 1)
 [ -n "$cbid" ] || fail "no batch id in durable batch response: $cbatch"
 fastdone=""
@@ -179,12 +189,18 @@ for _ in $(seq 1 300); do
 done
 [ "$fastdone" = yes ] || fail "fast batch members did not finish before the crash"
 
-# Job B is the big instance on one worker (~seconds): the kill below
-# lands mid-run, so the restarted daemon must re-queue it.
-jobB=$(curl -fsS -X POST "http://$ADDR/v1/synthesize" \
-    -d '{"example":"mpeg4","options":{"workers":1}}')
+# Job B is the slow instance too: the kill below lands mid-run, so
+# the restarted daemon must re-queue it.
+jobB=$(printf '%s' "$slow" | curl -fsS -X POST "http://$ADDR/v1/synthesize" -d @-)
 idB=$(printf '%s' "$jobB" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
 [ -n "$idB" ] || fail "no job id in durable submit response: $jobB"
+
+# Both slow jobs must still be running, or the legs below would test
+# nothing; a host fast enough to finish them first fails here.
+state=$(curl -fsS "http://$ADDR/v1/jobs/$idB" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
+[ "$state" != done ] || fail "slow job B finished before the kill -9; the crash leg needs a slower instance"
+n=$(curl -fsS "http://$ADDR/v1/batch/$cbid" | grep -c '"state": *"done"') || true
+[ "$n" -eq 2 ] || fail "batch $cbid has $n done members before the kill -9, want 2; the crash leg needs a slower instance"
 
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
