@@ -389,6 +389,7 @@ func printReport(cg *model.ConstraintGraph, rep *synth.Report) {
 	fmt.Printf("savings             : %.1f%%\n", rep.SavingsPercent())
 	fmt.Printf("mergings priced     : %d (infeasible %d, dominated %d)\n",
 		rep.PricedMergings, rep.InfeasibleMergings, rep.DominatedMergings)
+	fmt.Printf("skipped by bound    : %d of the dominated\n", rep.SkippedByBound)
 	fmt.Printf("solver optimal      : %v\n", rep.SolverOptimal)
 	fmt.Printf("result optimal      : %v\n", rep.ResultOptimal())
 	if rep.Workers > 0 {

@@ -57,6 +57,54 @@ func NormByName(name string) (Norm, error) {
 	}
 }
 
+// Dual returns the dual norm of n, ‖p‖* = max{⟨p, y⟩ : ‖y‖ ≤ 1}, as a
+// Norm whose Distance(p, Point{}) is ‖p‖*: Euclidean for Euclidean,
+// Chebyshev for Manhattan and Manhattan for Chebyshev. ok is false for
+// a norm other than the three built-ins.
+func Dual(n Norm) (dual Norm, ok bool) {
+	switch n.(type) {
+	case euclidean:
+		return Euclidean, true
+	case manhattan:
+		return Chebyshev, true
+	case chebyshev:
+		return Manhattan, true
+	}
+	return nil, false
+}
+
+// Subgradient returns a subgradient g of n's length at y: ⟨g, y⟩ = ‖y‖
+// and ‖g‖* ≤ 1, with g = 0 at y = 0. n must be one of the three
+// built-in norms (those Dual knows); any other is a programming error
+// and panics.
+func Subgradient(n Norm, y Point) Point {
+	switch n.(type) {
+	case euclidean:
+		if l := y.L2(); l > 0 {
+			return y.Scale(1 / l)
+		}
+		return Point{}
+	case manhattan:
+		return Point{sign(y.X), sign(y.Y)}
+	case chebyshev:
+		if math.Abs(y.X) >= math.Abs(y.Y) {
+			return Point{X: sign(y.X)}
+		}
+		return Point{Y: sign(y.Y)}
+	}
+	panic(fmt.Sprintf("geom: no subgradient for norm %q", n.Name()))
+}
+
+func sign(v float64) float64 {
+	switch {
+	case v > 0:
+		return 1
+	case v < 0:
+		return -1
+	}
+	return 0
+}
+
 // PathLength returns the length of the polyline through pts under n.
 // A polyline with fewer than two points has length zero.
 func PathLength(n Norm, pts []Point) float64 {

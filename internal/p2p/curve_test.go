@@ -186,8 +186,8 @@ func TestCurvePricesErrorsAtInf(t *testing.T) {
 			t.Fatalf("ask %d: infeasible requirement priced %v, want +Inf", i, got)
 		}
 	}
-	if r := c.Rate(); !math.IsInf(r, 1) {
-		t.Errorf("infeasible curve rate = %v, want +Inf", r)
+	if slope, intercept := c.Envelope(); !math.IsInf(slope, 1) || !math.IsInf(intercept, 1) {
+		t.Errorf("infeasible curve envelope = (%v, %v), want +Inf", slope, intercept)
 	}
 	c.Reset(500, lib, Options{MaxChains: 1})
 	want, err := BestPlan(100, 500, lib, Options{MaxChains: 1})
@@ -227,13 +227,14 @@ func TestCurveRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestCurveRate: on a purely length-priced library the curve is the
-// line through the origin with slope Rate, and Rate honours MaxChains.
-func TestCurveRate(t *testing.T) {
+// TestCurveEnvelopeLengthPriced: on a purely length-priced library
+// the curve is the line through the origin, its envelope is that line
+// exactly, and the slope honours MaxChains.
+func TestCurveEnvelopeLengthPriced(t *testing.T) {
 	lib := wanLib() // radio 11 Mbps at 2/m, optical 1000 Mbps at 4/m
 	var c Curve
-	if r := c.Rate(); !math.IsInf(r, 1) {
-		t.Errorf("zero curve rate = %v, want +Inf", r)
+	if slope, intercept := c.Envelope(); !math.IsInf(slope, 1) || !math.IsInf(intercept, 1) {
+		t.Errorf("zero curve envelope = (%v, %v), want +Inf", slope, intercept)
 	}
 	for _, tc := range []struct {
 		b    float64
@@ -248,18 +249,55 @@ func TestCurveRate(t *testing.T) {
 		{2000, Options{MaxChains: 1}, 0}, // infeasible
 	} {
 		c.Reset(tc.b, lib, tc.opt)
-		got := c.Rate()
+		got, intercept := c.Envelope()
 		if tc.want == 0 {
 			if !math.IsInf(got, 1) {
-				t.Errorf("b=%g %+v: rate %v, want +Inf", tc.b, tc.opt, got)
+				t.Errorf("b=%g %+v: slope %v, want +Inf", tc.b, tc.opt, got)
 			}
 			continue
 		}
-		if got != tc.want {
-			t.Errorf("b=%g %+v: rate %v, want %v", tc.b, tc.opt, got, tc.want)
+		if got != tc.want || intercept != 0 {
+			t.Errorf("b=%g %+v: envelope (%v, %v), want (%v, 0)", tc.b, tc.opt, got, intercept, tc.want)
 		}
 		if d := 37.5; math.Abs(c.Cost(d)-got*d) > 1e-9 {
-			t.Errorf("b=%g %+v: Cost(%g) = %v, want rate·d = %v", tc.b, tc.opt, d, c.Cost(d), got*d)
+			t.Errorf("b=%g %+v: Cost(%g) = %v, want slope·d = %v", tc.b, tc.opt, d, c.Cost(d), got*d)
+		}
+	}
+}
+
+// TestCurveEnvelopeUnderCost: the envelope line never exceeds the
+// curve beyond float rounding (a relative 1e-9), over seeded random
+// libraries and options, at the distances where a segment count steps
+// (multiples of MaxSpan, one ulp and the num.Ceil tolerance either
+// side) and in between. Placement's lower bound, and through it the
+// dominated-merging skip, is only as sound as this.
+func TestCurveEnvelopeUnderCost(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	var c Curve
+	for trial := 0; trial < 300; trial++ {
+		lib := randomCurveLib(r)
+		opt := Options{
+			ChargeSwitchesOnDuplication: r.Intn(2) == 0,
+			MaxSegments:                 []int{0, 1, 2, 5}[r.Intn(4)],
+			MaxChains:                   []int{0, 1, 2, 3}[r.Intn(4)],
+		}
+		ds := []float64{0, r.Float64() * 50, r.Float64() * 5000}
+		for _, l := range lib.Links {
+			if !l.Unbounded() {
+				ds = append(ds, nearMultiples(l.MaxSpan)...)
+				ds = append(ds, l.MaxSpan*(0.5+r.Float64()*20))
+			}
+		}
+		for _, b := range []float64{r.Float64() * 300, lib.Links[0].Bandwidth, 2 * lib.Links[0].Bandwidth} {
+			c.Reset(b, lib, opt)
+			slope, intercept := c.Envelope()
+			for _, d := range ds {
+				cost := c.Cost(d)
+				if line := slope*d + intercept; line > cost+1e-9*math.Max(1, math.Abs(cost)) {
+					t.Fatalf("b=%g %+v over %+v: envelope %v·%g%+v = %v above Cost %v",
+						b, opt, lib, slope, d, intercept, line, cost)
+				}
+			}
 		}
 	}
 }

@@ -268,18 +268,31 @@ func (c *Curve) Cost(d float64) float64 {
 	return best
 }
 
-// Rate returns the minimum over the curve's terms of
-// chains·CostPerLength, or +Inf when no link is feasible. When every
-// link is unbounded with zero fixed cost this is the per-length weight
-// the curve's cheapest plan charges.
-func (c *Curve) Rate() float64 {
-	best := math.Inf(1)
-	for _, t := range c.terms {
-		if r := t.chains * t.perLength; num.Improves(r, best) {
-			best = r
+// Envelope returns a line slope·d + intercept that lies under Cost(d)
+// for every d ≥ 0, the piece weight of placement's lower bound. Each
+// term contributes chains·CostPerLength as its slope and its
+// distance-free cost as its intercept. A term that can segment pays
+// CostFixed plus a repeater for every MaxSpan it covers (less one
+// repeater), so its slope steepens by chains·(CostFixed+repeater)/MaxSpan
+// and its intercept drops by one repeater per chain and by the Eps that
+// num.Ceil may round off the segment count. The envelope takes the
+// minimum slope and the minimum intercept over the terms; the zero
+// Curve's envelope is (+Inf, +Inf). When every link is unbounded with
+// zero fixed cost, the slope is the per-length weight the curve's
+// cheapest plan charges and the intercept its switch charge.
+func (c *Curve) Envelope() (slope, intercept float64) {
+	slope, intercept = math.Inf(1), math.Inf(1)
+	for i := range c.terms {
+		t := &c.terms[i]
+		s, b := t.chains*t.perLength, t.chains*t.fixed+t.switches
+		if t.maxSegments > 1 && !math.IsInf(t.maxSpan, 1) {
+			perSegment := t.fixed + t.repeater
+			s = t.chains * (t.perLength + perSegment/t.maxSpan)
+			b = t.switches - t.chains*(t.repeater+num.Eps*perSegment)
 		}
+		slope, intercept = math.Min(slope, s), math.Min(intercept, b)
 	}
-	return best
+	return slope, intercept
 }
 
 // Instantiate materializes a plan for channel ch into the implementation

@@ -14,10 +14,11 @@ import (
 //
 //	c(x₁,x₂) = Σᵢ wᵢ·‖uᵢ−x₁‖ + w_t·‖x₁−x₂‖ + Σᵢ wᵢ·‖x₂−vᵢ‖ + const
 //
-// with distance-independent weights: wᵢ is the per-length rate of
+// with distance-independent weights: wᵢ is the envelope slope of
 // channel i's access curve (duplication included) and w_t that of the
-// single-chain trunk curve, so the weights are the ones Optimize's
-// evaluation charges. The objective is jointly convex, and block
+// single-chain trunk curve. On such a library the slope is the exact
+// per-length rate, so the weights are the ones Optimize's evaluation
+// charges. The objective is jointly convex, and block
 // minimization over x₁ (a weighted median of the sources plus x₂) and
 // x₂ (a weighted median of the destinations plus x₁) converges to the
 // global optimum.
@@ -37,11 +38,11 @@ func convexSeed(
 	}
 	weights := resize(&sc.weights, len(access))
 	for i := range access {
-		if weights[i] = access[i].Rate(); math.IsInf(weights[i], 1) {
+		if weights[i], _ = access[i].Envelope(); math.IsInf(weights[i], 1) {
 			return [2]geom.Point{}, false
 		}
 	}
-	wTrunk := trunk.Rate()
+	wTrunk, _ := trunk.Envelope()
 	if math.IsInf(wTrunk, 1) {
 		return [2]geom.Point{}, false
 	}
@@ -49,18 +50,33 @@ func convexSeed(
 	// A loose per-median iteration budget: the pattern-search polish in
 	// Optimize absorbs the residual tolerance, so the alternation only
 	// needs to get close.
-	mopt := geom.MedianOptions{MaxIter: 60, Scratch: &sc.median}
-	x1 := geom.WeightedMedian(norm, sources, weights, mopt)
-	x2 := geom.WeightedMedian(norm, dests, weights, mopt)
 	pts := append(append(sc.pts[:0], sources...), dests...)
 	sc.pts = pts
 	bb := geom.Bounds(pts)
 	tol := 1e-6 * math.Max(1, math.Max(bb.Width(), bb.Height()))
+	x1, x2 := alternateMedians(norm, sources, dests, weights, wTrunk, 60, 40, tol, sc)
+	return [2]geom.Point{x1, x2}, true
+}
+
+// alternateMedians minimizes Σᵢ wᵢ‖uᵢ−x₁‖ + w_t‖x₁−x₂‖ + Σᵢ wᵢ‖x₂−vᵢ‖ by
+// block coordinate descent. The hubs start at the weighted medians of
+// the sources and of the destinations; each round then moves x₁ to the
+// weighted median of the sources plus x₂ (at weight w_t), and x₂ to
+// that of the destinations plus x₁. Each median runs at most maxIter
+// iterations, and the descent stops after rounds rounds or once a round
+// moves the hubs less than tol in total.
+func alternateMedians(
+	norm geom.Norm, sources, dests []geom.Point, weights []float64, wTrunk float64,
+	maxIter, rounds int, tol float64, sc *Scratch,
+) (x1, x2 geom.Point) {
+	mopt := geom.MedianOptions{MaxIter: maxIter, Scratch: &sc.median}
+	x1 = geom.WeightedMedian(norm, sources, weights, mopt)
+	x2 = geom.WeightedMedian(norm, dests, weights, mopt)
 	srcSites := append(append(sc.srcSites[:0], sources...), x2)
 	dstSites := append(append(sc.dstSites[:0], dests...), x1)
 	wAll := append(append(sc.wAll[:0], weights...), wTrunk)
 	sc.srcSites, sc.dstSites, sc.wAll = srcSites, dstSites, wAll
-	for iter := 0; iter < 40; iter++ {
+	for iter := 0; iter < rounds; iter++ {
 		srcSites[len(srcSites)-1] = x2
 		nx1 := geom.WeightedMedian(norm, srcSites, wAll, mopt)
 		dstSites[len(dstSites)-1] = nx1
@@ -71,5 +87,5 @@ func convexSeed(
 			break
 		}
 	}
-	return [2]geom.Point{x1, x2}, true
+	return x1, x2
 }

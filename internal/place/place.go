@@ -18,6 +18,10 @@
 // the global optimum; for fixed-priced (step-cost) libraries the result
 // is the best point among the explored pattern, which is the classical
 // engineering treatment of such piecewise-constant costs.
+//
+// LowerBound certifies, without searching, a cost below which no
+// placement of a merging can go; synthesis uses it to skip placing
+// mergings that are dominated wherever their hubs land.
 package place
 
 import (
@@ -43,8 +47,9 @@ type Options struct {
 	// Scratch, when non-nil, supplies reusable buffers for the per-call
 	// endpoint staging, cost curves and convex-seed alternation, so
 	// that once it has grown an Optimize call allocates only the
-	// candidate it returns. A scratch must not be shared between
-	// concurrent Optimize calls; synthesis keeps one per pricing worker.
+	// candidate it returns and a LowerBound call nothing at all. A
+	// scratch must not be shared between concurrent calls; synthesis
+	// keeps one per pricing worker.
 	Scratch *Scratch
 }
 
@@ -62,6 +67,8 @@ type Scratch struct {
 	wAll               []float64
 	starts             [][2]geom.Point
 	median             geom.MedianScratch
+	lengths            []float64
+	order              []int
 }
 
 // TrunkCapacity selects the trunk sizing rule.
@@ -117,31 +124,9 @@ func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	sources := resize(&sc.sources, len(channels))
-	dests := resize(&sc.dests, len(channels))
-	bws := resize(&sc.bws, len(channels))
-	access := resize(&sc.access, len(channels))
-	var trunkBW float64
-	for i, ch := range channels {
-		c := cg.Channel(ch)
-		sources[i] = cg.Position(c.From)
-		dests[i] = cg.Position(c.To)
-		bws[i] = c.Bandwidth
-		access[i].Reset(c.Bandwidth, lib, opt.P2P)
-		if opt.Capacity == MaxBandwidth {
-			trunkBW = math.Max(trunkBW, c.Bandwidth)
-		} else {
-			trunkBW += c.Bandwidth
-		}
-	}
-
+	trunkBW, trunkOpt := stage(cg, lib, channels, opt, sc)
+	sources, dests, bws, access, trunk := sc.sources, sc.dests, sc.bws, sc.access, &sc.trunk
 	norm := cg.Norm()
-	// Trunk: single chain so all merged channels share one common path
-	// (Definition 2.8's q*).
-	trunkOpt := opt.P2P
-	trunkOpt.MaxChains = 1
-	trunk := &sc.trunk
-	trunk.Reset(trunkBW, lib, trunkOpt)
 
 	// eval prices the structure at given hub positions without building
 	// the full candidate (the search calls it thousands of times). Each
@@ -231,6 +216,34 @@ func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.
 			len(channels), trunkBW)
 	}
 	return build(bestX1, bestX2)
+}
+
+// stage loads the merging of channels into sc: its endpoints and
+// bandwidths, one access curve per channel, and the trunk curve. The
+// trunk is a single chain so that all merged channels share one common
+// path (Definition 2.8's q*). It returns the trunk's bandwidth and
+// point-to-point options.
+func stage(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, opt Options, sc *Scratch) (trunkBW float64, trunkOpt p2p.Options) {
+	sources := resize(&sc.sources, len(channels))
+	dests := resize(&sc.dests, len(channels))
+	bws := resize(&sc.bws, len(channels))
+	access := resize(&sc.access, len(channels))
+	for i, ch := range channels {
+		c := cg.Channel(ch)
+		sources[i] = cg.Position(c.From)
+		dests[i] = cg.Position(c.To)
+		bws[i] = c.Bandwidth
+		access[i].Reset(c.Bandwidth, lib, opt.P2P)
+		if opt.Capacity == MaxBandwidth {
+			trunkBW = math.Max(trunkBW, c.Bandwidth)
+		} else {
+			trunkBW += c.Bandwidth
+		}
+	}
+	trunkOpt = opt.P2P
+	trunkOpt.MaxChains = 1
+	sc.trunk.Reset(trunkBW, lib, trunkOpt)
+	return trunkBW, trunkOpt
 }
 
 // patternDirs are the eight compass directions of the pattern search,

@@ -26,11 +26,8 @@ import (
 // endpoint staging, and sync.Map boxing).
 const allocBudgetPerCandidate = 6.0
 
-// pricingAllocsPerCandidate prices every enumerated merging of the
-// workload under testing.AllocsPerRun, whose own warm-up run grows the
-// scratch, and returns the average allocation count per priced
-// candidate.
-func pricingAllocsPerCandidate(t testing.TB, cg *model.ConstraintGraph, lib *library.Library) float64 {
+// enumeratedSets returns every merging the workload enumerates.
+func enumeratedSets(t testing.TB, cg *model.ConstraintGraph, lib *library.Library) [][]model.ChannelID {
 	t.Helper()
 	enum, err := merging.Enumerate(cg, lib, merging.Options{Policy: merging.MaxIndexRef})
 	if err != nil {
@@ -43,6 +40,16 @@ func pricingAllocsPerCandidate(t testing.TB, cg *model.ConstraintGraph, lib *lib
 	if len(sets) == 0 {
 		t.Fatal("workload enumerates no mergings")
 	}
+	return sets
+}
+
+// pricingAllocsPerCandidate prices every enumerated merging of the
+// workload under testing.AllocsPerRun, whose own warm-up run grows the
+// scratch, and returns the average allocation count per priced
+// candidate.
+func pricingAllocsPerCandidate(t testing.TB, cg *model.ConstraintGraph, lib *library.Library) float64 {
+	t.Helper()
+	sets := enumeratedSets(t, cg, lib)
 	opt := place.Options{Scratch: &place.Scratch{}}
 	allocs := testing.AllocsPerRun(10, func() {
 		for _, set := range sets {
@@ -71,5 +78,41 @@ func TestAllocBudgetWAN(t *testing.T) {
 func TestAllocBudgetNoC(t *testing.T) {
 	if got := pricingAllocsPerCandidate(t, workloads.NoC(), workloads.NoCLibrary()); got > allocBudgetPerCandidate {
 		t.Errorf("NoC pricing allocates %.2f/candidate, budget %.1f", got, allocBudgetPerCandidate)
+	}
+}
+
+// boundAllocsPerCall bounds every enumerated merging of the workload
+// with place.LowerBound under testing.AllocsPerRun, whose warm-up run
+// grows the scratch, and returns the average allocation count per
+// call. Synthesis bounds every merging before placing it, so the bound
+// must not allocate: its budget is zero.
+func boundAllocsPerCall(t *testing.T, cg *model.ConstraintGraph, lib *library.Library) float64 {
+	t.Helper()
+	sets := enumeratedSets(t, cg, lib)
+	opt := place.Options{Scratch: &place.Scratch{}}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, set := range sets {
+			place.LowerBound(cg, lib, set, opt)
+		}
+	})
+	t.Logf("%d mergings, %.1f allocs/run", len(sets), allocs)
+	return allocs / float64(len(sets))
+}
+
+// TestAllocBudgetLowerBoundWAN pins place.LowerBound at zero
+// allocations per call on the Euclidean WAN instance (Weiszfeld trial
+// hubs).
+func TestAllocBudgetLowerBoundWAN(t *testing.T) {
+	if got := boundAllocsPerCall(t, workloads.WAN(), workloads.WANLibrary()); got != 0 {
+		t.Errorf("WAN lower bound allocates %.2f/call, budget 0", got)
+	}
+}
+
+// TestAllocBudgetLowerBoundNoC pins place.LowerBound at zero
+// allocations per call on the Manhattan NoC instance (scratch-backed
+// L1 medians).
+func TestAllocBudgetLowerBoundNoC(t *testing.T) {
+	if got := boundAllocsPerCall(t, workloads.NoC(), workloads.NoCLibrary()); got != 0 {
+		t.Errorf("NoC lower bound allocates %.2f/call, budget 0", got)
 	}
 }

@@ -3,6 +3,7 @@ package synth
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -96,6 +97,10 @@ func TestObservabilitySpanAndCounterContents(t *testing.T) {
 	if len(roots) != 1 {
 		t.Fatalf("want one root span, got %d", len(roots))
 	}
+	if price := sink.Tracer().FindSpans("synth/price"); len(price) == 1 &&
+		!slices.Contains(price[0].Attrs, obs.Int("bounded", rep.SkippedByBound)) {
+		t.Errorf("synth/price attrs %+v lack bounded=%d", price[0].Attrs, rep.SkippedByBound)
+	}
 
 	counters := sink.Metrics().Snapshot().CounterMap()
 	for _, name := range []string{
@@ -110,6 +115,12 @@ func TestObservabilitySpanAndCounterContents(t *testing.T) {
 	// exist — they are two projections of the same run.
 	if got := counters["synth/priced_mergings"]; got != int64(rep.PricedMergings) {
 		t.Errorf("synth/priced_mergings = %d, report says %d", got, rep.PricedMergings)
+	}
+	if got := counters["synth/skipped_by_bound"]; got != int64(rep.SkippedByBound) || got == 0 {
+		t.Errorf("synth/skipped_by_bound = %d, report says %d (want > 0 on the WAN)", got, rep.SkippedByBound)
+	}
+	if got, want := counters["synth/price/pricings"], int64(rep.Enumeration.TotalCandidates()-rep.SkippedByBound); got != want {
+		t.Errorf("synth/price/pricings = %d, want the %d mergings not skipped by the bound", got, want)
 	}
 	if got := counters["merging/sets_tested"]; got != int64(rep.Enumeration.SetsTested) {
 		t.Errorf("merging/sets_tested = %d, report says %d", got, rep.Enumeration.SetsTested)

@@ -123,11 +123,16 @@ type Report struct {
 	Enumeration *merging.Result
 	// PricedMergings counts mergings that survived pricing;
 	// InfeasibleMergings counts those the placement step rejected;
-	// DominatedMergings counts those dropped as costlier than their
-	// point-to-point alternative.
+	// DominatedMergings counts those dropped because they cost at least
+	// their channels' point-to-point sum, whether placed and then
+	// dropped or skipped unplaced. SkippedByBound counts the dominated
+	// mergings skipped unplaced because their placement lower bound
+	// (place.LowerBound) already reached that sum; it is part of
+	// DominatedMergings.
 	PricedMergings     int
 	InfeasibleMergings int
 	DominatedMergings  int
+	SkippedByBound     int
 	// UCPStats carries covering-solver counters.
 	UCPStats ucp.Stats
 	// SolverOptimal is true when the covering solver proved optimality.
@@ -347,6 +352,7 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 		obs.Int("priced", report.PricedMergings),
 		obs.Int("infeasible", report.InfeasibleMergings),
 		obs.Int("dominated", report.DominatedMergings),
+		obs.Int("bounded", report.SkippedByBound),
 		obs.Int("skipped", report.Degradation.PricingSkipped),
 	)
 	report.Timings.Price = time.Since(phase)
@@ -442,6 +448,7 @@ func publishRun(ctx context.Context, r *Report) {
 	m.Counter("synth/priced_mergings").Add(int64(r.PricedMergings))
 	m.Counter("synth/infeasible_mergings").Add(int64(r.InfeasibleMergings))
 	m.Counter("synth/dominated_mergings").Add(int64(r.DominatedMergings))
+	m.Counter("synth/skipped_by_bound").Add(int64(r.SkippedByBound))
 	m.Gauge("synth/price/workers").Set(int64(r.Workers))
 }
 
@@ -451,14 +458,22 @@ func publishRun(ctx context.Context, r *Report) {
 var testPricingHook func([]model.ChannelID)
 
 // priceOne prices a single candidate set, converting a panic anywhere
-// inside the placement optimization into a typed *PricingPanicError
-// naming the candidate. The recover lives here — inside the function
-// each worker goroutine calls — so a panicking worker can never take
-// down the process.
+// inside the bound or the placement optimization into a typed
+// *PricingPanicError naming the candidate. The recover lives here —
+// inside the function each worker goroutine calls — so a panicking
+// worker can never take down the process.
+//
+// When skipDominated is set and the set's placement lower bound
+// already reaches p2pSum, every placement of the set is dominated:
+// priceOne reports it skipped without running the placement search.
+// The bound lies under the true placement optimum and is −Inf wherever
+// Optimize could fail, so a skipped set is exactly one that pricing
+// would have found dominated.
 func priceOne(
 	cg *model.ConstraintGraph, lib *library.Library,
 	set []model.ChannelID, opt place.Options,
-) (cand *place.Candidate, err error) {
+	p2pSum float64, skipDominated bool,
+) (cand *place.Candidate, skipped bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PricingPanicError{
@@ -471,7 +486,11 @@ func priceOne(
 	if hook := testPricingHook; hook != nil {
 		hook(set)
 	}
-	return place.Optimize(cg, lib, set, opt)
+	if skipDominated && num.NoBetter(place.LowerBound(cg, lib, set, opt), p2pSum) {
+		return nil, true, nil
+	}
+	cand, err = place.Optimize(cg, lib, set, opt)
+	return cand, false, err
 }
 
 // priceCandidates runs Step 1c — placement-pricing every enumerated
@@ -479,7 +498,10 @@ func priceOne(
 // sub-problems, so they fan out freely; results are collected into a
 // slice indexed by enumeration order and appended to the report
 // serially, which keeps the candidate sequence, the counters and hence
-// the covering instance identical to a single-worker run.
+// the covering instance identical to a single-worker run. Unless
+// KeepDominated is set, a merging whose placement lower bound already
+// reaches its point-to-point sum is counted dominated without being
+// placed (see priceOne).
 //
 // When ctx expires mid-phase, no further candidates are dispatched:
 // already-dispatched pricings finish (each is bounded by the pattern
@@ -505,17 +527,27 @@ func priceCandidates(
 	}
 
 	type priced struct {
-		cand *place.Candidate
-		err  error
-		done bool
+		cand    *place.Candidate
+		err     error
+		done    bool
+		skipped bool // dominated by its lower bound, never placed
 	}
 	results := make([]priced, len(sets))
+	p2pSum := func(set []model.ChannelID) float64 {
+		var sum float64
+		for _, ch := range set {
+			sum += p2pPlans[ch].Cost
+		}
+		return sum
+	}
 
 	// Worker-pool instruments, fetched once and shared by every worker
 	// (handles are atomic and nil-safe, so the disabled path costs one
-	// nil check per pricing). queue_depth counts not-yet-priced
-	// mergings: it starts at the backlog size, ends at zero on a full
-	// run, and on deadline is left at exactly the skipped count.
+	// nil check per pricing). pricings and the arity and duration
+	// histograms count placement searches only, not mergings their
+	// lower bound skipped. queue_depth counts not-yet-priced mergings:
+	// it starts at the backlog size, ends at zero on a full run, and on
+	// deadline is left at exactly the skipped count.
 	sink := obs.FromContext(ctx)
 	met := sink.Metrics()
 	now := sink.Clock()
@@ -537,14 +569,17 @@ func priceCandidates(
 		}
 		popt := opt.Place
 		popt.Scratch = sc
-		cand, err := priceOne(cg, lib, sets[i], popt)
+		cand, skipped, err := priceOne(cg, lib, sets[i], popt, p2pSum(sets[i]), !opt.KeepDominated)
+		results[i] = priced{cand: cand, err: err, done: true, skipped: skipped}
+		queueDepth.Add(-1)
+		if skipped {
+			return
+		}
 		if durHist != nil {
 			durHist.Record(now().Sub(t0).Microseconds())
 		}
-		results[i] = priced{cand: cand, err: err, done: true}
 		pricings.Add(1)
 		arityHist.Record(int64(len(sets[i])))
-		queueDepth.Add(-1)
 	}
 
 	done := ctx.Done()
@@ -609,6 +644,11 @@ func priceCandidates(
 			report.Degradation.PricingSkipped++
 			continue
 		}
+		if results[i].skipped {
+			report.DominatedMergings++
+			report.SkippedByBound++
+			continue
+		}
 		cand, err := results[i].cand, results[i].err
 		if err != nil {
 			var pe *PricingPanicError
@@ -618,15 +658,9 @@ func priceCandidates(
 			report.InfeasibleMergings++
 			continue
 		}
-		if !opt.KeepDominated {
-			var alt float64
-			for _, ch := range set {
-				alt += p2pPlans[ch].Cost
-			}
-			if num.GreaterEq(cand.Cost, alt) {
-				report.DominatedMergings++
-				continue
-			}
+		if !opt.KeepDominated && num.GreaterEq(cand.Cost, p2pSum(set)) {
+			report.DominatedMergings++
+			continue
 		}
 		report.PricedMergings++
 		report.Candidates = append(report.Candidates, Candidate{

@@ -140,6 +140,12 @@ func TestKeepDominatedGrowsInstanceNotCost(t *testing.T) {
 		t.Errorf("KeepDominated should yield more candidates: %d vs %d",
 			full.PricedMergings, lean.PricedMergings)
 	}
+	// KeepDominated also turns the lower-bound skip off: every
+	// enumerated merging is placed.
+	if full.SkippedByBound != 0 || full.PricedMergings+full.InfeasibleMergings != full.Enumeration.TotalCandidates() {
+		t.Errorf("KeepDominated run skipped %d by bound and placed %d+%d of %d mergings", full.SkippedByBound,
+			full.PricedMergings, full.InfeasibleMergings, full.Enumeration.TotalCandidates())
+	}
 	if math.Abs(full.Cost-lean.Cost) > 1e-6 {
 		t.Errorf("optimal cost changed with dominated candidates: %v vs %v", full.Cost, lean.Cost)
 	}
