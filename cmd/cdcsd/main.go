@@ -7,7 +7,7 @@
 // Usage:
 //
 //	cdcsd [-addr :8080] [-max-jobs 2] [-retain 64] [-event-buffer 1024]
-//	      [-data-dir DIR] [-snapshot-every 1024] [-fsync-every 1]
+//	      [-data-dir DIR] [-snapshot-every 1024]
 //	      [-shed-watermarks degrade:shed] [-degraded-timeout 2s]
 //	      [-trace-ring 256] [-self URL -peers URL,URL,...]
 //	      [-drain-timeout 10s] [-pprof] [-log-level info] [-version]
@@ -19,9 +19,11 @@
 //	curl -sN localhost:8080/v1/jobs/j-000001/events     # SSE replay + tail
 //	curl -s localhost:8080/metrics | grep ucp_incumbents_total
 //
-// With -data-dir the job table is durable: every submission, state
-// transition and result is WAL-logged (and periodically compacted
-// into a snapshot), and a restart — graceful or kill -9 — replays it.
+// With -data-dir the job table is durable: each job's submission and
+// terminal result are WAL-logged as two fsynced records (and
+// periodically compacted into a snapshot), so a 202 means the
+// submission is on disk, and a restart — graceful or kill -9 —
+// replays it.
 // Finished jobs come back queryable with their exact results;
 // interrupted jobs are re-queued through the synth pipeline and
 // marked "restarted". Overload is handled in tiers: beyond the
@@ -68,7 +70,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight jobs to return their degraded results; jobs still unfinished at the deadline are abandoned (and re-queued on the next start with -data-dir)")
 	dataDir := flag.String("data-dir", "", "durable job-table directory (WAL + snapshots); a restart replays it — finished jobs restored, interrupted jobs re-queued. Empty = in-memory only")
 	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records between snapshot compactions")
-	fsyncEvery := flag.Int("fsync-every", 1, "WAL records per batched fsync (group commit; 1 = sync every record)")
 	shedWatermarks := flag.String("shed-watermarks", "", "tiered admission watermarks as degrade:shed unfinished-job loads (default 2*max-jobs:4*max-jobs)")
 	self := flag.String("self", "", "this replica's base URL as peers see it (e.g. http://10.0.0.1:8080); required with -peers")
 	peers := flag.String("peers", "", "comma-separated base URLs of all fleet replicas (self included or not); enables rendezvous job routing and peer forwarding")
@@ -120,13 +121,10 @@ func main() {
 		Logger:        log,
 		Version:       version,
 		DataDir:       *dataDir,
-		Durable: durable.Options{
-			FsyncEvery:    *fsyncEvery,
-			SnapshotEvery: *snapshotEvery,
-		},
-		Shed:      shed,
-		Fleet:     router,
-		TraceRing: *traceRing,
+		Durable:       durable.Options{SnapshotEvery: *snapshotEvery},
+		Shed:          shed,
+		Fleet:         router,
+		TraceRing:     *traceRing,
 	})
 	if err != nil {
 		log.Error("startup failed", "error", err.Error())

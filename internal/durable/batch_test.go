@@ -74,15 +74,14 @@ func TestBatchSnapshotCompaction(t *testing.T) {
 	s, _, err := Open(dir, Options{
 		Logger: testLogger(), Now: testClock(),
 		SnapshotEvery: 3,
-		Source:        func() []Job { return table },
-		BatchSource:   func() []Batch { return batches },
+		Source:        func() ([]Job, []Batch) { return table, batches },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
 		id := fmt.Sprintf("j-%06d", i)
-		if err := s.AppendJob(id, "wan", now, json.RawMessage(`{"example":"wan"}`), ""); err != nil {
+		if err := s.AppendJob(id, "wan", now, json.RawMessage(`{"example":"wan"}`), "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,9 +3,8 @@
 // replayed at startup into the last durable view of every job. The
 // contract is crash-shaped at both ends:
 //
-//   - Writing: appends are batched fsyncs (Options.FsyncEvery records
-//     per sync — group commit, the latency/durability knob), the log
-//     is compacted into an atomically-renamed snapshot every
+//   - Writing: every record is fsynced before its append returns, the
+//     log is compacted into an atomically-renamed snapshot every
 //     Options.SnapshotEvery records, and any write error degrades the
 //     store to lossy instead of taking the daemon down.
 //   - Reading: replay tolerates the wreckage a kill -9 leaves behind.
@@ -13,14 +12,17 @@
 //     dying write left — is skipped and counted, never fatal, and a
 //     corrupt snapshot falls back to the log alone.
 //
-// The record stream is append-only state transitions: a job record
-// (spec + workload, implying queued), a state record (running, or the
-// restarted marker a recovering daemon writes when it re-queues
-// interrupted work), a result record (terminal: done when Error is
-// empty, failed otherwise), and an evict record (the serving layer
-// dropped a finished job to make room). Replay folds the stream into
-// per-job final states; the serving layer turns those into restored
-// finished jobs and re-queued interrupted ones.
+// Synthesis is a pure function of the submitted spec, so re-running
+// an interrupted job is idempotent and a job needs only two records:
+// a job record (spec + workload, implying queued; Evicts names the
+// finished job its admission dropped, so eviction and admission
+// persist atomically) and a result record (terminal: done when Error
+// is empty, failed otherwise; Restarted marks a re-execution after a
+// crash). A batch record binds member jobs to their POST /v1/batch
+// envelope. Replay folds the stream into per-job final states; the
+// serving layer turns those into restored finished jobs and re-queued
+// interrupted ones. Any other record type — including the state and
+// evict records of older logs — is skipped and counted.
 //
 // Filesystem and clock are injectable through faultfs, which is how
 // the crash-recovery property tests sweep every kill point.
@@ -43,16 +45,9 @@ import (
 // Record type tags (the "t" field of a WAL line).
 const (
 	RecordJob    = "job"
-	RecordState  = "state"
 	RecordResult = "result"
-	RecordEvict  = "evict"
 	RecordBatch  = "batch"
 )
-
-// StateRestarted is the state-record value a recovering daemon
-// appends when it re-queues a job that was interrupted mid-run; on a
-// later replay it reads back as "queued, marked restarted".
-const StateRestarted = "restarted"
 
 // ErrClosed is returned by appends after Close (or the Crash test
 // hook); the serving layer treats it as "persistence is over", not as
@@ -74,16 +69,19 @@ type Record struct {
 	Time time.Time `json:"time"`
 	// Job records: the submission. Trace is the job root span's
 	// serialized traceparent, so a restored job keeps its distributed
-	// trace correlation across the crash.
+	// trace correlation across the crash. Evicts is the finished job
+	// this admission dropped to make room, if any: replay removes it
+	// when it applies the record.
 	Workload string          `json:"workload,omitempty"`
 	Spec     json.RawMessage `json:"spec,omitempty"`
 	Trace    string          `json:"trace,omitempty"`
-	// State records: the transition (running, or StateRestarted).
-	State string `json:"state,omitempty"`
+	Evicts   string          `json:"evicts,omitempty"`
 	// Result records: the terminal outcome — done when Error is
-	// empty, failed otherwise.
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
+	// empty, failed otherwise. Restarted marks the outcome of a
+	// re-execution after a crash.
+	Result    json.RawMessage `json:"result,omitempty"`
+	Error     string          `json:"error,omitempty"`
+	Restarted bool            `json:"restarted,omitempty"`
 	// Batch records: the membership of a POST /v1/batch submission
 	// (Workload carries the batch's label). The member jobs persist
 	// as ordinary job records; this record only binds them to the
@@ -143,26 +141,19 @@ type Replay struct {
 	SnapshotRestored bool
 }
 
-// Options tunes the store. The zero value syncs every record,
-// compacts every 1024, and uses the real filesystem and clock.
+// Options tunes the store. The zero value compacts every 1024
+// records and uses the real filesystem and clock.
 type Options struct {
 	// FS is the filesystem seam; nil means the real OS.
 	FS faultfs.FS
 	// Now is the record-timestamp clock; nil means time.Now.
 	Now func() time.Time
-	// FsyncEvery batches fsyncs: one sync per this many appended
-	// records (group commit). <=0 means 1 — sync every record.
-	FsyncEvery int
 	// SnapshotEvery compacts the WAL into a snapshot after this many
 	// records. <=0 means 1024.
 	SnapshotEvery int
-	// Source supplies the current job table for compaction; nil
-	// disables automatic and close-time snapshots.
-	Source func() []Job
-	// BatchSource supplies the current batch envelopes for
-	// compaction; nil snapshots an empty batch set. Only consulted
-	// when Source is set — batches never compact without jobs.
-	BatchSource func() []Batch
+	// Source supplies the current job table and batch envelopes for
+	// compaction; nil disables automatic and close-time snapshots.
+	Source func() ([]Job, []Batch)
 	// Registry receives the durable/wal/* instruments; nil disables.
 	Registry *obs.Registry
 	// Logger receives structured warnings; nil means slog.Default.
@@ -178,20 +169,17 @@ type Store struct {
 
 	records, fsyncs, skipped, snapshots *obs.CounterHandle
 
-	// mu serializes appends, fsync batching, and compaction. It is
-	// not reentrant, and compaction (which runs under it) calls the
-	// injected source hook — so no internal path may re-acquire it:
+	// mu serializes appends and compaction. It is not reentrant, and
+	// compaction (which runs under it) calls the injected source hook
+	// — so no internal path may re-acquire it:
 	//
 	//cdcsvet:lockorder Store.mu -> Store.mu
-	mu          sync.Mutex
-	w           faultfs.File
-	pending     int // records appended since the last fsync
-	sinceSnap   int // records appended since the last snapshot
-	closed      bool
-	fsyncEvery  int
-	snapEvery   int
-	source      func() []Job
-	batchSource func() []Batch
+	mu        sync.Mutex
+	w         faultfs.File
+	sinceSnap int // records appended since the last snapshot
+	closed    bool
+	snapEvery int
+	source    func() ([]Job, []Batch)
 }
 
 // Open replays dir's snapshot and WAL — tolerating a torn tail — and
@@ -205,9 +193,6 @@ func Open(dir string, opts Options) (*Store, *Replay, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	if opts.FsyncEvery <= 0 {
-		opts.FsyncEvery = 1
-	}
 	if opts.SnapshotEvery <= 0 {
 		opts.SnapshotEvery = 1024
 	}
@@ -218,18 +203,16 @@ func Open(dir string, opts Options) (*Store, *Replay, error) {
 		return nil, nil, fmt.Errorf("durable: create data dir: %w", err)
 	}
 	s := &Store{
-		dir:         dir,
-		fsys:        opts.FS,
-		now:         opts.Now,
-		log:         opts.Logger,
-		records:     opts.Registry.Counter("durable/wal/records"),
-		fsyncs:      opts.Registry.Counter("durable/wal/fsyncs"),
-		skipped:     opts.Registry.Counter("durable/wal/replay_skipped"),
-		snapshots:   opts.Registry.Counter("durable/wal/snapshots"),
-		fsyncEvery:  opts.FsyncEvery,
-		snapEvery:   opts.SnapshotEvery,
-		source:      opts.Source,
-		batchSource: opts.BatchSource,
+		dir:       dir,
+		fsys:      opts.FS,
+		now:       opts.Now,
+		log:       opts.Logger,
+		records:   opts.Registry.Counter("durable/wal/records"),
+		fsyncs:    opts.Registry.Counter("durable/wal/fsyncs"),
+		skipped:   opts.Registry.Counter("durable/wal/replay_skipped"),
+		snapshots: opts.Registry.Counter("durable/wal/snapshots"),
+		snapEvery: opts.SnapshotEvery,
+		source:    opts.Source,
 	}
 	rep := s.replay()
 	s.skipped.Add(int64(rep.Skipped))
@@ -246,26 +229,17 @@ func Open(dir string, opts Options) (*Store, *Replay, error) {
 }
 
 // AppendJob records a submission (the job enters queued). trace is the
-// job's serialized traceparent ("" when untraced).
-func (s *Store) AppendJob(id, workload string, created time.Time, spec json.RawMessage, trace string) error {
-	return s.append(&Record{T: RecordJob, ID: id, Time: created, Workload: workload, Spec: spec, Trace: trace})
-}
-
-// AppendState records a non-terminal transition (running, or the
-// StateRestarted re-queue marker).
-func (s *Store) AppendState(id, state string) error {
-	return s.append(&Record{T: RecordState, ID: id, Time: s.now(), State: state})
+// job's serialized traceparent ("" when untraced); evicts is the
+// finished job the admission dropped to make room ("" when none).
+func (s *Store) AppendJob(id, workload string, created time.Time, spec json.RawMessage, trace, evicts string) error {
+	return s.append(&Record{T: RecordJob, ID: id, Time: created, Workload: workload, Spec: spec, Trace: trace, Evicts: evicts})
 }
 
 // AppendResult records the terminal outcome: done when errMsg is
-// empty, failed otherwise.
-func (s *Store) AppendResult(id string, result json.RawMessage, errMsg string) error {
-	return s.append(&Record{T: RecordResult, ID: id, Time: s.now(), Result: result, Error: errMsg})
-}
-
-// AppendEvict records that the serving layer dropped a finished job.
-func (s *Store) AppendEvict(id string) error {
-	return s.append(&Record{T: RecordEvict, ID: id, Time: s.now()})
+// empty, failed otherwise. restarted marks the outcome of a
+// re-execution after a crash.
+func (s *Store) AppendResult(id string, result json.RawMessage, errMsg string, restarted bool) error {
+	return s.append(&Record{T: RecordResult, ID: id, Time: s.now(), Result: result, Error: errMsg, Restarted: restarted})
 }
 
 // AppendBatch records a batch envelope: its label and the per-member
@@ -289,15 +263,13 @@ func (s *Store) append(rec *Record) error {
 		return fmt.Errorf("durable: append record: %w", err)
 	}
 	s.records.Add(1)
-	s.pending++
 	s.sinceSnap++
-	if s.pending >= s.fsyncEvery {
-		if err := s.syncLocked(); err != nil {
-			return err
-		}
+	if err := s.w.Sync(); err != nil {
+		return fmt.Errorf("durable: fsync: %w", err)
 	}
+	s.fsyncs.Add(1)
 	if s.source != nil && s.sinceSnap >= s.snapEvery {
-		if err := s.compactLocked(s.source()); err != nil {
+		if err := s.compactLocked(); err != nil {
 			// Compaction failure is not data loss — the WAL still has
 			// everything — so log and keep appending to the old log.
 			s.log.Warn("wal compaction failed", "error", err.Error())
@@ -307,38 +279,13 @@ func (s *Store) append(rec *Record) error {
 	return nil
 }
 
-func (s *Store) syncLocked() error {
-	if err := s.w.Sync(); err != nil {
-		return fmt.Errorf("durable: fsync: %w", err)
-	}
-	s.fsyncs.Add(1)
-	s.pending = 0
-	return nil
-}
-
-// Compact snapshots the current table (via Options.Source) and
-// truncates the WAL. No-op without a source.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.source == nil {
-		return nil
-	}
-	return s.compactLocked(s.source())
-}
-
-// compactLocked writes the snapshot atomically (tmp file, fsync,
-// rename) and then truncates the log: crash before the rename leaves
-// the old snapshot + full WAL, crash after it leaves the new snapshot
-// + stale-but-reapplyable WAL records (replay is idempotent per job).
-func (s *Store) compactLocked(jobs []Job) error {
-	var batches []Batch
-	if s.batchSource != nil {
-		batches = s.batchSource()
-	}
+// compactLocked snapshots the source's table and writes it atomically
+// (tmp file, fsync, rename), then truncates the log: crash before the
+// rename leaves the old snapshot + full WAL, crash after it leaves the
+// new snapshot + stale-but-reapplyable WAL records (replay is
+// idempotent per job). Caller checks s.source != nil.
+func (s *Store) compactLocked() error {
+	jobs, batches := s.source()
 	data, err := json.Marshal(struct {
 		V       int     `json:"v"`
 		Jobs    []Job   `json:"jobs"`
@@ -375,15 +322,14 @@ func (s *Store) compactLocked(jobs []Job) error {
 		return fmt.Errorf("reset WAL: %w", err)
 	}
 	s.w = w
-	s.pending = 0
 	s.sinceSnap = 0
 	s.snapshots.Add(1)
 	return nil
 }
 
 // Close compacts one final time (when a Source is configured — a
-// clean shutdown restarts from the snapshot alone), syncs any batched
-// records, and closes the log. Idempotent.
+// clean shutdown restarts from the snapshot alone) and closes the log.
+// Every record is already synced. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -392,14 +338,9 @@ func (s *Store) Close() error {
 	}
 	var err error
 	if s.source != nil {
-		err = s.compactLocked(s.source())
+		err = s.compactLocked()
 	}
 	if !s.closed { // compactLocked may have disabled the store
-		if s.pending > 0 {
-			if serr := s.syncLocked(); err == nil {
-				err = serr
-			}
-		}
 		_ = s.w.Close()
 		s.closed = true
 	}

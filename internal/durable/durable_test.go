@@ -23,25 +23,50 @@ func testClock() func() time.Time {
 	return faultfs.NewClock(time.Unix(1_700_000_000, 0).UTC()).Now
 }
 
-// runScenario drives a fixed append sequence against a store: three
-// jobs — one finishing, one failing, one left running — plus an
-// eviction of the finished one's predecessor.
+// Result bytes the scenarios persist; replay must return them exactly.
+const (
+	result1 = `{"channels":9,"cost":9.5}`
+	result4 = `{"channels":2,"cost":3.25}`
+)
+
+// scenario is a fixed append sequence: three jobs — one finishing, one
+// failing, one left queued (interrupted) — each logged as its
+// submission and, when it finished, its terminal result.
+func scenario(s *Store) []func() error {
+	now := time.Unix(1_700_000_000, 0).UTC()
+	return []func() error{
+		func() error { return s.AppendJob("j-000001", "wan", now, json.RawMessage(`{"example":"wan"}`), "", "") },
+		func() error { return s.AppendResult("j-000001", json.RawMessage(result1), "", false) },
+		func() error { return s.AppendJob("j-000002", "bad", now, json.RawMessage(`{"example":"bad"}`), "", "") },
+		func() error { return s.AppendResult("j-000002", nil, "infeasible instance", false) },
+		func() error {
+			return s.AppendJob("j-000003", "mpeg4", now, json.RawMessage(`{"example":"mpeg4"}`), "", "")
+		},
+	}
+}
+
+// crashScenario extends scenario with the folded record fields, as a
+// full three-slot table produces them: job 4's admission evicts the
+// finished job 1, a crash re-executes job 4 (its result is marked
+// restarted), and job 5's admission evicts the failed job 2 and is
+// left queued.
+func crashScenario(s *Store) []func() error {
+	now := time.Unix(1_700_000_000, 0).UTC()
+	return append(scenario(s),
+		func() error {
+			return s.AppendJob("j-000004", "lan", now, json.RawMessage(`{"example":"lan"}`), "", "j-000001")
+		},
+		func() error { return s.AppendResult("j-000004", json.RawMessage(result4), "", true) },
+		func() error {
+			return s.AppendJob("j-000005", "wan", now, json.RawMessage(`{"example":"wan"}`), "", "j-000002")
+		},
+	)
+}
+
+// runScenario drives scenario against a store, failing on any error.
 func runScenario(t *testing.T, s *Store) {
 	t.Helper()
-	now := time.Unix(1_700_000_000, 0).UTC()
-	steps := []func() error{
-		func() error { return s.AppendJob("j-000001", "wan", now, json.RawMessage(`{"example":"wan"}`), "") },
-		func() error { return s.AppendState("j-000001", "running") },
-		func() error {
-			return s.AppendResult("j-000001", json.RawMessage(`{"channels":9,"cost":9.5}`), "")
-		},
-		func() error { return s.AppendJob("j-000002", "bad", now, json.RawMessage(`{"example":"bad"}`), "") },
-		func() error { return s.AppendState("j-000002", "running") },
-		func() error { return s.AppendResult("j-000002", nil, "infeasible instance") },
-		func() error { return s.AppendJob("j-000003", "mpeg4", now, json.RawMessage(`{"example":"mpeg4"}`), "") },
-		func() error { return s.AppendState("j-000003", "running") },
-	}
-	for i, step := range steps {
+	for i, step := range scenario(s) {
 		if err := step(); err != nil {
 			t.Fatalf("scenario step %d: %v", i, err)
 		}
@@ -73,34 +98,47 @@ func TestReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d jobs, want 3", len(rep.Jobs))
 	}
 	j1, j2, j3 := rep.Jobs[0], rep.Jobs[1], rep.Jobs[2]
-	if j1.ID != "j-000001" || j1.State != "done" || string(j1.Result) != `{"channels":9,"cost":9.5}` {
+	if j1.ID != "j-000001" || j1.State != "done" || string(j1.Result) != result1 {
 		t.Errorf("job 1 = %+v, want done with its exact result bytes", j1)
 	}
 	if j2.State != "failed" || j2.Error != "infeasible instance" {
 		t.Errorf("job 2 = %+v, want failed", j2)
 	}
-	if j3.State != "running" || string(j3.Spec) != `{"example":"mpeg4"}` {
-		t.Errorf("job 3 = %+v, want still running with its spec", j3)
+	if j3.State != "queued" || string(j3.Spec) != `{"example":"mpeg4"}` {
+		t.Errorf("job 3 = %+v, want still queued with its spec", j3)
 	}
 }
 
+// TestEvictRecordDropsJob: a job record's evicts field removes the
+// evicted job at the point the admission replays, and a result record
+// carries the restarted bit.
 func TestEvictRecordDropsJob(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(dir, Options{Logger: testLogger(), Now: testClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runScenario(t, s)
-	if err := s.AppendEvict("j-000001"); err != nil {
-		t.Fatal(err)
+	for i, step := range crashScenario(s) {
+		if err := step(); err != nil {
+			t.Fatalf("scenario step %d: %v", i, err)
+		}
 	}
 	_ = s.Close()
 	_, rep, err := Open(dir, Options{Logger: testLogger(), Now: testClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Jobs) != 2 || rep.Jobs[0].ID != "j-000002" {
-		t.Fatalf("after evict, jobs = %v, want j-000002 and j-000003", ids(rep.Jobs))
+	if rep.Skipped != 0 || rep.Records != 8 {
+		t.Errorf("replay applied %d records and skipped %d, want 8 and 0", rep.Records, rep.Skipped)
+	}
+	if got := fmt.Sprint(ids(rep.Jobs)); got != "[j-000003 j-000004 j-000005]" {
+		t.Fatalf("after evictions, jobs = %s, want [j-000003 j-000004 j-000005]", got)
+	}
+	if j4 := rep.Jobs[1]; j4.State != "done" || !j4.Restarted || string(j4.Result) != result4 {
+		t.Errorf("job 4 = %+v, want done, restarted, with its exact result bytes", j4)
+	}
+	if j5 := rep.Jobs[2]; j5.State != "queued" || j5.Restarted {
+		t.Errorf("job 5 = %+v, want queued and not restarted", j5)
 	}
 }
 
@@ -223,7 +261,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	s, _, err := Open(dir, Options{
 		Logger: testLogger(), Now: testClock(), Registry: reg,
 		SnapshotEvery: 3,
-		Source:        func() []Job { return table },
+		Source:        func() ([]Job, []Batch) { return table, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +269,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0).UTC()
 	for i := 1; i <= 3; i++ {
 		id := fmt.Sprintf("j-%06d", i)
-		if err := s.AppendJob(id, "wan", now, json.RawMessage(`{"example":"wan"}`), ""); err != nil {
+		if err := s.AppendJob(id, "wan", now, json.RawMessage(`{"example":"wan"}`), "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,37 +290,6 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 }
 
-// TestFsyncBatching pins group commit: FsyncEvery=4 over 10 records
-// is 2 batched syncs plus the final one Close issues for the
-// remainder.
-func TestFsyncBatching(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	s, _, err := Open(dir, Options{Logger: testLogger(), Now: testClock(), Registry: reg, FsyncEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1_700_000_000, 0).UTC()
-	for i := 1; i <= 10; i++ {
-		if err := s.AppendJob(fmt.Sprintf("j-%06d", i), "wan", now, nil, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := reg.Snapshot().CounterMap()
-	if snap["durable/wal/records"] != 10 {
-		t.Errorf("durable/wal/records = %d, want 10", snap["durable/wal/records"])
-	}
-	if snap["durable/wal/fsyncs"] != 2 {
-		t.Errorf("durable/wal/fsyncs = %d, want 2 (batches of 4)", snap["durable/wal/fsyncs"])
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Snapshot().CounterMap()["durable/wal/fsyncs"]; got != 3 {
-		t.Errorf("fsyncs after close = %d, want 3 (close syncs the remainder)", got)
-	}
-}
-
 func TestAppendAfterCloseAndCrash(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(dir, Options{Logger: testLogger(), Now: testClock()})
@@ -290,7 +297,7 @@ func TestAppendAfterCloseAndCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Crash()
-	if err := s.AppendState("j-000001", "running"); !errors.Is(err, ErrClosed) {
+	if err := s.AppendResult("j-000001", nil, "", false); !errors.Is(err, ErrClosed) {
 		t.Errorf("append after crash = %v, want ErrClosed", err)
 	}
 	if err := s.Close(); err != nil {
@@ -299,12 +306,13 @@ func TestAppendAfterCloseAndCrash(t *testing.T) {
 }
 
 // TestCrashRecoverySweep is the fault-injection property test: for
-// every kill point N in the scenario's write-op sequence (odd N torn
+// every kill point N in crashScenario's write-op sequence (odd N torn
 // — the dying write lands half its bytes), a reopen must succeed,
 // skip at most the one torn record, and reconstruct exactly a prefix
 // of the scenario — a job replayed as done must carry its exact
-// result bytes, and one replayed as queued/running must carry its
-// spec so it can be re-queued.
+// result bytes and restarted bit, one replayed as queued must carry
+// its spec so it can be re-queued, and no replay may hold both an
+// evicting job and the job it evicted.
 func TestCrashRecoverySweep(t *testing.T) {
 	// Measure the op budget with no fault armed.
 	probe := faultfs.NewFaulty(nil)
@@ -313,8 +321,7 @@ func TestCrashRecoverySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runScenario(t, s)
-	_ = s.Close()
+	sRun(s)
 	totalOps := probe.Ops()
 	if totalOps < 10 {
 		t.Fatalf("scenario used only %d write ops; sweep would be vacuous", totalOps)
@@ -346,38 +353,41 @@ func TestCrashRecoverySweep(t *testing.T) {
 			if rep.Skipped > 1 {
 				t.Errorf("skipped = %d, want <= 1 (only the torn tail)", rep.Skipped)
 			}
+			held := make(map[string]bool)
 			for _, j := range rep.Jobs {
+				held[j.ID] = true
 				switch j.ID {
 				case "j-000001":
-					if j.State == "done" && string(j.Result) != `{"channels":9,"cost":9.5}` {
-						t.Errorf("job 1 done with result %q, want exact bytes", j.Result)
+					if j.State == "done" && (string(j.Result) != result1 || j.Restarted) {
+						t.Errorf("job 1 done with result %q restarted %v, want exact bytes, not restarted", j.Result, j.Restarted)
 					}
 				case "j-000002":
 					if j.State == "failed" && j.Error != "infeasible instance" {
 						t.Errorf("job 2 failed with error %q", j.Error)
 					}
-				}
-				if j.State == "queued" || j.State == "running" {
-					if len(j.Spec) == 0 {
-						t.Errorf("job %s interrupted without a spec; cannot re-queue", j.ID)
+				case "j-000004":
+					if j.State == "done" && (string(j.Result) != result4 || !j.Restarted) {
+						t.Errorf("job 4 done with result %q restarted %v, want exact bytes, restarted", j.Result, j.Restarted)
 					}
+				}
+				if j.State == "queued" && len(j.Spec) == 0 {
+					t.Errorf("job %s interrupted without a spec; cannot re-queue", j.ID)
+				}
+			}
+			for evicting, evicted := range map[string]string{"j-000004": "j-000001", "j-000005": "j-000002"} {
+				if held[evicting] && held[evicted] {
+					t.Errorf("replay holds both %s and %s, which it evicted", evicting, evicted)
 				}
 			}
 		})
 	}
 }
 
-// sRun drives the scenario without a testing.T, swallowing errors —
+// sRun drives crashScenario without a testing.T, swallowing errors —
 // the crashing-process shape used by the sweep.
 func sRun(s *Store) {
-	now := time.Unix(1_700_000_000, 0).UTC()
-	_ = s.AppendJob("j-000001", "wan", now, json.RawMessage(`{"example":"wan"}`), "")
-	_ = s.AppendState("j-000001", "running")
-	_ = s.AppendResult("j-000001", json.RawMessage(`{"channels":9,"cost":9.5}`), "")
-	_ = s.AppendJob("j-000002", "bad", now, json.RawMessage(`{"example":"bad"}`), "")
-	_ = s.AppendState("j-000002", "running")
-	_ = s.AppendResult("j-000002", nil, "infeasible instance")
-	_ = s.AppendJob("j-000003", "mpeg4", now, json.RawMessage(`{"example":"mpeg4"}`), "")
-	_ = s.AppendState("j-000003", "running")
+	for _, step := range crashScenario(s) {
+		_ = step()
+	}
 	_ = s.Close()
 }

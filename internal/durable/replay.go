@@ -32,6 +32,12 @@ func (s *Store) replay() *Replay {
 			rep.SnapshotRestored = true
 			for i := range snap.Jobs {
 				j := snap.Jobs[i]
+				if j.ID == "" || byID[j.ID] != nil {
+					// Compaction never writes a nameless or repeated
+					// job; a damaged snapshot can.
+					rep.Skipped++
+					continue
+				}
 				byID[j.ID] = &j
 				rep.Jobs = append(rep.Jobs, &j)
 			}
@@ -97,6 +103,17 @@ func (s *Store) apply(rep *Replay, byID map[string]*Job, batchByID map[string]*B
 		rep.Batches = append(rep.Batches, b)
 		return true
 	case RecordJob:
+		// The job this admission evicted may already be absent: a
+		// snapshot taken after the eviction no longer lists it.
+		if j := byID[rec.Evicts]; j != nil {
+			delete(byID, rec.Evicts)
+			for i, rj := range rep.Jobs {
+				if rj == j {
+					rep.Jobs = append(rep.Jobs[:i], rep.Jobs[i+1:]...)
+					break
+				}
+			}
+		}
 		if _, dup := byID[rec.ID]; dup {
 			// Snapshot + stale WAL overlap after a crash between
 			// snapshot publish and log reset: refresh in place.
@@ -118,21 +135,6 @@ func (s *Store) apply(rep *Replay, byID map[string]*Job, batchByID map[string]*B
 		byID[rec.ID] = j
 		rep.Jobs = append(rep.Jobs, j)
 		return true
-	case RecordState:
-		j, ok := byID[rec.ID]
-		if !ok {
-			return false
-		}
-		switch rec.State {
-		case StateRestarted:
-			j.State = "queued"
-			j.Restarted = true
-		case "queued", "running":
-			j.State = rec.State
-		default:
-			return false
-		}
-		return true
 	case RecordResult:
 		j, ok := byID[rec.ID]
 		if !ok {
@@ -140,23 +142,11 @@ func (s *Store) apply(rep *Replay, byID map[string]*Job, batchByID map[string]*B
 		}
 		j.Result = rec.Result
 		j.Error = rec.Error
+		j.Restarted = rec.Restarted
 		if rec.Error == "" {
 			j.State = "done"
 		} else {
 			j.State = "failed"
-		}
-		return true
-	case RecordEvict:
-		j, ok := byID[rec.ID]
-		if !ok {
-			return false
-		}
-		delete(byID, rec.ID)
-		for i, rj := range rep.Jobs {
-			if rj == j {
-				rep.Jobs = append(rep.Jobs[:i], rep.Jobs[i+1:]...)
-				break
-			}
 		}
 		return true
 	default:

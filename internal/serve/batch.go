@@ -194,7 +194,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		traceID:  bspan.Context().TraceID.String(),
 	}
 	var admitted []*Job
-	var evictions []string
 	shedCount, invalid := 0, 0
 	for i := range req.Graphs {
 		g, d, m := &req.Graphs[i], &decs[i], &b.members[i]
@@ -205,14 +204,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		tier, load := s.tierLocked()
+		var evicted string
 		if tier != TierShed {
-			evicted, ok := s.evictLocked()
-			if !ok {
+			var ok bool
+			if evicted, ok = s.evictLocked(); !ok {
 				// Table full with nothing finished to evict: this
 				// member sheds; later members re-test as jobs finish.
 				tier = TierShed
-			} else if evicted != "" {
-				evictions = append(evictions, evicted)
 			}
 		}
 		m.tier = tier
@@ -220,7 +218,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			shedCount++
 			continue
 		}
-		j := s.newJobLocked(g.SynthesizeRequest, d.cg, d.lib, d.workload, tier, bspan.Context(), load)
+		j := s.newJobLocked(g.SynthesizeRequest, d.cg, d.lib, d.workload, tier, bspan.Context(), load, evicted)
 		m.jobID = j.ID
 		admitted = append(admitted, j)
 	}
@@ -267,9 +265,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("serve/batch/submitted").Add(1)
 	s.reg.Counter("serve/batch/members").Add(int64(len(req.Graphs)))
 	s.reg.Counter("serve/jobs_submitted").Add(int64(len(admitted)))
-	for _, id := range evictions {
-		s.persistEvict(id)
-	}
 	for _, j := range admitted {
 		s.persistJob(j)
 	}
@@ -351,9 +346,10 @@ func (s *Server) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // evictBatchesLocked bounds retained batch envelopes to MaxJobs,
-// dropping oldest first. There is no WAL evict record for batches:
-// the next snapshot compaction drops evicted envelopes from durable
-// state, and restore re-applies the same bound meanwhile.
+// dropping oldest first. Batch evictions are not logged (unlike a
+// job's, which rides on the evicting job's record): the next snapshot
+// compaction drops evicted envelopes from durable state, and restore
+// re-applies the same bound meanwhile.
 func (s *Server) evictBatchesLocked() {
 	for len(s.batchOrder) > s.cfg.MaxJobs {
 		delete(s.batches, s.batchOrder[0])

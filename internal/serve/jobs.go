@@ -92,6 +92,10 @@ type Job struct {
 	// specRaw preserves the submitted spec verbatim for snapshot
 	// compaction of restored jobs (whose req was never re-decoded).
 	specRaw json.RawMessage
+	// evicts is the finished job this admission dropped from the
+	// table, persisted on the job's own WAL record so the eviction and
+	// the admission are durable together. Immutable after admission.
+	evicts string
 
 	// tracer records the job's span forest; span is its serve/job
 	// root, queueSpan the admission-to-slot wait. sc/traceID are the
@@ -116,6 +120,9 @@ type Job struct {
 	finished time.Time
 	result   *Result
 	errMsg   string
+	// abandoned marks a job a drain aborted before it won a slot:
+	// failed in memory, still queued in its durable view (durable()).
+	abandoned bool
 
 	events *obs.Events
 	done   chan struct{}
@@ -309,15 +316,12 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 			"job table full (%d jobs, none finished)", s.cfg.MaxJobs)
 		return
 	}
-	j := s.newJobLocked(req, cg, lib, workload, tier, parent, load)
+	j := s.newJobLocked(req, cg, lib, workload, tier, parent, load, evicted)
 	s.mu.Unlock()
 
 	s.countRoot(propagated)
 	s.reg.Counter("serve/shed/" + tier).Add(1)
 	s.reg.Counter("serve/jobs_submitted").Add(1)
-	if evicted != "" {
-		s.persistEvict(evicted)
-	}
 	s.persistJob(j)
 	s.log.Info("job submitted",
 		"job_id", j.ID, "workload", j.Workload, "tier", tier, "load", load,
@@ -328,9 +332,9 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 
 // newJobLocked creates and registers one admitted job. Caller holds
 // s.mu, has classified the tier (not TierShed) and made room with
-// evictLocked; the caller persists the job and starts runJob after
-// releasing the lock.
-func (s *Server) newJobLocked(req SynthesizeRequest, cg *cdcs.ConstraintGraph, lib *cdcs.Library, workload, tier string, parent obs.SpanContext, load int) *Job {
+// evictLocked, passing what it evicted; the caller persists the job
+// and starts runJob after releasing the lock.
+func (s *Server) newJobLocked(req SynthesizeRequest, cg *cdcs.ConstraintGraph, lib *cdcs.Library, workload, tier string, parent obs.SpanContext, load int, evicted string) *Job {
 	s.nextID++
 	j := &Job{
 		ID:       fmt.Sprintf("j-%06d", s.nextID),
@@ -343,6 +347,7 @@ func (s *Server) newJobLocked(req SynthesizeRequest, cg *cdcs.ConstraintGraph, l
 		req:      req,
 		cg:       cg,
 		lib:      lib,
+		evicts:   evicted,
 	}
 	if tier == TierDegrade {
 		j.admission = TierDegrade
@@ -409,8 +414,7 @@ func jobStartHook() func(j *Job) {
 
 // evictLocked makes room for one more job, dropping finished jobs
 // oldest-first. It reports whether the table has room, and the ID it
-// evicted (if any) so the caller can log the eviction to the WAL
-// after releasing s.mu.
+// evicted (if any) for the admitted job's WAL record.
 func (s *Server) evictLocked() (evicted string, ok bool) {
 	if len(s.jobs) < s.cfg.MaxJobs {
 		return "", true
@@ -451,6 +455,7 @@ func (s *Server) runJob(j *Job) {
 	case <-s.runCtx.Done():
 		j.mu.Lock()
 		j.errMsg = "server shut down before the job started"
+		j.abandoned = true
 		j.mu.Unlock()
 		// Close out the trace before the state flips: a client that sees
 		// a terminal state must find the span forest complete.
@@ -459,16 +464,16 @@ func (s *Server) runJob(j *Job) {
 		s.recordTrace(j.traceID, j.tracer.Roots())
 		j.setState(StateFailed)
 		s.reg.Counter("serve/jobs_failed").Add(1)
-		// Deliberately not persisted as failed: in the durable log the
-		// job stays queued, so the next start re-queues it instead of
-		// fossilizing a shutdown race as a permanent failure.
+		// Deliberately not persisted as failed: in the durable log and
+		// the close-time snapshot the job stays queued, so the next
+		// start re-queues it instead of fossilizing a shutdown race as
+		// a permanent failure.
 		log.Warn("job aborted", "reason", "drain before start")
 		return
 	}
 
 	j.tracer.End(j.queueSpan)
 	j.setState(StateRunning)
-	s.persistState(j, StateRunning)
 	if hook := jobStartHook(); hook != nil {
 		hook(j)
 	}

@@ -9,27 +9,18 @@ import (
 	"repro/internal/obs"
 )
 
-// persistJob logs an accepted submission to the WAL. All persist*
-// helpers are called WITHOUT s.mu held (the store may compact, and
-// compaction snapshots the table through s.mu) and tolerate a closed
-// or failing store: durability degrades to lossy, serving never
-// stops.
+// persistJob logs an accepted submission to the WAL, together with
+// the finished job its admission evicted. All persist* helpers are
+// called WITHOUT s.mu held (the store may compact, and compaction
+// snapshots the table through s.mu) and tolerate a closed or failing
+// store: durability degrades to lossy, serving never stops.
 func (s *Server) persistJob(j *Job) {
 	if s.store == nil {
 		return
 	}
 	spec := j.spec()
-	if err := s.store.AppendJob(j.ID, j.Workload, j.created, spec, j.traceparent()); err != nil {
+	if err := s.store.AppendJob(j.ID, j.Workload, j.created, spec, j.traceparent(), j.evicts); err != nil {
 		s.walWarn("job", j.ID, err)
-	}
-}
-
-func (s *Server) persistState(j *Job, state string) {
-	if s.store == nil {
-		return
-	}
-	if err := s.store.AppendState(j.ID, state); err != nil {
-		s.walWarn("state", j.ID, err)
 	}
 }
 
@@ -52,7 +43,7 @@ func (s *Server) persistResult(j *Job) {
 		}
 		raw = data
 	}
-	if err := s.store.AppendResult(j.ID, raw, errMsg); err != nil {
+	if err := s.store.AppendResult(j.ID, raw, errMsg, j.restarted); err != nil {
 		s.walWarn("result", j.ID, err)
 	}
 }
@@ -78,15 +69,6 @@ func (b *batch) durableMembers() []durable.BatchMember {
 	return out
 }
 
-func (s *Server) persistEvict(id string) {
-	if s.store == nil {
-		return
-	}
-	if err := s.store.AppendEvict(id); err != nil {
-		s.walWarn("evict", id, err)
-	}
-}
-
 func (s *Server) walWarn(kind, id string, err error) {
 	if errors.Is(err, durable.ErrClosed) {
 		return // shutdown/crash race: persistence is over by design
@@ -107,43 +89,30 @@ func (j *Job) spec() json.RawMessage {
 	return data
 }
 
-// snapshotTable renders the current job table for WAL compaction —
-// the durable.Options.Source hook. Takes s.mu, so the store must
-// never be called while holding it.
-func (s *Server) snapshotTable() []durable.Job {
+// snapshotTable renders the current job table and batch envelopes
+// for WAL compaction — the durable.Options.Source hook. Takes s.mu,
+// so the store must never be called while holding it.
+func (s *Server) snapshotTable() ([]durable.Job, []durable.Batch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]durable.Job, 0, len(s.order))
+	jobs := make([]durable.Job, 0, len(s.order))
 	for _, id := range s.order {
-		j := s.jobs[id]
-		if j == nil {
-			continue
+		if j := s.jobs[id]; j != nil {
+			jobs = append(jobs, j.durable())
 		}
-		out = append(out, j.durable())
 	}
-	return out
-}
-
-// snapshotBatches renders the retained batch envelopes for WAL
-// compaction — the durable.Options.BatchSource hook. Takes s.mu, so
-// the store must never be called while holding it.
-func (s *Server) snapshotBatches() []durable.Batch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]durable.Batch, 0, len(s.batchOrder))
+	batches := make([]durable.Batch, 0, len(s.batchOrder))
 	for _, id := range s.batchOrder {
-		b := s.batches[id]
-		if b == nil {
-			continue
+		if b := s.batches[id]; b != nil {
+			batches = append(batches, durable.Batch{
+				ID:       b.id,
+				Workload: b.workload,
+				Created:  b.created,
+				Members:  b.durableMembers(),
+			})
 		}
-		out = append(out, durable.Batch{
-			ID:       b.id,
-			Workload: b.workload,
-			Created:  b.created,
-			Members:  b.durableMembers(),
-		})
 	}
-	return out
+	return jobs, batches
 }
 
 // durable renders the job's current durable view. Lock order is
@@ -161,6 +130,11 @@ func (j *Job) durable() durable.Job {
 		Spec:      spec,
 		Error:     j.errMsg,
 		Trace:     j.traceparent(),
+	}
+	if j.abandoned {
+		// Drained before it won a slot: failed in memory, but durably
+		// still queued, so the next start re-queues it.
+		dj.State, dj.Error = StateQueued, ""
 	}
 	if j.result != nil {
 		if data, err := json.Marshal(j.result); err == nil {
@@ -221,10 +195,7 @@ func (s *Server) restore(rep *durable.Replay) {
 			}
 		}
 	}
-	// The re-queue marker makes a second crash replay these jobs as
-	// restarted too, and tells clients the run is a re-execution.
 	for _, j := range requeued {
-		s.persistState(j, durable.StateRestarted)
 		s.wg.Add(1)
 		go s.runJob(j)
 	}

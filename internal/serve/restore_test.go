@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,4 +231,232 @@ func TestRestoreRespectsRetention(t *testing.T) {
 		}
 	}
 	waitJob(t, ts2, j.ID)
+}
+
+// TestDrainBeforeStartRestoresQueued: a job a drain aborts before it
+// wins a slot is failed in memory but stays queued durably — in the
+// WAL and in the drain's close-time snapshot — so the next start
+// re-runs it instead of restoring a shutdown race as a permanent
+// failure. A job whose spec cannot be rebuilt on restart stays failed
+// across the next snapshot.
+func TestDrainBeforeStartRestoresQueued(t *testing.T) {
+	const body = `{"example":"wan","options":{"workers":1}}`
+	dir := t.TempDir()
+
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseAll()
+	started := make(chan string, 8)
+	setTestJobStartHook(func(j *Job) {
+		started <- j.ID
+		<-release
+	})
+	defer setTestJobStartHook(nil)
+
+	srv1, err := New(Config{MaxConcurrent: 1, DataDir: dir, Logger: discardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	a, _ := submit(t, ts1, body)
+	if id := <-started; id != a.ID {
+		t.Fatalf("running job is %s, want %s", id, a.ID)
+	}
+	b, code := submit(t, ts1, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("job b status = %d", code)
+	}
+
+	// Drain while a holds the only slot: b aborts without starting.
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		drainServer(t, srv1)
+	}()
+	if got := waitJob(t, ts1, b.ID); got.State != StateFailed {
+		t.Fatalf("job b after drain = %q, want failed in memory", got.State)
+	}
+	releaseAll()
+	<-drained
+	ts1.Close()
+
+	// A job whose spec no longer rebuilds, as if written by an older
+	// daemon: restore must fail it, durably.
+	bad := `{"t":"job","id":"j-000009","time":"2023-11-14T22:13:20Z","workload":"gone","spec":{"example":"gone"}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	setTestJobStartHook(nil)
+	srv2, err := New(Config{MaxConcurrent: 1, DataDir: dir, Logger: discardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	if rb := waitJob(t, ts2, b.ID); rb.State != StateDone || !rb.Restarted {
+		t.Fatalf("restored job b = state %q error %q restarted %v, want re-run to done and restarted",
+			rb.State, rb.Error, rb.Restarted)
+	}
+	drainServer(t, srv2)
+	ts2.Close()
+
+	_, ts3 := newTestServer(t, Config{MaxConcurrent: 1, DataDir: dir})
+	if rb, _ := getJobStatus(t, ts3.URL, b.ID); rb.State != StateDone || !rb.Restarted {
+		t.Errorf("job b after a second restart = %+v, want done and restarted", rb)
+	}
+	if rbad, _ := getJobStatus(t, ts3.URL, "j-000009"); rbad.State != StateFailed ||
+		!strings.HasPrefix(rbad.Error, "restart could not rebuild the job") {
+		t.Errorf("unbuildable job after a second restart = state %q error %q, want failed by the rebuild",
+			rbad.State, rbad.Error)
+	}
+}
+
+// TestEvictionSurvivesCrash pins eviction persistence: with a full
+// three-slot table, d's admission evicts the oldest finished job b
+// while the older a is still running. After a crash the restored
+// table is {a, c, d}; applying retention alone to the replayed jobs
+// would drop a, the oldest finished by then, and keep b.
+func TestEvictionSurvivesCrash(t *testing.T) {
+	const body = `{"example":"wan","options":{"workers":1}}`
+	dir := t.TempDir()
+
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseAll()
+	started := make(chan string, 8)
+	var hookCalls int32
+	setTestJobStartHook(func(j *Job) {
+		if atomic.AddInt32(&hookCalls, 1) == 1 {
+			started <- j.ID
+			<-release
+		}
+	})
+	defer setTestJobStartHook(nil)
+
+	cfg := Config{MaxConcurrent: 2, MaxJobs: 3, DataDir: dir, Logger: discardLogger()}
+	srv1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	// finish waits until id's job goroutine returned: its result record
+	// is appended by then.
+	finish := func(id string) {
+		t.Helper()
+		if got := waitJob(t, ts1, id); got.State != StateDone {
+			t.Fatalf("job %s state = %q, want done", id, got.State)
+		}
+		<-srv1.getJob(id).Done()
+	}
+	a, _ := submit(t, ts1, body)
+	if id := <-started; id != a.ID {
+		t.Fatalf("running job is %s, want %s", id, a.ID)
+	}
+	b, _ := submit(t, ts1, body)
+	finish(b.ID)
+	c, _ := submit(t, ts1, body)
+	finish(c.ID)
+	d, code := submit(t, ts1, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("job d status = %d, want 202 (b is evictable)", code)
+	}
+	finish(d.ID)
+	releaseAll()
+	finish(a.ID)
+	srv1.store.Crash()
+	drainServer(t, srv1)
+	ts1.Close()
+
+	setTestJobStartHook(nil)
+	_, ts2 := newTestServer(t, cfg)
+	resp, err := http.Get(ts2.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Jobs []jobJSON `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, j := range list.Jobs {
+		got = append(got, j.ID)
+	}
+	if want := []string{a.ID, c.ID, d.ID}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("restored table = %v, want %v", got, want)
+	}
+}
+
+// TestRestartedSurvivesSecondCrash: a re-executed job's restarted bit
+// lives on its result record, so a second crash after the re-run
+// restores it done, restarted, with the byte-identical result.
+func TestRestartedSurvivesSecondCrash(t *testing.T) {
+	const body = `{"example":"wan","options":{"workers":1}}`
+	dir := t.TempDir()
+
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseAll()
+	started := make(chan string, 8)
+	setTestJobStartHook(func(j *Job) {
+		started <- j.ID
+		<-release
+	})
+	defer setTestJobStartHook(nil)
+
+	cfg := Config{MaxConcurrent: 1, DataDir: dir, Logger: discardLogger()}
+	srv1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	j, _ := submit(t, ts1, body)
+	<-started
+	srv1.store.Crash()
+	releaseAll()
+	drainServer(t, srv1)
+	ts1.Close()
+
+	setTestJobStartHook(nil)
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	if rj := waitJob(t, ts2, j.ID); rj.State != StateDone || !rj.Restarted {
+		t.Fatalf("re-run job = state %q restarted %v, want done and restarted", rj.State, rj.Restarted)
+	}
+	<-srv2.getJob(j.ID).Done() // its result record is appended by then
+	result := rawResult(t, ts2.URL, j.ID)
+	srv2.store.Crash()
+	drainServer(t, srv2)
+	ts2.Close()
+
+	_, ts3 := newTestServer(t, cfg)
+	rj, code := getJobStatus(t, ts3.URL, j.ID)
+	if code != http.StatusOK || rj.State != StateDone || !rj.Restarted {
+		t.Fatalf("job after the second crash = %+v (status %d), want done and restarted", rj, code)
+	}
+	if got := rawResult(t, ts3.URL, j.ID); string(got) != string(result) {
+		t.Errorf("result changed across the second crash:\n  before: %s\n  after:  %s", result, got)
+	}
+}
+
+// TestJobWritesTwoRecords: a job's durable life is its submission and
+// its terminal result — two WAL records, each fsynced.
+func TestJobWritesTwoRecords(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, DataDir: t.TempDir()})
+	j, _ := submit(t, ts, `{"example":"wan","options":{"workers":1}}`)
+	waitJob(t, ts, j.ID)
+	<-srv.getJob(j.ID).Done() // its result record is appended by then
+	c := srv.Registry().Snapshot().CounterMap()
+	if c["durable/wal/records"] != 2 || c["durable/wal/fsyncs"] != 2 {
+		t.Errorf("one job wrote %d WAL records with %d fsyncs, want 2 and 2",
+			c["durable/wal/records"], c["durable/wal/fsyncs"])
+	}
 }

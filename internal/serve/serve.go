@@ -36,15 +36,16 @@
 // returns its best incumbent as an explicitly degraded result instead
 // of being killed.
 //
-// With Config.DataDir the job table is durable (internal/durable): a
-// write-ahead log records every submission, state transition and
-// result, and New replays it — finished jobs are restored queryable
-// with byte-identical results and a synthetic SSE history,
-// interrupted jobs are re-queued through the synth pipeline and
-// marked restarted. Admission is tiered (shed.go): at the degrade
-// watermark new jobs get a tightened timeout budget, at the shed
-// watermark they get 429 + Retry-After, and every decision is counted
-// under serve/shed/* and logged.
+// With Config.DataDir the job table is durable (internal/durable):
+// every job writes two fsynced write-ahead log records, its submission
+// (before the 202, carrying any job its admission evicted) and its
+// terminal result (marked restarted for a re-execution). New replays
+// the log — finished jobs are restored queryable with byte-identical
+// results and a synthetic SSE history, interrupted jobs are re-queued
+// through the synth pipeline and marked restarted. Admission is
+// tiered (shed.go): at the degrade watermark new jobs get a tightened
+// timeout budget, at the shed watermark they get 429 + Retry-After,
+// and every decision is counted under serve/shed/* and logged.
 package serve
 
 import (
@@ -88,9 +89,8 @@ type Config struct {
 	// interrupted ones are re-queued and marked restarted. Empty
 	// means in-memory only.
 	DataDir string
-	// Durable tunes the WAL (fsync batching, snapshot cadence,
-	// injected filesystem/clock). Registry and Source are wired by
-	// the server.
+	// Durable tunes the WAL (snapshot cadence, injected
+	// filesystem/clock). Registry and Source are wired by the server.
 	Durable durable.Options
 	// Shed sets the tiered load-shedding watermarks; the zero value
 	// derives them from MaxConcurrent.
@@ -233,7 +233,6 @@ func New(cfg Config) (*Server, error) {
 			opts.Now = s.now
 		}
 		opts.Source = s.snapshotTable
-		opts.BatchSource = s.snapshotBatches
 		store, replay, err := durable.Open(cfg.DataDir, opts)
 		if err != nil {
 			cancel()
