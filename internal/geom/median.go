@@ -125,6 +125,58 @@ func WeightedMedianL2(sites []Point, weights []float64, opt MedianOptions) Point
 	return x
 }
 
+// RefineMedian polishes an approximate minimizer x of Σ wᵢ·‖x − sitesᵢ‖
+// under n with at most maxIter safeguarded Newton steps. Weiszfeld's
+// linear rate degrades without bound as the sites approach a line,
+// while Newton's is quadratic near an optimum off every site. Only the
+// Euclidean objective is smooth off the sites, so for the other norms
+// x is returned as is (WeightedMedianL1 is exact already). A step is
+// taken only if it lowers the objective, halving it up to 30 times;
+// refinement stops early at a step that cannot, at a singular Hessian
+// (x collinear with every site) and at x on a site, where the
+// objective has no Hessian. A nil weights slice means unit weights.
+func RefineMedian(n Norm, sites []Point, weights []float64, x Point, maxIter int) Point {
+	if _, ok := n.(euclidean); !ok {
+		return x
+	}
+	checkSites(sites, weights)
+	for iter := 0; iter < maxIter; iter++ {
+		var g Point
+		var f, hxx, hxy, hyy float64
+		for i, s := range sites {
+			d := x.Sub(s)
+			l := d.L2()
+			if l == 0 {
+				return x
+			}
+			w := weightAt(weights, i)
+			e := d.Scale(1 / l)
+			f += w * l
+			g = g.Add(e.Scale(w))
+			c := w / l
+			hxx += c * (1 - e.X*e.X)
+			hxy -= c * e.X * e.Y
+			hyy += c * (1 - e.Y*e.Y)
+		}
+		det := hxx*hyy - hxy*hxy
+		if !(det > 0) || math.IsInf(det, 0) {
+			return x
+		}
+		step := Point{X: (hxy*g.Y - hyy*g.X) / det, Y: (hxy*g.X - hxx*g.Y) / det}
+		moved := false
+		for h := 0; h < 30 && !moved; h++ {
+			if next := x.Add(step); SumOfDistances(Euclidean, next, sites, weights) < f {
+				x, moved = next, true
+			}
+			step = step.Scale(0.5)
+		}
+		if !moved {
+			return x
+		}
+	}
+	return x
+}
+
 // WeightedMedianL1 returns a minimizer of Σ wᵢ·‖x − sitesᵢ‖₁. Under the
 // Manhattan norm the problem separates per axis, and each axis optimum is
 // a weighted median of the site coordinates. A nil weights slice means

@@ -118,6 +118,45 @@ func TestMedianOptimalityProperty(t *testing.T) {
 	}
 }
 
+// TestRefineMedianConvergesWhereWeiszfeldCrawls: six sites in two
+// clusters 120 apart, nearly on a line, put the Euclidean median where
+// Weiszfeld's rate is poor: 1,000 iterations still leave a pull (the
+// objective's gradient norm) above 1e-4. Eight Newton steps from a
+// 10-iteration Weiszfeld start must bring it below 1e-9 without ever
+// raising the objective, and must leave the other norms' medians and
+// a point on a site untouched.
+func TestRefineMedianConvergesWhereWeiszfeldCrawls(t *testing.T) {
+	sites := []Point{Pt(0, 0), Pt(34.4, -115.5), Pt(40.4, -113.2), Pt(38.7, -119.2), Pt(6.3, 23.6), Pt(3.1, 24.4)}
+	weights := []float64{2, 2, 2, 2, 2, 2}
+	pull := func(x Point) float64 {
+		var g Point
+		for i, s := range sites {
+			g = g.Add(x.Sub(s).Scale(weights[i] / x.Sub(s).L2()))
+		}
+		return g.L2()
+	}
+	f := func(x Point) float64 { return SumOfDistances(Euclidean, x, sites, weights) }
+	if slow := WeightedMedianL2(sites, weights, MedianOptions{MaxIter: 1000, Tol: 1e-300}); pull(slow) < 1e-4 {
+		t.Fatalf("1000 Weiszfeld iterations reach pull %.3g; the instance no longer shows the slow case", pull(slow))
+	}
+	start := WeightedMedianL2(sites, weights, MedianOptions{MaxIter: 10})
+	got := RefineMedian(Euclidean, sites, weights, start, 8)
+	if p := pull(got); p > 1e-9 {
+		t.Errorf("refined median %v has pull %.3g, want < 1e-9 (start %.3g)", got, p, pull(start))
+	}
+	if f(got) > f(start) {
+		t.Errorf("refinement raised the objective: %.12g > %.12g", f(got), f(start))
+	}
+	for _, n := range []Norm{Manhattan, Chebyshev} {
+		if got := RefineMedian(n, sites, weights, start, 8); !got.Eq(start) {
+			t.Errorf("%s: RefineMedian moved %v to %v", n.Name(), start, got)
+		}
+	}
+	if got := RefineMedian(Euclidean, sites, weights, sites[1], 8); !got.Eq(sites[1]) {
+		t.Errorf("RefineMedian moved off site %v to %v", sites[1], got)
+	}
+}
+
 // Property: Weiszfeld result is invariant (within tolerance) under
 // translation of all sites.
 func TestMedianTranslationInvariance(t *testing.T) {

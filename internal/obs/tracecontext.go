@@ -54,13 +54,20 @@ func (sc SpanContext) Traceparent() string {
 
 // ParseTraceparent parses a W3C traceparent header value. It accepts
 // version 00 exactly: "00-" + 32 lowercase hex + "-" + 16 lowercase
-// hex + "-" + 2 hex flags, with non-zero IDs. Malformed or absent
-// values return ok=false — callers fall back to a fresh root, never an
-// error, so a bad upstream header can't fail a request.
+// hex + "-" + 2 lowercase hex flags, with non-zero IDs. Malformed or
+// absent values return ok=false — callers fall back to a fresh root,
+// never an error, so a bad upstream header can't fail a request.
 func ParseTraceparent(h string) (sc SpanContext, ok bool) {
 	if len(h) != 55 || h[0] != '0' || h[1] != '0' ||
 		h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return SpanContext{}, false
+	}
+	// hex.Decode also accepts uppercase digits, which the W3C format
+	// forbids.
+	for i := 3; i < len(h); i++ {
+		if 'A' <= h[i] && h[i] <= 'F' {
+			return SpanContext{}, false
+		}
 	}
 	if _, err := hex.Decode(sc.TraceID[:], []byte(h[3:35])); err != nil {
 		return SpanContext{}, false

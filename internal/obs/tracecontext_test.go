@@ -29,18 +29,46 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	for _, h := range []string{
 		"",
 		"garbage",
-		valid[:54],                             // truncated
-		valid + "0",                            // too long
-		"01" + valid[2:],                       // wrong version
-		strings.Replace(valid, "-", "_", 1),    // bad separator
-		"00-" + strings.Repeat("z", 32) + valid[35:], // non-hex trace ID
-		"00-" + strings.Repeat("0", 32) + valid[35:], // zero trace ID
-		valid[:36] + strings.Repeat("0", 16) + "-01", // zero span ID
+		valid[:54],                          // truncated
+		valid + "0",                         // too long
+		"01" + valid[2:],                    // wrong version
+		strings.Replace(valid, "-", "_", 1), // bad separator
+		"00-" + strings.Repeat("z", 32) + valid[35:],              // non-hex trace ID
+		"00-" + strings.Repeat("0", 32) + valid[35:],              // zero trace ID
+		valid[:36] + strings.Repeat("0", 16) + "-01",              // zero span ID
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01", // uppercase IDs
+		valid[:53] + "0A", // uppercase flags
 	} {
 		if sc, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) = %+v, want rejection", h, sc)
 		}
 	}
+}
+
+// FuzzParseTraceparent checks ParseTraceparent on arbitrary header
+// values: it never panics, and an accepted value is a valid context
+// whose own serialization repeats the header's version, trace ID and
+// span ID byte for byte (only the flags are normalized), so a parsed
+// header always propagates unchanged. The seed corpus in
+// testdata/fuzz/FuzzParseTraceparent covers valid headers, each
+// malformed shape TestParseTraceparentRejectsMalformed lists, and
+// uppercase hex in every field.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("ParseTraceparent(%q) rejected but returned %+v", h, sc)
+			}
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", h, sc)
+		}
+		if got := sc.Traceparent(); got[:53] != h[:53] {
+			t.Fatalf("ParseTraceparent(%q) re-serializes as %q", h, got)
+		}
+	})
 }
 
 func TestIDSourceSeededDeterministic(t *testing.T) {

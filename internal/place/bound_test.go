@@ -43,24 +43,38 @@ func p2pSum(cg *model.ConstraintGraph, lib *library.Library, set []model.Channel
 	return sum, true
 }
 
-// checkBound asserts the two properties the dominated-merging skip
-// rests on for one merging: the bound lies under the cost Optimize
-// finds (within the Eps the dominance test forgives), and a merging
-// Optimize rejects is never bounded at or above its point-to-point
-// sum. It reports whether the bound would skip the merging.
+// checkBound asserts the properties the dominated-merging skip rests
+// on for one merging. The bound lies under the cost Optimize finds
+// (within the Eps the dominance test forgives), and a merging Optimize
+// rejects is never bounded at or above its point-to-point sum.
+// OptimizeBelow at that sum proves dominated only a merging whose
+// placed cost is dominated, and returns exactly Optimize's candidate
+// for every other. It reports whether OptimizeBelow proved the merging
+// dominated.
 func checkBound(t *testing.T, cg *model.ConstraintGraph, lib *library.Library, set []model.ChannelID, opt Options, sum float64) bool {
 	t.Helper()
 	lb := LowerBound(cg, lib, set, opt)
 	cand, err := Optimize(cg, lib, set, opt)
+	below, dominated, errBelow := OptimizeBelow(cg, lib, set, opt, sum)
 	switch {
 	case math.IsNaN(lb):
 		t.Fatalf("%v: bound is NaN", set)
-	case err != nil && num.NoBetter(lb, sum):
+	case err != nil && num.GreaterEq(lb, sum):
 		t.Fatalf("%v: Optimize rejects the merging (%v) but the bound %v reaches the point-to-point sum %v", set, err, lb, sum)
 	case err == nil && lb > cand.Cost+num.Eps:
 		t.Fatalf("%v: bound %.15g exceeds the placed cost %.15g by %g", set, lb, cand.Cost, lb-cand.Cost)
+	case dominated && (below != nil || errBelow != nil):
+		t.Fatalf("%v: proved dominated but returned candidate %v, error %v", set, below, errBelow)
+	case dominated && (err != nil || !num.GreaterEq(cand.Cost, sum)):
+		t.Fatalf("%v: proved dominated, but Optimize returns %v (error %v) against the sum %.15g", set, cand, err, sum)
+	case !dominated && (err == nil) != (errBelow == nil):
+		t.Fatalf("%v: Optimize error %v, OptimizeBelow error %v", set, err, errBelow)
+	case !dominated && err == nil && (math.Float64bits(below.Cost) != math.Float64bits(cand.Cost) ||
+		!below.MuxPos.Eq(cand.MuxPos) || !below.DemuxPos.Eq(cand.DemuxPos)):
+		t.Fatalf("%v: OptimizeBelow places at %v %v for %.17g, Optimize at %v %v for %.17g",
+			set, below.MuxPos, below.DemuxPos, below.Cost, cand.MuxPos, cand.DemuxPos, cand.Cost)
 	}
-	return num.NoBetter(lb, sum)
+	return dominated
 }
 
 // TestLowerBoundAdmissible sweeps seeded random WAN and SoC instances,
@@ -117,9 +131,9 @@ func TestLowerBoundAdmissible(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d mergings checked, %d bounded at or above their point-to-point sum", checked, skipped)
+	t.Logf("%d mergings checked, %d proved dominated", checked, skipped)
 	if skipped == 0 || skipped == checked {
-		t.Errorf("bound skipped %d of %d mergings; the sweep should exercise both outcomes", skipped, checked)
+		t.Errorf("%d of %d mergings proved dominated; the sweep should exercise both outcomes", skipped, checked)
 	}
 }
 
@@ -140,6 +154,27 @@ func TestLowerBoundProvesWANPairsDominated(t *testing.T) {
 		sum, _ := p2pSum(cg, lib, set, p2p.Options{})
 		if lb := LowerBound(cg, lib, set, Options{}); !num.NoBetter(lb, sum) {
 			t.Errorf("%v: bound %.12g below point-to-point sum %.12g", set, lb, sum)
+		}
+	}
+}
+
+// TestLowerBoundProvesWANSharedEndpointMergings: on the paper's WAN,
+// the channels of [0 2 3] all start or end at node A, and those of
+// [3 4 6], [3 5 6] and [4 5 6] all start at node D. Both optimal hubs
+// sit on that node, where the merging costs exactly its point-to-point
+// sum, and placement finds it within 1e-9 relative of the sum. Only
+// duals that hand the pieces on the hub the residual flow (Kuhn's
+// condition at a site) certify that; the bound alone must reach the
+// sum, so OptimizeBelow proves each dominated before any placement.
+func TestLowerBoundProvesWANSharedEndpointMergings(t *testing.T) {
+	cg, lib := workloads.WAN(), workloads.WANLibrary()
+	for _, set := range [][]model.ChannelID{{0, 2, 3}, {3, 4, 6}, {3, 5, 6}, {4, 5, 6}} {
+		sum, _ := p2pSum(cg, lib, set, p2p.Options{})
+		if lb := LowerBound(cg, lib, set, Options{}); !num.GreaterEq(lb, sum) {
+			t.Errorf("%v: bound %.12g below point-to-point sum %.12g", set, lb, sum)
+		}
+		if cand, dominated, err := OptimizeBelow(cg, lib, set, Options{}, sum); !dominated || cand != nil || err != nil {
+			t.Errorf("%v: OptimizeBelow = %v, %v, %v; want proved dominated", set, cand, dominated, err)
 		}
 	}
 }
@@ -180,10 +215,14 @@ func TestLowerBoundRejectsUnplaceable(t *testing.T) {
 // FuzzLowerBound decodes a small merging instance from the fuzz bytes
 // (norm, options, one or two links, optional repeater and switches,
 // two to four channels) and checks it with checkBound: the bound lies
-// under Optimize's cost, and a merging Optimize rejects is never
-// bounded at or above its point-to-point sum. The seed corpus in
-// testdata/fuzz/FuzzLowerBound covers each norm and arity with bounded,
-// unbounded and unplaceable mergings.
+// under Optimize's cost, a merging Optimize rejects is never bounded at
+// or above its point-to-point sum, and OptimizeBelow proves only
+// dominated mergings and otherwise returns Optimize's candidate. The
+// seed corpus in testdata/fuzz/FuzzLowerBound covers each norm and
+// arity with bounded, unbounded and unplaceable mergings, and in each
+// norm three hub shapes the certificate treats specially: both hubs
+// collapsed on a shared source, the demux on a shared destination with
+// the hubs apart, and both hubs collapsed where two channels cross.
 func FuzzLowerBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cg, lib, opt, ok := decodeBoundInstance(data)

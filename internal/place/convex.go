@@ -25,11 +25,14 @@ import (
 //
 // The second return is false when the library is not purely
 // length-priced or a curve is infeasible; callers then fall back to the
-// general pattern search.
+// general pattern search. A non-nil cert is evaluated after every
+// round of the alternation, which stops early once it proves the
+// merging dominated (cert.proved()); the rounds it does run are
+// unchanged.
 func convexSeed(
 	norm geom.Norm, lib *library.Library,
 	sources, dests []geom.Point, access []p2p.Curve, trunk *p2p.Curve,
-	sc *Scratch,
+	cert *certificate, sc *Scratch,
 ) ([2]geom.Point, bool) {
 	for _, l := range lib.Links {
 		if !l.Unbounded() || l.CostFixed != 0 {
@@ -54,7 +57,7 @@ func convexSeed(
 	sc.pts = pts
 	bb := geom.Bounds(pts)
 	tol := 1e-6 * math.Max(1, math.Max(bb.Width(), bb.Height()))
-	x1, x2 := alternateMedians(norm, sources, dests, weights, wTrunk, 60, 40, tol, sc)
+	x1, x2 := alternateMedians(norm, sources, dests, weights, wTrunk, 60, 40, tol, cert, sc)
 	return [2]geom.Point{x1, x2}, true
 }
 
@@ -63,11 +66,12 @@ func convexSeed(
 // the sources and of the destinations; each round then moves x₁ to the
 // weighted median of the sources plus x₂ (at weight w_t), and x₂ to
 // that of the destinations plus x₁. Each median runs at most maxIter
-// iterations, and the descent stops after rounds rounds or once a round
-// moves the hubs less than tol in total.
+// iterations, and the descent stops after rounds rounds, once a round
+// moves the hubs less than tol in total, or once cert (when non-nil),
+// evaluated at the hubs after every round, proves its bar.
 func alternateMedians(
 	norm geom.Norm, sources, dests []geom.Point, weights []float64, wTrunk float64,
-	maxIter, rounds int, tol float64, sc *Scratch,
+	maxIter, rounds int, tol float64, cert *certificate, sc *Scratch,
 ) (x1, x2 geom.Point) {
 	mopt := geom.MedianOptions{MaxIter: maxIter, Scratch: &sc.median}
 	x1 = geom.WeightedMedian(norm, sources, weights, mopt)
@@ -83,7 +87,7 @@ func alternateMedians(
 		nx2 := geom.WeightedMedian(norm, dstSites, wAll, mopt)
 		moved := norm.Distance(nx1, x1) + norm.Distance(nx2, x2)
 		x1, x2 = nx1, nx2
-		if moved < tol {
+		if (cert != nil && cert.at(x1, x2)) || moved < tol {
 			break
 		}
 	}

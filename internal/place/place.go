@@ -20,8 +20,10 @@
 // engineering treatment of such piecewise-constant costs.
 //
 // LowerBound certifies, without searching, a cost below which no
-// placement of a merging can go; synthesis uses it to skip placing
-// mergings that are dominated wherever their hubs land.
+// placement of a merging can go. OptimizeBelow checks the same
+// certificate against the channels' point-to-point sum before and
+// during its search; synthesis uses it to skip placing mergings that
+// are dominated wherever their hubs land.
 package place
 
 import (
@@ -47,7 +49,8 @@ type Options struct {
 	// Scratch, when non-nil, supplies reusable buffers for the per-call
 	// endpoint staging, cost curves and convex-seed alternation, so
 	// that once it has grown an Optimize call allocates only the
-	// candidate it returns and a LowerBound call nothing at all. A
+	// candidate it returns, and a LowerBound call or a dominance proof
+	// nothing at all. A
 	// scratch must not be shared between concurrent calls; synthesis
 	// keeps one per pricing worker.
 	Scratch *Scratch
@@ -69,6 +72,9 @@ type Scratch struct {
 	median             geom.MedianScratch
 	lengths            []float64
 	order              []int
+	ends               []geom.Point
+	slopes             []float64
+	cert               certificate
 }
 
 // TrunkCapacity selects the trunk sizing rule.
@@ -111,13 +117,28 @@ type Candidate struct {
 // the merging is infeasible: the library lacks mux/demux nodes, or no
 // single link chain can carry the combined trunk traffic.
 func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, opt Options) (*Candidate, error) {
+	cand, _, err := OptimizeBelow(cg, lib, channels, opt, math.Inf(1))
+	return cand, err
+}
+
+// OptimizeBelow is Optimize for a merging that is worth keeping only
+// if it costs less than bar, its channels' summed point-to-point cost.
+// It first tries to prove that every placement costs at least bar
+// (within num.Eps): the λ split, then a weak-duality certificate at its
+// own trial hubs and at the collapsed point (see LowerBound), and on a
+// length-priced library again after every round of the convex seed's
+// alternation. A proof returns dominated, with no candidate and
+// without the polish or the build. A merging it cannot prove gets
+// exactly Optimize's candidate; an infinite bar proves nothing and
+// costs nothing extra.
+func OptimizeBelow(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, opt Options, bar float64) (cand *Candidate, dominated bool, err error) {
 	if len(channels) < 2 {
-		return nil, fmt.Errorf("place: merging needs at least 2 channels, got %d", len(channels))
+		return nil, false, fmt.Errorf("place: merging needs at least 2 channels, got %d", len(channels))
 	}
 	mux, okM := lib.CheapestNode(library.Mux)
 	demux, okD := lib.CheapestNode(library.Demux)
 	if !okM || !okD {
-		return nil, fmt.Errorf("place: library lacks mux/demux nodes; merging unavailable")
+		return nil, false, fmt.Errorf("place: library lacks mux/demux nodes; merging unavailable")
 	}
 
 	sc := opt.Scratch
@@ -127,6 +148,14 @@ func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.
 	trunkBW, trunkOpt := stage(cg, lib, channels, opt, sc)
 	sources, dests, bws, access, trunk := sc.sources, sc.dests, sc.bws, sc.access, &sc.trunk
 	norm := cg.Norm()
+
+	var cert *certificate
+	if !math.IsInf(bar, 1) && sc.cert.reset(norm, mux.Cost+demux.Cost, bar, sc) {
+		if sc.cert.search(sc) {
+			return nil, true, nil
+		}
+		cert = &sc.cert
+	}
 
 	// eval prices the structure at given hub positions without building
 	// the full candidate (the search calls it thousands of times). Each
@@ -189,8 +218,12 @@ func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.
 	// Fast path: with a pure length-priced library the objective is a
 	// jointly convex weighted sum of norms, solved directly by
 	// alternating weighted medians; a short small-step polish absorbs
-	// the iteration tolerance.
-	if seed, ok := convexSeed(norm, lib, sources, dests, access, trunk, sc); ok {
+	// the iteration tolerance. A round whose hubs prove the merging
+	// dominated ends it before the polish.
+	if seed, ok := convexSeed(norm, lib, sources, dests, access, trunk, cert, sc); ok {
+		if cert.proved() {
+			return nil, true, nil
+		}
 		bestCost, bestX1, bestX2 = patternSearch(eval, seed[0], seed[1], initStep*0.02, 20)
 	} else {
 		// General path: multistart pattern search from the endpoint
@@ -212,10 +245,11 @@ func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.
 		}
 	}
 	if math.IsInf(bestCost, 1) {
-		return nil, fmt.Errorf("place: merging of %d channels infeasible (trunk bandwidth %.6g exceeds every library chain)",
+		return nil, false, fmt.Errorf("place: merging of %d channels infeasible (trunk bandwidth %.6g exceeds every library chain)",
 			len(channels), trunkBW)
 	}
-	return build(bestX1, bestX2)
+	cand, err = build(bestX1, bestX2)
+	return cand, false, err
 }
 
 // stage loads the merging of channels into sc: its endpoints and

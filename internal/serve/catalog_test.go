@@ -7,6 +7,7 @@ import (
 	"os"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,6 +26,16 @@ import (
 // load/* counters share the catalog, so a tiny load.Run against the
 // same server publishes them into the same registry first.
 func TestMetricCatalogMatchesDocs(t *testing.T) {
+	// The first job parks in the start hook until the rejection path
+	// has been exercised, so the one-slot table is full however fast
+	// synthesis is.
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseAll()
+	setTestJobStartHook(func(j *Job) { <-release })
+	defer setTestJobStartHook(nil)
+
 	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxJobs: 1, DataDir: t.TempDir()})
 
 	// Success path: registers all merging/synth/ucp/p2p counters plus
@@ -34,18 +45,10 @@ func TestMetricCatalogMatchesDocs(t *testing.T) {
 		t.Fatalf("submit status = %d", code)
 	}
 	// Rejection path (table of one unfinished job): serve/jobs_rejected.
-	for try := 0; try < 20; try++ {
-		if _, code = submit(t, ts, `{"example":"wan"}`); code == http.StatusTooManyRequests {
-			break
-		}
-		waitJob(t, ts, j.ID)
-		if j, code = submit(t, ts, `{"example":"wan","options":{"workers":1}}`); code != http.StatusAccepted {
-			t.Fatalf("refill submit status = %d", code)
-		}
+	if _, code = submit(t, ts, `{"example":"wan"}`); code != http.StatusTooManyRequests {
+		t.Fatalf("submit to a full one-slot job table: status = %d, want 429", code)
 	}
-	if code != http.StatusTooManyRequests {
-		t.Fatal("could not exercise the rejection path")
-	}
+	releaseAll()
 	waitJob(t, ts, j.ID)
 	// Failure path: serve/jobs_failed.
 	fj, code := submit(t, ts, fmt.Sprintf(`{"graph":%s,"library":%s}`, infeasibleGraph, infeasibleLibrary))

@@ -71,6 +71,10 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) jobJSON {
 		if err != nil {
 			t.Fatalf("GET job: %v", err)
 		}
+		if resp.StatusCode == http.StatusNotFound {
+			resp.Body.Close()
+			t.Fatalf("job %s not found: evicted or never admitted", id)
+		}
 		var j jobJSON
 		err = json.NewDecoder(resp.Body).Decode(&j)
 		resp.Body.Close()
@@ -161,31 +165,34 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestRejectWhenFull fills the one-slot job table with an unfinished
-// job and asserts the next submission is rejected with 429. The first
-// wan run takes tens of milliseconds, so the immediate second POST
-// lands while the table is still full; the retry loop absorbs the
-// (unlikely) race where it finished first.
+// job and asserts the next submission is rejected with 429. Job 1
+// parks in the start hook until that submission has been answered, so
+// the table is full however fast synthesis is (a wan job takes about a
+// millisecond, and an admitted second POST would evict it).
 func TestRejectWhenFull(t *testing.T) {
+	const body = `{"example":"wan","options":{"workers":1}}`
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseAll()
+	setTestJobStartHook(func(j *Job) { <-release })
+	defer setTestJobStartHook(nil)
+
 	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxJobs: 1})
-	var rejected bool
-	var last jobJSON
-	for try := 0; try < 20 && !rejected; try++ {
-		j1, code := submit(t, ts, `{"example":"wan","options":{"workers":1}}`)
-		if code != http.StatusAccepted {
-			t.Fatalf("fill submit status = %d, want 202", code)
-		}
-		_, code = submit(t, ts, `{"example":"wan","options":{"workers":1}}`)
-		rejected = code == http.StatusTooManyRequests
-		last = j1
-		waitJob(t, ts, j1.ID)
+	j1, code := submit(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("fill submit status = %d, want 202", code)
 	}
-	if !rejected {
-		t.Fatal("never observed a 429 with a full one-slot job table")
+	if _, code := submit(t, ts, body); code != http.StatusTooManyRequests {
+		t.Fatalf("submit to a full one-slot job table: status = %d, want 429", code)
 	}
-	_ = last
+	releaseAll()
+	if got := waitJob(t, ts, j1.ID); got.State != StateDone {
+		t.Errorf("job 1 state = %q, want done", got.State)
+	}
 	snap := srv.Registry().Snapshot().CounterMap()
-	if snap["serve/jobs_rejected"] < 1 {
-		t.Errorf("serve/jobs_rejected = %d, want >= 1", snap["serve/jobs_rejected"])
+	if snap["serve/jobs_rejected"] != 1 {
+		t.Errorf("serve/jobs_rejected = %d, want 1", snap["serve/jobs_rejected"])
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/library"
 	"repro/internal/merging"
 	"repro/internal/model"
+	"repro/internal/p2p"
 	"repro/internal/place"
 	"repro/internal/workloads"
 )
@@ -114,5 +115,42 @@ func TestAllocBudgetLowerBoundWAN(t *testing.T) {
 func TestAllocBudgetLowerBoundNoC(t *testing.T) {
 	if got := boundAllocsPerCall(t, workloads.NoC(), workloads.NoCLibrary()); got != 0 {
 		t.Errorf("NoC lower bound allocates %.2f/call, budget 0", got)
+	}
+}
+
+// TestAllocBudgetProofWAN pins a dominated-merging proof at zero
+// allocations: place.OptimizeBelow at each WAN merging's
+// point-to-point sum, timed over the mergings it proves dominated
+// (before placement or during the convex seed's rounds), allocates
+// nothing once the scratch has grown.
+func TestAllocBudgetProofWAN(t *testing.T) {
+	cg, lib := workloads.WAN(), workloads.WANLibrary()
+	opt := place.Options{Scratch: &place.Scratch{}}
+	var sets [][]model.ChannelID
+	var sums []float64
+	for _, set := range enumeratedSets(t, cg, lib) {
+		var sum float64
+		for _, ch := range set {
+			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, p2p.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += plan.Cost
+		}
+		if _, dominated, _ := place.OptimizeBelow(cg, lib, set, opt, sum); dominated {
+			sets, sums = append(sets, set), append(sums, sum)
+		}
+	}
+	if len(sets) == 0 {
+		t.Fatal("no WAN merging proved dominated")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for i, set := range sets {
+			place.OptimizeBelow(cg, lib, set, opt, sums[i])
+		}
+	})
+	t.Logf("%d proofs, %.1f allocs/run", len(sets), allocs)
+	if allocs != 0 {
+		t.Errorf("WAN dominance proofs allocate %.1f per run, budget 0", allocs)
 	}
 }

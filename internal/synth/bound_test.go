@@ -18,11 +18,11 @@ import (
 
 // TestBoundSkipKeepsCandidates prices every enumerated merging
 // directly with place.Optimize and requires a synthesis run, which
-// skips the mergings its lower bound proves dominated, to report
+// skips the mergings its certificate proves dominated, to report
 // exactly the non-dominated priced sets: the same channels in the same
 // order at bit-identical costs, and the same priced, infeasible and
 // dominated counts. It covers the paper's WAN, LAN, MCM and NoC
-// instances and 20 random ones at one and four workers.
+// instances and 40 random ones at one and four workers.
 func TestBoundSkipKeepsCandidates(t *testing.T) {
 	type instance struct {
 		name string
@@ -43,6 +43,15 @@ func TestBoundSkipKeepsCandidates(t *testing.T) {
 			instance{fmt.Sprintf("randsoc%d", seed),
 				workloads.RandomSoC(workloads.RandomSoCConfig{Seed: seed, Modules: 8, Channels: 5}),
 				soc.Tech180nm().Library()})
+	}
+	// Twenty clustered WANs with two or three tight clusters: mergings
+	// whose optimal hubs collapse onto one point or sit on an endpoint,
+	// the shapes the certificate's residual duals and collapsed point
+	// prove dominated.
+	for seed := int64(11); seed <= 30; seed++ {
+		cases = append(cases, instance{fmt.Sprintf("clusteredwan%d", seed),
+			workloads.RandomWAN(workloads.RandomWANConfig{Seed: seed, Clusters: 2 + int(seed%2), Channels: 7, Spread: 1 + float64(seed%4)}),
+			workloads.WANLibrary()})
 	}
 	var skipped int
 	for _, c := range cases {

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -126,9 +127,9 @@ type Report struct {
 	// DominatedMergings counts those dropped because they cost at least
 	// their channels' point-to-point sum, whether placed and then
 	// dropped or skipped unplaced. SkippedByBound counts the dominated
-	// mergings skipped unplaced because their placement lower bound
-	// (place.LowerBound) already reached that sum; it is part of
-	// DominatedMergings.
+	// mergings skipped unplaced because a certified lower bound on
+	// their placement (place.OptimizeBelow) reached that sum before the
+	// polish and the build; it is part of DominatedMergings.
 	PricedMergings     int
 	InfeasibleMergings int
 	DominatedMergings  int
@@ -458,21 +459,21 @@ func publishRun(ctx context.Context, r *Report) {
 var testPricingHook func([]model.ChannelID)
 
 // priceOne prices a single candidate set, converting a panic anywhere
-// inside the bound or the placement optimization into a typed
-// *PricingPanicError naming the candidate. The recover lives here —
-// inside the function each worker goroutine calls — so a panicking
-// worker can never take down the process.
+// inside the placement into a typed *PricingPanicError naming the
+// candidate. The recover lives here — inside the function each worker
+// goroutine calls — so a panicking worker can never take down the
+// process.
 //
-// When skipDominated is set and the set's placement lower bound
-// already reaches p2pSum, every placement of the set is dominated:
-// priceOne reports it skipped without running the placement search.
-// The bound lies under the true placement optimum and is −Inf wherever
-// Optimize could fail, so a skipped set is exactly one that pricing
-// would have found dominated.
+// The set is placed below bar, its point-to-point sum (+Inf when
+// dominated mergings are kept): place.OptimizeBelow reports it
+// dominated, without a candidate, once a certified lower bound on
+// every placement reaches the sum within num.Eps — the same test
+// priceCandidates applies to a placed cost, which is never below that
+// bound. So a skipped set is exactly one that pricing would have found
+// dominated, and every other set gets exactly Optimize's candidate.
 func priceOne(
 	cg *model.ConstraintGraph, lib *library.Library,
-	set []model.ChannelID, opt place.Options,
-	p2pSum float64, skipDominated bool,
+	set []model.ChannelID, opt place.Options, bar float64,
 ) (cand *place.Candidate, skipped bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -486,11 +487,7 @@ func priceOne(
 	if hook := testPricingHook; hook != nil {
 		hook(set)
 	}
-	if skipDominated && num.NoBetter(place.LowerBound(cg, lib, set, opt), p2pSum) {
-		return nil, true, nil
-	}
-	cand, err = place.Optimize(cg, lib, set, opt)
-	return cand, false, err
+	return place.OptimizeBelow(cg, lib, set, opt, bar)
 }
 
 // priceCandidates runs Step 1c — placement-pricing every enumerated
@@ -499,9 +496,9 @@ func priceOne(
 // slice indexed by enumeration order and appended to the report
 // serially, which keeps the candidate sequence, the counters and hence
 // the covering instance identical to a single-worker run. Unless
-// KeepDominated is set, a merging whose placement lower bound already
-// reaches its point-to-point sum is counted dominated without being
-// placed (see priceOne).
+// KeepDominated is set, a merging proved to cost at least its
+// point-to-point sum is counted dominated without being placed (see
+// priceOne).
 //
 // When ctx expires mid-phase, no further candidates are dispatched:
 // already-dispatched pricings finish (each is bounded by the pattern
@@ -530,7 +527,7 @@ func priceCandidates(
 		cand    *place.Candidate
 		err     error
 		done    bool
-		skipped bool // dominated by its lower bound, never placed
+		skipped bool // proved dominated, never placed
 	}
 	results := make([]priced, len(sets))
 	p2pSum := func(set []model.ChannelID) float64 {
@@ -544,8 +541,8 @@ func priceCandidates(
 	// Worker-pool instruments, fetched once and shared by every worker
 	// (handles are atomic and nil-safe, so the disabled path costs one
 	// nil check per pricing). pricings and the arity and duration
-	// histograms count placement searches only, not mergings their
-	// lower bound skipped. queue_depth counts not-yet-priced mergings:
+	// histograms count placements only, not mergings proved dominated
+	// first. queue_depth counts not-yet-priced mergings:
 	// it starts at the backlog size, ends at zero on a full run, and on
 	// deadline is left at exactly the skipped count.
 	sink := obs.FromContext(ctx)
@@ -569,7 +566,11 @@ func priceCandidates(
 		}
 		popt := opt.Place
 		popt.Scratch = sc
-		cand, skipped, err := priceOne(cg, lib, sets[i], popt, p2pSum(sets[i]), !opt.KeepDominated)
+		bar := math.Inf(1)
+		if !opt.KeepDominated {
+			bar = p2pSum(sets[i])
+		}
+		cand, skipped, err := priceOne(cg, lib, sets[i], popt, bar)
 		results[i] = priced{cand: cand, err: err, done: true, skipped: skipped}
 		queueDepth.Add(-1)
 		if skipped {
