@@ -15,7 +15,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/experiments"
 	"repro/internal/flowsim"
-	"repro/internal/impl"
 	"repro/internal/lid"
 	"repro/internal/merging"
 	"repro/internal/model"
@@ -106,7 +105,7 @@ func BenchmarkExample1WANSynthesis(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+		if err := ig.Verify(); err != nil {
 			b.Fatal(err)
 		}
 		merged := 0
@@ -131,7 +130,7 @@ func BenchmarkExample2MPEG4(b *testing.B) {
 	cg := workloads.MPEG4()
 	lib := workloads.MPEG4Technology().Library()
 	for i := 0; i < b.N; i++ {
-		ig, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+		ig, _, err := p2p.Synthesize(cg, lib)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +188,7 @@ func BenchmarkBaselineComparison(b *testing.B) {
 	cg := workloads.WAN()
 	lib := workloads.WANLibrary()
 	for i := 0; i < b.N; i++ {
-		_, greedy, err := baseline.Synthesize(cg, lib, baseline.Options{})
+		_, greedy, err := baseline.Synthesize(cg, lib)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -323,9 +322,9 @@ func BenchmarkPricingAllocs(b *testing.B) {
 	for k := 2; k < len(enum.ByK); k++ {
 		sets = append(sets, enum.ByK[k]...)
 	}
-	opt := place.Options{Scratch: &place.Scratch{}}
+	sc := &place.Scratch{}
 	for _, set := range sets { // grow the scratch
-		if _, err := place.Optimize(cg, lib, set, opt); err != nil {
+		if _, err := place.Optimize(cg, lib, set, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -333,7 +332,7 @@ func BenchmarkPricingAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, set := range sets {
-			if _, err := place.Optimize(cg, lib, set, opt); err != nil {
+			if _, err := place.Optimize(cg, lib, set, sc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -127,9 +127,9 @@ type (
 	Report = synth.Report
 	// Candidate is one local solution considered by the covering step.
 	Candidate = synth.Candidate
-	// Degradation is the Report section recording what a deadline,
-	// per-phase budget, or candidate cap cut short; its zero value
-	// means the run completed in full.
+	// Degradation is the Report section recording what a deadline or
+	// the candidate cap cut short; its zero value means the run
+	// completed in full.
 	Degradation = synth.Degradation
 	// PricingPanicError is the typed error a panic inside a pricing
 	// worker is converted to; match with errors.As.
@@ -150,9 +150,11 @@ var (
 // Options configures Synthesize. The zero value runs the full exact
 // flow with the paper-faithful defaults: max-index reference policy
 // (this facade installs merging.MaxIndexRef; the internal merging
-// package's own zero value is the stronger AnyRef), sum-rule trunk
-// capacity, exact covering solver, and candidate pricing parallelized
-// across all CPUs.
+// package's own zero value is the stronger AnyRef), exact covering
+// solver, and candidate pricing parallelized across all CPUs. The cost
+// model is not an option: a merged trunk is one chain sized for the
+// sum of its channels' bandwidths, and duplication is parallel links
+// with no switch cost (Definition 2.7).
 type Options struct {
 	// Greedy switches the covering step to the greedy heuristic
 	// (faster, possibly sub-optimal).
@@ -305,7 +307,7 @@ func SynthesizeContext(ctx context.Context, cg *ConstraintGraph, lib *Library, o
 // constraint of its constraint graph (Synthesize already does this; the
 // function is exposed for architectures built or modified by hand).
 func Verify(ig *ImplementationGraph) error {
-	return ig.Verify(impl.VerifyOptions{})
+	return ig.Verify()
 }
 
 // SimulationResult is a completed flow simulation.

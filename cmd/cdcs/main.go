@@ -5,7 +5,7 @@
 // Usage:
 //
 //	cdcs -graph wan.json -lib wan-lib.json [-dot out.dot] [-solver exact|greedy]
-//	cdcs -example wan|mpeg4 [-dot out.dot] [-svg out.svg]   # built-in instance
+//	cdcs -example lan [-dot out.dot] [-svg out.svg]         # built-in: wan, lan, mcm, noc, mpeg4
 //	cdcs -example wan -timeout 100ms                        # deadline-bounded run
 //	cdcs -example wan -trace t.json -metrics                # observability on
 //	cdcs -example wan -report rep.json                      # machine-readable outcome
@@ -86,7 +86,7 @@ var status *slog.Logger
 func main() {
 	graphPath := flag.String("graph", "", "constraint graph JSON file")
 	libPath := flag.String("lib", "", "communication library JSON file")
-	example := flag.String("example", "", "built-in instance: wan or mpeg4")
+	example := flag.String("example", "", "built-in instance: wan, lan, mcm, noc or mpeg4")
 	dotPath := flag.String("dot", "", "write the implementation graph in DOT format to this file")
 	svgPath := flag.String("svg", "", "write the implementation graph as an SVG drawing to this file")
 	jsonPath := flag.String("json", "", "write the implementation graph as JSON to this file")
@@ -183,7 +183,7 @@ func main() {
 		ig, rep, err = synth.SynthesizeContext(ctx, cg, lib, opts)
 	case "baseline":
 		var brep *baseline.Report
-		ig, brep, err = baseline.Synthesize(cg, lib, baseline.Options{})
+		ig, brep, err = baseline.Synthesize(cg, lib)
 		if err == nil {
 			// Adapt the baseline report to the common shape.
 			rep = &synth.Report{Cost: brep.Cost, P2PCost: brep.P2PCost, Elapsed: brep.Elapsed}
@@ -197,7 +197,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cdcs:", err)
 		os.Exit(1)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		fmt.Fprintln(os.Stderr, "cdcs: internal: result fails verification:", err)
 		os.Exit(1)
 	}
@@ -351,14 +351,8 @@ func writeOutputs(ig *impl.Graph, dotPath, svgPath, jsonPath string) error {
 }
 
 func loadInputs(graphPath, libPath, example string) (*model.ConstraintGraph, *library.Library, error) {
-	switch example {
-	case "wan":
-		return workloads.WAN(), workloads.WANLibrary(), nil
-	case "mpeg4":
-		return workloads.MPEG4(), workloads.MPEG4Technology().Library(), nil
-	case "":
-	default:
-		return nil, nil, fmt.Errorf("unknown example %q (wan, mpeg4)", example)
+	if example != "" {
+		return workloads.Example(example)
 	}
 	if graphPath == "" || libPath == "" {
 		return nil, nil, fmt.Errorf("need -graph and -lib, or -example")

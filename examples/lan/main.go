@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/flowsim"
-	"repro/internal/impl"
 	"repro/internal/merging"
 	"repro/internal/report"
 	"repro/internal/synth"
@@ -31,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		log.Fatal("verification failed: ", err)
 	}
 

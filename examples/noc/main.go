@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"repro/internal/flowsim"
-	"repro/internal/impl"
 	"repro/internal/merging"
 	"repro/internal/report"
 	"repro/internal/synth"
@@ -30,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		log.Fatal("verification failed: ", err)
 	}
 

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/flowsim"
-	"repro/internal/impl"
 	"repro/internal/merging"
 	"repro/internal/report"
 	"repro/internal/routing"
@@ -96,7 +95,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		log.Fatal("verification failed: ", err)
 	}
 	fmt.Printf("\nstage 3: synthesized %.2f active elements (p2p %.2f, %.1f%% saved), %d merges\n",

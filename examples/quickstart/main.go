@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/impl"
 	"repro/internal/library"
 	"repro/internal/model"
 	"repro/internal/synth"
@@ -61,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		log.Fatal("verification failed: ", err)
 	}
 

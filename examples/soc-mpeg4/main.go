@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/impl"
 	"repro/internal/model"
 	"repro/internal/p2p"
 	"repro/internal/report"
@@ -35,11 +34,11 @@ func main() {
 	fmt.Printf("process: %s, l_crit = %.2f mm, %d critical channels\n\n",
 		tech.Name, tech.LCrit, cg.NumChannels())
 
-	ig, plans, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, plans, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		log.Fatal("verification failed: ", err)
 	}
 

@@ -12,7 +12,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/impl"
 	"repro/internal/merging"
 	"repro/internal/model"
 	"repro/internal/report"
@@ -50,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		log.Fatal("verification failed: ", err)
 	}
 

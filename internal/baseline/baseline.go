@@ -28,16 +28,6 @@ import (
 	"repro/internal/place"
 )
 
-// Options configures the heuristic.
-type Options struct {
-	// P2P and Place configure the shared sub-planners.
-	P2P   p2p.Options
-	Place place.Options
-	// MaxGroupSize caps how many channels one merged group may hold;
-	// zero means unlimited.
-	MaxGroupSize int
-}
-
 // Report summarizes a heuristic run.
 type Report struct {
 	// Cost is the final architecture cost; P2PCost the starting point.
@@ -60,7 +50,7 @@ type group struct {
 
 // Synthesize runs greedy agglomerative merging and materializes the
 // resulting architecture.
-func Synthesize(cg *model.ConstraintGraph, lib *library.Library, opt Options) (*impl.Graph, *Report, error) {
+func Synthesize(cg *model.ConstraintGraph, lib *library.Library) (*impl.Graph, *Report, error) {
 	start := time.Now()
 	if err := cg.Validate(); err != nil {
 		return nil, nil, err
@@ -73,7 +63,7 @@ func Synthesize(cg *model.ConstraintGraph, lib *library.Library, opt Options) (*
 	rep := &Report{}
 	for i := 0; i < n; i++ {
 		ch := model.ChannelID(i)
-		plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, opt.P2P)
+		plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("baseline: channel %q: %w", cg.Channel(ch).Name, err)
 		}
@@ -93,13 +83,9 @@ func Synthesize(cg *model.ConstraintGraph, lib *library.Library, opt Options) (*
 		var bestCand *place.Candidate
 		for i := 0; i < len(groups); i++ {
 			for j := i + 1; j < len(groups); j++ {
-				combined := len(groups[i].channels) + len(groups[j].channels)
-				if opt.MaxGroupSize > 0 && combined > opt.MaxGroupSize {
-					continue
-				}
 				union := append(append([]model.ChannelID(nil),
 					groups[i].channels...), groups[j].channels...)
-				cand, err := place.Optimize(cg, lib, union, opt.Place)
+				cand, err := place.Optimize(cg, lib, union, nil)
 				if err != nil {
 					continue // merging infeasible
 				}
@@ -147,7 +133,7 @@ func Synthesize(cg *model.ConstraintGraph, lib *library.Library, opt Options) (*
 	if math.IsNaN(total) || math.IsInf(total, 0) {
 		return nil, nil, fmt.Errorf("baseline: non-finite cost")
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		return nil, nil, fmt.Errorf("baseline: result fails verification: %w", err)
 	}
 	rep.Elapsed = time.Since(start)

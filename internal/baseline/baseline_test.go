@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/impl"
 	"repro/internal/model"
 	"repro/internal/synth"
 	"repro/internal/workloads"
@@ -20,11 +19,11 @@ func TestGreedyMissesTripleMergeOnWAN(t *testing.T) {
 	cg := workloads.WAN()
 	lib := workloads.WANLibrary()
 
-	ig, rep, err := Synthesize(cg, lib, Options{})
+	ig, rep, err := Synthesize(cg, lib)
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 	if rep.Merges != 0 {
@@ -62,11 +61,11 @@ func TestGreedyFindsObviousMerge(t *testing.T) {
 
 	// Combined 8 Mbps still fits one 11 Mbps radio trunk: merging two
 	// $2/km radios into one is nearly half price.
-	ig, rep, err := Synthesize(cg, workloads.WANLibrary(), Options{})
+	ig, rep, err := Synthesize(cg, workloads.WANLibrary())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 	if rep.Merges != 1 {
@@ -83,7 +82,7 @@ func TestGreedyNeverBeatsExactProperty(t *testing.T) {
 		cg := workloads.RandomWAN(workloads.RandomWANConfig{
 			Seed: seed, Clusters: 2, Channels: 6,
 		})
-		_, greedy, err := Synthesize(cg, lib, Options{})
+		_, greedy, err := Synthesize(cg, lib)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -97,27 +96,9 @@ func TestGreedyNeverBeatsExactProperty(t *testing.T) {
 	}
 }
 
-func TestMaxGroupSize(t *testing.T) {
-	cg := model.NewConstraintGraph(geom.Euclidean)
-	for i := 0; i < 3; i++ {
-		u := cg.MustAddPort(model.Port{Name: "u" + string(rune('0'+i)), Position: geom.Pt(0, 0)})
-		v := cg.MustAddPort(model.Port{Name: "v" + string(rune('0'+i)), Position: geom.Pt(100, float64(i))})
-		cg.MustAddChannel(model.Channel{Name: "c" + string(rune('0'+i)), From: u, To: v, Bandwidth: 3})
-	}
-	_, rep, err := Synthesize(cg, workloads.WANLibrary(), Options{MaxGroupSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range rep.Groups {
-		if len(g) > 2 {
-			t.Errorf("group %v exceeds MaxGroupSize", g)
-		}
-	}
-}
-
 func TestValidatesInputs(t *testing.T) {
 	cg := model.NewConstraintGraph(geom.Euclidean)
-	if _, _, err := Synthesize(cg, workloads.WANLibrary(), Options{}); err == nil {
+	if _, _, err := Synthesize(cg, workloads.WANLibrary()); err == nil {
 		t.Error("empty graph should fail")
 	}
 }

@@ -10,7 +10,7 @@ func BenchmarkGreedyAgglomerativeWAN(b *testing.B) {
 	cg := workloads.WAN()
 	lib := workloads.WANLibrary()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Synthesize(cg, lib, Options{}); err != nil {
+		if _, _, err := Synthesize(cg, lib); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,7 +54,7 @@ func BaselineComparison() Outcome {
 			return errorOutcome("E13", err)
 		}
 		start = time.Now()
-		_, greedy, err := baseline.Synthesize(w.cg, w.lib, baseline.Options{})
+		_, greedy, err := baseline.Synthesize(w.cg, w.lib)
 		greedyTime := time.Since(start)
 		if err != nil {
 			return errorOutcome("E13", err)

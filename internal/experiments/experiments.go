@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/impl"
 	"repro/internal/merging"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -249,7 +248,7 @@ func Fig4() Outcome {
 	if err != nil {
 		return errorOutcome("E5", err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		return errorOutcome("E5", fmt.Errorf("verification: %w", err))
 	}
 
@@ -320,11 +319,11 @@ func Fig5() Outcome {
 	tech := workloads.MPEG4Technology()
 	analytic := tech.TotalRepeaters(cg)
 
-	ig, plans, err := p2p.Synthesize(cg, tech.Library(), p2p.Options{})
+	ig, plans, err := p2p.Synthesize(cg, tech.Library())
 	if err != nil {
 		return errorOutcome("E6", err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		return errorOutcome("E6", fmt.Errorf("verification: %w", err))
 	}
 	synthesized := 0

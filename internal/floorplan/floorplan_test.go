@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/impl"
 	"repro/internal/soc"
 	"repro/internal/synth"
 )
@@ -143,7 +142,7 @@ func TestToConstraintGraphAndSynthesize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 	if rep.Cost > rep.P2PCost+1e-9 {

@@ -87,7 +87,7 @@ func TestSegmentedPipelineDelivers(t *testing.T) {
 		Links: []library.Link{{Name: "wire", Bandwidth: 100, MaxSpan: 1, CostFixed: 0.1}},
 		Nodes: []library.Node{{Name: "rep", Kind: library.Repeater, Cost: 1}},
 	}
-	ig, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, _, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDuplicatedChannelSplits(t *testing.T) {
 	v := cg.MustAddPort(model.Port{Name: "v", Position: geom.Pt(10, 0)})
 	cg.MustAddChannel(model.Channel{Name: "c", From: u, To: v, Bandwidth: 20})
 	lib := &library.Library{Links: []library.Link{radio}}
-	ig, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, _, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +146,12 @@ func TestSynthesizedWANDeliversAll(t *testing.T) {
 }
 
 func TestMaxRuleTrunkStarves(t *testing.T) {
-	// Ablation: build the {a4, a5, a6} merging with the literal
-	// Definition 2.8 trunk rule (≥ max bᵢ) over a radio-only library.
-	// Three concurrent 10 Mbps channels on an 11 Mbps trunk must starve.
+	// Ablation: size the {a4, a5, a6} merging's trunk by the literal
+	// Definition 2.8 rule (≥ max bᵢ) instead of the sum. Placement
+	// sizes every trunk by the sum, so place the merging over a radio
+	// wide enough for the 30 Mbps sum, then swap its trunk onto the
+	// 11 Mbps radio the max rule would accept. Three concurrent 10 Mbps
+	// channels on an 11 Mbps trunk must starve.
 	cg := workloads.WAN()
 	lib := &library.Library{
 		Links: []library.Link{radio},
@@ -157,15 +160,18 @@ func TestMaxRuleTrunkStarves(t *testing.T) {
 			{Name: "demux", Kind: library.Demux, Cost: 0},
 		},
 	}
+	wide := radio
+	wide.Bandwidth = 30
 	var ids []model.ChannelID
 	for _, name := range []string{"a4", "a5", "a6"} {
 		id, _ := cg.ChannelByName(name)
 		ids = append(ids, id)
 	}
-	cand, err := place.Optimize(cg, lib, ids, place.Options{Capacity: place.MaxBandwidth})
+	cand, err := place.Optimize(cg, &library.Library{Links: []library.Link{wide}, Nodes: lib.Nodes}, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cand.TrunkPlan.Link = radio
 	ig := impl.New(cg)
 	if err := cand.Instantiate(ig, lib); err != nil {
 		t.Fatal(err)
@@ -177,7 +183,7 @@ func TestMaxRuleTrunkStarves(t *testing.T) {
 		if containsChannel(ids, ch) {
 			continue
 		}
-		plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, p2p.Options{})
+		plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +257,7 @@ func TestLatencyEqualsHopCount(t *testing.T) {
 		Links: []library.Link{{Name: "wire", Bandwidth: 100, MaxSpan: 1, CostFixed: 0.1}},
 		Nodes: []library.Node{{Name: "rep", Kind: library.Repeater, Cost: 1}},
 	}
-	ig, plans, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, plans, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +282,7 @@ func TestLatencyUnreachedIsMinusOne(t *testing.T) {
 		Links: []library.Link{{Name: "wire", Bandwidth: 100, MaxSpan: 1, CostFixed: 0.1}},
 		Nodes: []library.Node{{Name: "rep", Kind: library.Repeater, Cost: 1}},
 	}
-	ig, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, _, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,9 @@ import (
 // sensible defaults.
 type MedianOptions struct {
 	// MaxIter bounds the number of Weiszfeld / coordinate-descent sweeps.
-	// Zero means 200.
+	// Zero means 200. Iteration also stops once a sweep moves less than
+	// 1e-9 of the sites' extent.
 	MaxIter int
-	// Tol is the movement threshold below which iteration stops.
-	// Zero means 1e-9 relative to the bounding-box diagonal.
-	Tol float64
 	// Scratch, when non-nil, supplies reusable buffers for the L1
 	// solver's per-axis weighted medians, making repeated calls
 	// allocation-free. The scratch path sorts by insertion, so it is
@@ -49,14 +47,13 @@ func (o MedianOptions) maxIter() int {
 	return o.MaxIter
 }
 
-func (o MedianOptions) tol(diag float64) float64 {
-	if o.Tol > 0 {
-		return o.Tol
-	}
-	if diag == 0 {
+// stopTol is the movement threshold below which iteration stops for
+// sites spread over extent.
+func stopTol(extent float64) float64 {
+	if extent == 0 {
 		return 1e-12
 	}
-	return 1e-9 * diag
+	return 1e-9 * extent
 }
 
 // WeightedMedianL2 returns a minimizer of Σ wᵢ·‖x − sitesᵢ‖₂ using the
@@ -74,7 +71,7 @@ func WeightedMedianL2(sites []Point, weights []float64, opt MedianOptions) Point
 	x := weightedCentroid(sites, weights)
 	b := Bounds(sites)
 	diag := math.Hypot(b.Width(), b.Height())
-	tol := opt.tol(diag)
+	tol := stopTol(diag)
 
 	for iter := 0; iter < opt.maxIter(); iter++ {
 		var num Point
@@ -287,7 +284,7 @@ func coordinateDescent(n Norm, sites []Point, weights []float64, opt MedianOptio
 	if step == 0 {
 		return x
 	}
-	tol := opt.tol(step)
+	tol := stopTol(step)
 	f := func(p Point) float64 { return SumOfDistances(n, p, sites, weights) }
 	best := f(x)
 	for iter := 0; iter < opt.maxIter()*4 && step > tol; iter++ {

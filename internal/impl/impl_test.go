@@ -57,7 +57,7 @@ func TestArcMatchingVerifies(t *testing.T) {
 		Vertices: []graph.VertexID{graph.VertexID(u), graph.VertexID(v)},
 		Arcs:     []graph.ArcID{a},
 	}})
-	if err := ig.Verify(VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
 	if got := ig.Cost(); got != 20 { // radio $2/unit × 10 units
@@ -89,7 +89,7 @@ func TestSegmentationVerifies(t *testing.T) {
 		Arcs:     []graph.ArcID{a0, a1},
 	}
 	ig.AssignImplementation(ch, []graph.Path{p})
-	if err := ig.Verify(VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
 	// Cost: 2 segments × $1 + 1 repeater × $1 = 3.
@@ -124,7 +124,7 @@ func TestDuplicationVerifies(t *testing.T) {
 		{Vertices: []graph.VertexID{graph.VertexID(u), graph.VertexID(v)}, Arcs: []graph.ArcID{a0}},
 		{Vertices: []graph.VertexID{graph.VertexID(u), graph.VertexID(v)}, Arcs: []graph.ArcID{a1}},
 	})
-	if err := ig.Verify(VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
 	// One radio alone must fail the bandwidth check.
@@ -133,7 +133,7 @@ func TestDuplicationVerifies(t *testing.T) {
 	ig2.AssignImplementation(ch, []graph.Path{
 		{Vertices: []graph.VertexID{graph.VertexID(u), graph.VertexID(v)}, Arcs: []graph.ArcID{b0}},
 	})
-	if err := ig2.Verify(VerifyOptions{}); err == nil {
+	if err := ig2.Verify(); err == nil {
 		t.Error("insufficient bandwidth should fail verification")
 	}
 }
@@ -161,14 +161,14 @@ func TestMergingSharedTrunk(t *testing.T) {
 		Vertices: []graph.VertexID{graph.VertexID(s), split, graph.VertexID(d2)},
 		Arcs:     []graph.ArcID{trunk, b2},
 	}})
-	if err := ig.Verify(VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
 }
 
 func TestSumCapacityRejectsOverload(t *testing.T) {
-	// Two 10 Mbps channels over one shared 11 Mbps radio trunk: fine
-	// under MaxCapacity, overloaded under SumCapacity.
+	// Two 10 Mbps channels over one shared 11 Mbps radio trunk: each
+	// fits alone, together they overload it.
 	cg := model.NewConstraintGraph(geom.Euclidean)
 	s := cg.MustAddPort(model.Port{Name: "s", Position: geom.Pt(0, 0)})
 	d1 := cg.MustAddPort(model.Port{Name: "d1", Position: geom.Pt(100, 1)})
@@ -189,11 +189,8 @@ func TestSumCapacityRejectsOverload(t *testing.T) {
 		Vertices: []graph.VertexID{graph.VertexID(s), split, graph.VertexID(d2)},
 		Arcs:     []graph.ArcID{trunk, b2},
 	}})
-	if err := ig.Verify(VerifyOptions{Capacity: SumCapacity}); err == nil {
+	if err := ig.Verify(); err == nil {
 		t.Error("sum rule should reject 20 Mbps over an 11 Mbps trunk")
-	}
-	if err := ig.Verify(VerifyOptions{Capacity: MaxCapacity}); err != nil {
-		t.Errorf("max rule should accept: %v", err)
 	}
 }
 
@@ -203,7 +200,7 @@ func TestVerifyStructuralErrors(t *testing.T) {
 	t.Run("missing implementation", func(t *testing.T) {
 		ig := New(cg)
 		ig.AddLink(graph.VertexID(u), graph.VertexID(v), radio)
-		if err := ig.Verify(VerifyOptions{}); err == nil {
+		if err := ig.Verify(); err == nil {
 			t.Error("missing P(a) should fail")
 		}
 	})
@@ -215,7 +212,7 @@ func TestVerifyStructuralErrors(t *testing.T) {
 			Vertices: []graph.VertexID{graph.VertexID(v), graph.VertexID(u)},
 			Arcs:     []graph.ArcID{a},
 		}})
-		if err := ig.Verify(VerifyOptions{}); err == nil {
+		if err := ig.Verify(); err == nil {
 			t.Error("reversed path should fail")
 		}
 	})
@@ -233,7 +230,7 @@ func TestVerifyStructuralErrors(t *testing.T) {
 			Vertices: []graph.VertexID{graph.VertexID(a), graph.VertexID(b), graph.VertexID(c)},
 			Arcs:     []graph.ArcID{l1, l2},
 		}})
-		if err := ig.Verify(VerifyOptions{}); err == nil {
+		if err := ig.Verify(); err == nil {
 			t.Error("path through computational vertex should fail")
 		}
 	})
@@ -246,7 +243,7 @@ func TestVerifyStructuralErrors(t *testing.T) {
 			Vertices: []graph.VertexID{graph.VertexID(u), graph.VertexID(v)},
 			Arcs:     []graph.ArcID{a},
 		}})
-		if err := ig.Verify(VerifyOptions{}); err == nil {
+		if err := ig.Verify(); err == nil {
 			t.Error("unused link should fail verification")
 		}
 	})
@@ -259,7 +256,7 @@ func TestVerifyStructuralErrors(t *testing.T) {
 			Vertices: []graph.VertexID{graph.VertexID(u), graph.VertexID(v)},
 			Arcs:     []graph.ArcID{a},
 		}})
-		if err := ig.Verify(VerifyOptions{}); err == nil {
+		if err := ig.Verify(); err == nil {
 			t.Error("orphan communication vertex should fail verification")
 		}
 	})

@@ -8,37 +8,8 @@ import (
 	"repro/internal/model"
 )
 
-// CapacityRule selects how bandwidth on shared links is accounted for
-// when several channels route over the same link instance.
-type CapacityRule int
-
-const (
-	// SumCapacity requires the link bandwidth to cover the sum of the
-	// bandwidths of all channels routed over it. This matches the
-	// paper's multiplexer description ("one outgoing link whose
-	// bandwidth is larger than the sum of the incoming") and is the
-	// default.
-	SumCapacity CapacityRule = iota
-	// MaxCapacity only requires the link bandwidth to cover the largest
-	// single channel, the literal reading of the b(q*) condition in
-	// Definition 2.8. Provided for ablation.
-	MaxCapacity
-)
-
-// VerifyOptions configures the Definition 2.4 checker.
-type VerifyOptions struct {
-	// Capacity selects the shared-link accounting rule.
-	Capacity CapacityRule
-	// Tol is the tolerance for bandwidth comparisons; zero means 1e-9.
-	Tol float64
-}
-
-func (o VerifyOptions) tol() float64 {
-	if o.Tol > 0 {
-		return o.Tol
-	}
-	return 1e-9
-}
+// verifyTol is the tolerance of Verify's bandwidth comparisons.
+const verifyTol = 1e-9
 
 // Verify checks that the implementation graph satisfies every constraint
 // of Definition 2.4 with respect to its constraint graph:
@@ -48,19 +19,18 @@ func (o VerifyOptions) tol() float64 {
 //     communication vertices;
 //  3. the summed path bandwidths cover b(a);
 //  4. every link instance respects its span (guaranteed at construction,
-//     re-checked here) and its bandwidth under the chosen capacity rule;
+//     re-checked here) and carries at most its bandwidth: the sum of
+//     the demand routed over it, the paper's multiplexer description
+//     ("one outgoing link whose bandwidth is larger than the sum of the
+//     incoming");
 //  5. every link instance is used by at least one path (no dead
 //     hardware — a cost-minimal architecture never pays for unused
 //     links, and letting them pass verification would mask synthesis
 //     bugs).
 //
 // It returns nil if all constraints hold.
-func (ig *Graph) Verify(opt VerifyOptions) error {
-	tol := opt.tol()
-	// Per-link total routed bandwidth (sum rule) and max routed channel
-	// (max rule).
-	routedSum := make([]float64, ig.g.NumArcs())
-	routedMax := make([]float64, ig.g.NumArcs())
+func (ig *Graph) Verify() error {
+	routed := make([]float64, ig.g.NumArcs())
 	usedArc := make([]bool, ig.g.NumArcs())
 	usedVertex := make([]bool, ig.g.NumVertices())
 
@@ -93,28 +63,25 @@ func (ig *Graph) Verify(opt VerifyOptions) error {
 			bwSum += ig.PathBandwidth(p)
 			for _, a := range p.Arcs {
 				usedArc[a] = true
-				if c.Bandwidth > routedMax[a] {
-					routedMax[a] = c.Bandwidth
-				}
 			}
 			for _, v := range p.Vertices {
 				usedVertex[v] = true
 			}
 		}
-		if bwSum+tol < c.Bandwidth {
+		if bwSum+verifyTol < c.Bandwidth {
 			return fmt.Errorf("impl: channel %q bandwidth %.6g not covered: paths provide %.6g",
 				c.Name, c.Bandwidth, bwSum)
 		}
 	}
 
-	// Sum-rule load: parallel paths of one channel split the demand
-	// rather than each carrying the full charge.
+	// Parallel paths of one channel split its demand rather than each
+	// carrying the full charge.
 	for i := 0; i < ig.cg.NumChannels(); i++ {
 		ch := model.ChannelID(i)
 		shares := ig.splitDemand(ch)
 		for pi, p := range ig.implOf[ch] {
 			for _, a := range p.Arcs {
-				routedSum[a] += shares[pi]
+				routed[a] += shares[pi]
 			}
 		}
 	}
@@ -126,16 +93,9 @@ func (ig *Graph) Verify(opt VerifyOptions) error {
 		if !l.CanSpan(length) && length > l.MaxSpan*(1+1e-9) {
 			return fmt.Errorf("impl: link %q instance spans %.6g > max span %.6g", l.Name, length, l.MaxSpan)
 		}
-		var demand float64
-		switch opt.Capacity {
-		case MaxCapacity:
-			demand = routedMax[id]
-		default:
-			demand = routedSum[id]
-		}
-		if demand > l.Bandwidth+tol {
+		if routed[id] > l.Bandwidth+verifyTol {
 			return fmt.Errorf("impl: link %q instance overloaded: demand %.6g > bandwidth %.6g",
-				l.Name, demand, l.Bandwidth)
+				l.Name, routed[id], l.Bandwidth)
 		}
 		if !usedArc[id] {
 			arc := ig.g.Arc(id)

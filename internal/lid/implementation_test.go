@@ -19,7 +19,7 @@ func TestAnalyzeImplementationMPEG4SingleCycle(t *testing.T) {
 	// link in this model. The relevant observable: no relay stations.
 	cg := workloads.MPEG4()
 	lib := workloads.MPEG4Technology().Library()
-	ig, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, _, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAnalyzeImplementationErrors(t *testing.T) {
 	bad := params018()
 	bad.VelocityMMPerNS = 0
 	lib := workloads.MPEG4Technology().Library()
-	full, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	full, _, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}

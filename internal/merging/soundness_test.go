@@ -68,13 +68,13 @@ func TestLemma31SoundAgainstPricing(t *testing.T) {
 		var p2pSum float64
 		for i := 0; i < 2; i++ {
 			ch := model.ChannelID(i)
-			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, p2p.Options{})
+			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p2pSum += plan.Cost
 		}
-		cand, err := place.Optimize(cg, lib, []model.ChannelID{0, 1}, place.Options{})
+		cand, err := place.Optimize(cg, lib, []model.ChannelID{0, 1}, nil)
 		if err != nil {
 			continue // merging infeasible: trivially sound
 		}
@@ -113,13 +113,13 @@ func TestLemma32SoundAgainstPricing(t *testing.T) {
 		prunedChecked++
 		var p2pSum float64
 		for _, ch := range ids {
-			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, p2p.Options{})
+			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p2pSum += plan.Cost
 		}
-		cand, err := place.Optimize(cg, lib, ids, place.Options{})
+		cand, err := place.Optimize(cg, lib, ids, nil)
 		if err != nil {
 			continue
 		}
@@ -162,7 +162,7 @@ func TestTheorem32SoundAgainstPricing(t *testing.T) {
 		feasible := true
 		for i := 0; i < 3; i++ {
 			ch := model.ChannelID(i)
-			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, p2p.Options{})
+			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 			if err != nil {
 				feasible = false
 				break
@@ -172,7 +172,7 @@ func TestTheorem32SoundAgainstPricing(t *testing.T) {
 		if !feasible {
 			continue
 		}
-		cand, err := place.Optimize(cg, lib, []model.ChannelID{0, 1, 2}, place.Options{})
+		cand, err := place.Optimize(cg, lib, []model.ChannelID{0, 1, 2}, nil)
 		if err != nil {
 			continue // infeasible merging: sound
 		}
@@ -210,13 +210,13 @@ func TestUnprunedSupersetNeverLosesOptimum(t *testing.T) {
 			bestCost := math.Inf(1)
 			for k := 2; k <= 4; k++ {
 				for _, set := range res.ByK[k] {
-					cand, err := place.Optimize(cg, lib, set, place.Options{})
+					cand, err := place.Optimize(cg, lib, set, nil)
 					if err != nil {
 						continue
 					}
 					var alt float64
 					for _, ch := range set {
-						plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, p2p.Options{})
+						plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -56,14 +56,14 @@ func TestProfitableTriplesSurviveLemmaPruning(t *testing.T) {
 		p2pCost := make([]float64, 4)
 		for i := 0; i < 4; i++ {
 			ch := model.ChannelID(i)
-			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, p2p.Options{})
+			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p2pCost[i] = plan.Cost
 		}
 		mergeCost := func(ids []model.ChannelID) (float64, bool) {
-			cand, err := place.Optimize(cg, lib, ids, place.Options{})
+			cand, err := place.Optimize(cg, lib, ids, nil)
 			if err != nil {
 				return 0, false
 			}

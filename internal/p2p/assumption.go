@@ -20,7 +20,7 @@ import (
 // sample axes; every pairwise combination is evaluated. Samples that no
 // library element can implement are skipped (infeasibility is a library
 // coverage question, not a monotonicity violation).
-func CheckAssumption(lib *library.Library, distances, bandwidths []float64, opt Options) error {
+func CheckAssumption(lib *library.Library, distances, bandwidths []float64) error {
 	type sample struct {
 		d, b, cost float64
 		feasible   bool
@@ -28,7 +28,7 @@ func CheckAssumption(lib *library.Library, distances, bandwidths []float64, opt 
 	var samples []sample
 	for _, d := range distances {
 		for _, b := range bandwidths {
-			p, err := BestPlan(d, b, lib, opt)
+			p, err := BestPlan(d, b, lib, false)
 			s := sample{d: d, b: b}
 			if err == nil {
 				s.cost = p.Cost

@@ -72,60 +72,55 @@ func nearMultiples(unit float64) []float64 {
 // checkCurve asserts that one curve agrees with BestPlan at every
 // distance: the same cost bit for bit, and +Inf exactly where BestPlan
 // errors.
-func checkCurve(t *testing.T, lib *library.Library, b float64, opt Options, ds []float64) {
+func checkCurve(t *testing.T, lib *library.Library, b float64, oneChain bool, ds []float64) {
 	t.Helper()
 	var c Curve
-	c.Reset(b, lib, opt)
+	c.Reset(b, lib, oneChain)
 	for _, d := range ds {
 		got := c.Cost(d)
-		want, err := BestPlan(d, b, lib, opt)
+		want, err := BestPlan(d, b, lib, oneChain)
 		switch {
 		case err != nil && !math.IsInf(got, 1):
-			t.Fatalf("d=%g b=%g %+v over %+v: Cost = %v, BestPlan errs: %v", d, b, opt, lib, got, err)
+			t.Fatalf("d=%g b=%g oneChain=%v over %+v: Cost = %v, BestPlan errs: %v", d, b, oneChain, lib, got, err)
 		case err == nil && math.Float64bits(got) != math.Float64bits(want.Cost):
-			t.Fatalf("d=%g b=%g %+v over %+v: Cost = %v, BestPlan %v (%v)", d, b, opt, lib, got, want.Cost, want)
+			t.Fatalf("d=%g b=%g oneChain=%v over %+v: Cost = %v, BestPlan %v (%v)", d, b, oneChain, lib, got, want.Cost, want)
 		}
 	}
 }
 
 // TestCurveMatchesBestPlan pins the hoisted curve to the reference
-// planner over seeded random libraries, options and requirements,
+// planner over seeded random libraries, chain rules and requirements,
 // concentrating the requirements on the edges where a hoisted value
 // could round differently: distances at multiples of MaxSpan and
 // bandwidths at multiples of a link's bandwidth.
 func TestCurveMatchesBestPlan(t *testing.T) {
 	invalid := []float64{-1, math.Copysign(0, -1), math.NaN(), math.Inf(1)}
 	fixed := curveTestLib()
-	// Hand-picked cases: one requirement under options that change its
-	// plan (a duplicated access leg versus a trunk forced to one chain)
-	// and requirements no link can meet.
+	// Hand-picked cases: one requirement under both chain rules (a
+	// duplicated access leg versus a trunk forced to one chain) and
+	// requirements no link can meet.
 	for _, c := range []struct {
-		d, b float64
-		opt  Options
+		d, b     float64
+		oneChain bool
 	}{
-		{5, 60, Options{}},
-		{5, 60, Options{MaxChains: 1}},
-		{100, 5000, Options{MaxChains: 1}},
-		{5, 10, Options{}},
-		{100, 25, Options{}},
-		{3, 40, Options{}},
-		{42, 2000, Options{MaxChains: 1}},
-		{7, 10, Options{ChargeSwitchesOnDuplication: true}},
+		{5, 60, false},
+		{5, 60, true},
+		{100, 5000, true},
+		{5, 10, false},
+		{100, 25, false},
+		{3, 40, false},
+		{42, 2000, true},
 	} {
-		checkCurve(t, fixed, c.b, c.opt, append([]float64{c.d}, invalid...))
+		checkCurve(t, fixed, c.b, c.oneChain, append([]float64{c.d}, invalid...))
 	}
 	for _, b := range []float64{0, -3, math.NaN(), math.Inf(1)} {
-		checkCurve(t, fixed, b, Options{}, []float64{0, 5})
+		checkCurve(t, fixed, b, false, []float64{0, 5})
 	}
 
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 300; trial++ {
 		lib := randomCurveLib(r)
-		opt := Options{
-			ChargeSwitchesOnDuplication: r.Intn(2) == 0,
-			MaxSegments:                 []int{0, 1, 2, 5}[r.Intn(4)],
-			MaxChains:                   []int{0, 1, 2, 3}[r.Intn(4)],
-		}
+		oneChain := r.Intn(2) == 0
 		ds := append([]float64{0, r.Float64() * 50}, invalid...)
 		bs := []float64{r.Float64() * 300}
 		for _, l := range lib.Links {
@@ -135,23 +130,23 @@ func TestCurveMatchesBestPlan(t *testing.T) {
 			bs = append(bs, nearMultiples(l.Bandwidth)...)
 		}
 		for _, b := range bs {
-			checkCurve(t, lib, b, opt, ds)
+			checkCurve(t, lib, b, oneChain, ds)
 		}
 	}
 }
 
-// TestCurveDistinguishesOptions: one requirement priced under options
-// that change its plan. Placement reuses a curve across candidates, so
-// a curve reset under new options must not keep the old options'
-// pricing: a trunk forced to one chain must not be priced as the
-// duplicated access leg it was reset from.
+// TestCurveDistinguishesOptions: one requirement priced under both
+// chain rules, which give it different plans. Placement reuses a curve
+// across candidates, so a curve reset under the other rule must not
+// keep the old rule's pricing: a trunk forced to one chain must not be
+// priced as the duplicated access leg it was reset from.
 func TestCurveDistinguishesOptions(t *testing.T) {
 	lib := curveTestLib()
-	multi, err := BestPlan(5, 60, lib, Options{})
+	multi, err := BestPlan(5, 60, lib, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := BestPlan(5, 60, lib, Options{MaxChains: 1})
+	single, err := BestPlan(5, 60, lib, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,27 +155,27 @@ func TestCurveDistinguishesOptions(t *testing.T) {
 	}
 	var c Curve
 	for round := 0; round < 2; round++ {
-		c.Reset(60, lib, Options{})
+		c.Reset(60, lib, false)
 		if got := c.Cost(5); got != multi.Cost {
 			t.Fatalf("round %d: multi-chain curve prices %v, want %v", round, got, multi.Cost)
 		}
-		c.Reset(60, lib, Options{MaxChains: 1})
+		c.Reset(60, lib, true)
 		if got := c.Cost(5); got != single.Cost {
 			t.Fatalf("round %d: single-chain curve prices %v, want %v", round, got, single.Cost)
 		}
 	}
 }
 
-// TestCurvePricesErrorsAtInf: a requirement no link meets under the
-// options is priced at +Inf on every ask, with an infinite rate, and a
+// TestCurvePricesErrorsAtInf: a requirement no single chain meets is
+// priced at +Inf on every ask, with an infinite rate, and a
 // reset to a feasible bandwidth prices finitely again.
 func TestCurvePricesErrorsAtInf(t *testing.T) {
 	lib := curveTestLib()
-	if _, err := BestPlan(100, 5000, lib, Options{MaxChains: 1}); err == nil {
+	if _, err := BestPlan(100, 5000, lib, true); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
 	var c Curve
-	c.Reset(5000, lib, Options{MaxChains: 1})
+	c.Reset(5000, lib, true)
 	for i := 0; i < 3; i++ {
 		if got := c.Cost(100); !math.IsInf(got, 1) {
 			t.Fatalf("ask %d: infeasible requirement priced %v, want +Inf", i, got)
@@ -189,8 +184,8 @@ func TestCurvePricesErrorsAtInf(t *testing.T) {
 	if slope, intercept := c.Envelope(); !math.IsInf(slope, 1) || !math.IsInf(intercept, 1) {
 		t.Errorf("infeasible curve envelope = (%v, %v), want +Inf", slope, intercept)
 	}
-	c.Reset(500, lib, Options{MaxChains: 1})
-	want, err := BestPlan(100, 500, lib, Options{MaxChains: 1})
+	c.Reset(500, lib, true)
+	want, err := BestPlan(100, 500, lib, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +211,10 @@ func TestCurveRejectsNonFinite(t *testing.T) {
 	var c Curve
 	for i := 0; i < 3; i++ {
 		for _, p := range bad {
-			if _, err := BestPlan(p[0], p[1], lib, Options{}); err == nil {
+			if _, err := BestPlan(p[0], p[1], lib, false); err == nil {
 				t.Fatalf("BestPlan(%g, %g) succeeded, want error", p[0], p[1])
 			}
-			c.Reset(p[1], lib, Options{})
+			c.Reset(p[1], lib, false)
 			if got := c.Cost(p[0]); !math.IsInf(got, 1) {
 				t.Fatalf("curve prices (%g, %g) at %v, want +Inf", p[0], p[1], got)
 			}
@@ -229,7 +224,7 @@ func TestCurveRejectsNonFinite(t *testing.T) {
 
 // TestCurveEnvelopeLengthPriced: on a purely length-priced library
 // the curve is the line through the origin, its envelope is that line
-// exactly, and the slope honours MaxChains.
+// exactly, and the slope honours the one-chain rule.
 func TestCurveEnvelopeLengthPriced(t *testing.T) {
 	lib := wanLib() // radio 11 Mbps at 2/m, optical 1000 Mbps at 4/m
 	var c Curve
@@ -237,37 +232,37 @@ func TestCurveEnvelopeLengthPriced(t *testing.T) {
 		t.Errorf("zero curve envelope = (%v, %v), want +Inf", slope, intercept)
 	}
 	for _, tc := range []struct {
-		b    float64
-		opt  Options
-		want float64
+		b        float64
+		oneChain bool
+		want     float64
 	}{
-		{10, Options{}, 2},               // one radio
-		{20, Options{}, 4},               // two radios tie one optical
-		{30, Options{}, 4},               // three radios (6/m) lose to optical
-		{20, Options{MaxChains: 1}, 4},   // duplication ruled out
-		{2000, Options{}, 8},             // two opticals
-		{2000, Options{MaxChains: 1}, 0}, // infeasible
+		{10, false, 2},   // one radio
+		{20, false, 4},   // two radios tie one optical
+		{30, false, 4},   // three radios (6/m) lose to optical
+		{20, true, 4},    // duplication ruled out
+		{2000, false, 8}, // two opticals
+		{2000, true, 0},  // infeasible
 	} {
-		c.Reset(tc.b, lib, tc.opt)
+		c.Reset(tc.b, lib, tc.oneChain)
 		got, intercept := c.Envelope()
 		if tc.want == 0 {
 			if !math.IsInf(got, 1) {
-				t.Errorf("b=%g %+v: slope %v, want +Inf", tc.b, tc.opt, got)
+				t.Errorf("b=%g oneChain=%v: slope %v, want +Inf", tc.b, tc.oneChain, got)
 			}
 			continue
 		}
 		if got != tc.want || intercept != 0 {
-			t.Errorf("b=%g %+v: envelope (%v, %v), want (%v, 0)", tc.b, tc.opt, got, intercept, tc.want)
+			t.Errorf("b=%g oneChain=%v: envelope (%v, %v), want (%v, 0)", tc.b, tc.oneChain, got, intercept, tc.want)
 		}
 		if d := 37.5; math.Abs(c.Cost(d)-got*d) > 1e-9 {
-			t.Errorf("b=%g %+v: Cost(%g) = %v, want slope·d = %v", tc.b, tc.opt, d, c.Cost(d), got*d)
+			t.Errorf("b=%g oneChain=%v: Cost(%g) = %v, want slope·d = %v", tc.b, tc.oneChain, d, c.Cost(d), got*d)
 		}
 	}
 }
 
 // TestCurveEnvelopeUnderCost: the envelope line never exceeds the
 // curve beyond float rounding (a relative 1e-9), over seeded random
-// libraries and options, at the distances where a segment count steps
+// libraries and chain rules, at the distances where a segment count steps
 // (multiples of MaxSpan, one ulp and the num.Ceil tolerance either
 // side) and in between. Placement's lower bound, and through it the
 // dominated-merging skip, is only as sound as this.
@@ -276,11 +271,7 @@ func TestCurveEnvelopeUnderCost(t *testing.T) {
 	var c Curve
 	for trial := 0; trial < 300; trial++ {
 		lib := randomCurveLib(r)
-		opt := Options{
-			ChargeSwitchesOnDuplication: r.Intn(2) == 0,
-			MaxSegments:                 []int{0, 1, 2, 5}[r.Intn(4)],
-			MaxChains:                   []int{0, 1, 2, 3}[r.Intn(4)],
-		}
+		oneChain := r.Intn(2) == 0
 		ds := []float64{0, r.Float64() * 50, r.Float64() * 5000}
 		for _, l := range lib.Links {
 			if !l.Unbounded() {
@@ -289,13 +280,13 @@ func TestCurveEnvelopeUnderCost(t *testing.T) {
 			}
 		}
 		for _, b := range []float64{r.Float64() * 300, lib.Links[0].Bandwidth, 2 * lib.Links[0].Bandwidth} {
-			c.Reset(b, lib, opt)
+			c.Reset(b, lib, oneChain)
 			slope, intercept := c.Envelope()
 			for _, d := range ds {
 				cost := c.Cost(d)
 				if line := slope*d + intercept; line > cost+1e-9*math.Max(1, math.Abs(cost)) {
-					t.Fatalf("b=%g %+v over %+v: envelope %v·%g%+v = %v above Cost %v",
-						b, opt, lib, slope, d, intercept, line, cost)
+					t.Fatalf("b=%g oneChain=%v over %+v: envelope %v·%g%+v = %v above Cost %v",
+						b, oneChain, lib, slope, d, intercept, line, cost)
 				}
 			}
 		}

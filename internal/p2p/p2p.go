@@ -10,10 +10,11 @@
 //   - both combined      — parallel chains of segmented links.
 //
 // Following Definition 2.7, a duplication is a set of parallel paths
-// between the two computational vertices; mux/demux switch costs for
-// duplication can optionally be charged via Options (the paper's
-// introduction mentions the switch pair, its formal definition does not
-// cost it).
+// between the two computational vertices and costs no switches (the
+// paper's introduction mentions a mux/demux pair, its formal
+// definition does not cost it). Placement's merged trunk must be one
+// chain, the common path q* of Definition 2.8, so BestPlan and
+// Curve.Reset take a oneChain argument that rules duplication out.
 //
 // Segmentation places repeaters at even spacing along the straight
 // segment between the endpoints. Under every built-in norm the straight
@@ -32,30 +33,16 @@ import (
 	"repro/internal/num"
 )
 
-// Options tunes point-to-point synthesis.
-type Options struct {
-	// ChargeSwitchesOnDuplication adds one demux and one mux node cost
-	// whenever a plan uses more than one parallel chain.
-	ChargeSwitchesOnDuplication bool
-	// MaxSegments bounds K for segmentation; zero means 1<<20. Plans
-	// needing more segments are deemed infeasible.
-	MaxSegments int
-	// MaxChains bounds K for duplication; zero means 1<<20.
-	MaxChains int
-}
+// maxUnits bounds the segments and the chains of a plan. A plan that
+// needs more is infeasible, which keeps the counts far from overflow.
+const maxUnits = 1 << 20
 
-func (o Options) maxSegments() int {
-	if o.MaxSegments <= 0 {
-		return 1 << 20
+// maxChains is the chain bound of a plan, 1 for a oneChain plan.
+func maxChains(oneChain bool) int {
+	if oneChain {
+		return 1
 	}
-	return o.MaxSegments
-}
-
-func (o Options) maxChains() int {
-	if o.MaxChains <= 0 {
-		return 1 << 20
-	}
-	return o.MaxChains
+	return maxUnits
 }
 
 // Plan is the cheapest stand-alone implementation found for one
@@ -91,14 +78,14 @@ func (p Plan) String() string {
 
 // planFor evaluates the cheapest plan using one specific link type, or
 // ok=false when that type cannot satisfy the requirement.
-func planFor(l library.Link, d, b float64, lib *library.Library, opt Options) (Plan, bool) {
+func planFor(l library.Link, d, b float64, lib *library.Library, oneChain bool) (Plan, bool) {
 	if l.Bandwidth <= 0 {
 		return Plan{}, false
 	}
 	chains := 1
 	if num.Below(l.Bandwidth, b) {
 		chains = num.Ceil(b / l.Bandwidth)
-		if chains > opt.maxChains() {
+		if chains > maxChains(oneChain) {
 			return Plan{}, false
 		}
 	}
@@ -111,7 +98,7 @@ func planFor(l library.Link, d, b float64, lib *library.Library, opt Options) (P
 		if segments < 1 {
 			segments = 1
 		}
-		if segments > opt.maxSegments() {
+		if segments > maxUnits {
 			return Plan{}, false
 		}
 	}
@@ -123,20 +110,11 @@ func planFor(l library.Link, d, b float64, lib *library.Library, opt Options) (P
 		}
 	}
 	chainCost := float64(segments)*l.CostFixed + l.CostPerLength*d + float64(segments-1)*repCost
-	total := float64(chains) * chainCost
-	if chains > 1 && opt.ChargeSwitchesOnDuplication {
-		demux := lib.NodeCost(library.Demux)
-		mux := lib.NodeCost(library.Mux)
-		if math.IsInf(demux, 1) || math.IsInf(mux, 1) {
-			return Plan{}, false
-		}
-		total += demux + mux
-	}
 	return Plan{
 		Link:      l,
 		Segments:  segments,
 		Chains:    chains,
-		Cost:      total,
+		Cost:      float64(chains) * chainCost,
 		Distance:  d,
 		Bandwidth: b,
 	}, true
@@ -144,12 +122,13 @@ func planFor(l library.Link, d, b float64, lib *library.Library, opt Options) (P
 
 // BestPlan returns the minimum-cost stand-alone implementation of a
 // requirement (distance d, bandwidth b) over all library link types, per
-// the four-step recipe below Definition 2.7. It returns an error when no
-// link type can satisfy the requirement within the option bounds, and
-// for a negative, NaN or infinite distance or bandwidth: an infinite
+// the four-step recipe below Definition 2.7, with a single chain when
+// oneChain is set. It returns an error when no link type can satisfy
+// the requirement within 1<<20 segments and chains, and for a
+// negative, NaN or infinite distance or bandwidth: an infinite
 // distance admits no finite-cost plan, and an infinite bandwidth would
 // overflow the chain count.
-func BestPlan(d, b float64, lib *library.Library, opt Options) (Plan, error) {
+func BestPlan(d, b float64, lib *library.Library, oneChain bool) (Plan, error) {
 	if d < 0 || math.IsNaN(d) || math.IsInf(d, 1) {
 		return Plan{}, fmt.Errorf("p2p: invalid distance %g", d)
 	}
@@ -159,7 +138,7 @@ func BestPlan(d, b float64, lib *library.Library, opt Options) (Plan, error) {
 	var best Plan
 	found := false
 	for _, l := range lib.Links {
-		p, ok := planFor(l, d, b, lib, opt)
+		p, ok := planFor(l, d, b, lib, oneChain)
 		if !ok {
 			continue
 		}
@@ -174,13 +153,12 @@ func BestPlan(d, b float64, lib *library.Library, opt Options) (Plan, error) {
 }
 
 // Curve is BestPlan's cost as a function of distance alone. For one
-// fixed bandwidth, library and Options it hoists what planFor derives
-// per call: each link's chain count, its feasibility, the repeater
-// cost and the switch cost. Cost(d) is then a few multiply-adds per
-// link, with no error values, lookups or allocations. Placement prices
-// thousands of probe positions per candidate at k+1 fixed bandwidths,
-// which is what the curve is for; BestPlan stays the reference it
-// must agree with.
+// fixed bandwidth, library and chain rule it hoists what planFor
+// derives per call: each link's chain count, its feasibility and the
+// repeater cost. Cost(d) is then a few multiply-adds per link, with no
+// error values, lookups or allocations. Placement prices thousands of
+// probe positions per candidate at k+1 fixed bandwidths, which is what
+// the curve is for; BestPlan stays the reference it must agree with.
 //
 // The zero Curve prices every distance at +Inf. Reset re-targets a
 // curve and reuses its storage.
@@ -194,25 +172,21 @@ type curveTerm struct {
 	chains, fixed, perLength, maxSpan float64
 	// repeater is the cost of one repeater, or 0 when maxSegments is 1
 	// because the library has none.
-	repeater float64
-	// switches is the demux+mux charge, 0 unless the term duplicates
-	// under ChargeSwitchesOnDuplication.
-	switches    float64
+	repeater    float64
 	maxSegments int
 }
 
-// Reset makes c the curve of bandwidth b over lib under opt, reusing
-// c's storage.
-func (c *Curve) Reset(b float64, lib *library.Library, opt Options) {
+// Reset makes c the curve of bandwidth b over lib, single-chain when
+// oneChain is set, reusing c's storage.
+func (c *Curve) Reset(b float64, lib *library.Library, oneChain bool) {
 	c.terms = c.terms[:0]
 	if b <= 0 || math.IsNaN(b) || math.IsInf(b, 1) {
 		return // BestPlan rejects the bandwidth at every distance
 	}
-	maxSegments, repeater := opt.maxSegments(), lib.NodeCost(library.Repeater)
+	maxSegments, repeater := maxUnits, lib.NodeCost(library.Repeater)
 	if math.IsInf(repeater, 1) {
 		maxSegments, repeater = 1, 0
 	}
-	demux, mux := lib.NodeCost(library.Demux), lib.NodeCost(library.Mux)
 	for _, l := range lib.Links {
 		if l.Bandwidth <= 0 {
 			continue
@@ -220,7 +194,7 @@ func (c *Curve) Reset(b float64, lib *library.Library, opt Options) {
 		chains := 1
 		if num.Below(l.Bandwidth, b) {
 			chains = num.Ceil(b / l.Bandwidth)
-			if chains > opt.maxChains() {
+			if chains > maxChains(oneChain) {
 				continue
 			}
 		}
@@ -231,19 +205,14 @@ func (c *Curve) Reset(b float64, lib *library.Library, opt Options) {
 		if l.MaxSpan <= 0 {
 			t.maxSegments = 0 // planFor cannot segment such a link
 		}
-		if chains > 1 && opt.ChargeSwitchesOnDuplication {
-			if math.IsInf(demux, 1) || math.IsInf(mux, 1) {
-				continue
-			}
-			t.switches = demux + mux
-		}
 		c.terms = append(c.terms, t)
 	}
 }
 
-// Cost returns BestPlan(d, b, lib, opt).Cost for the curve's b, lib and
-// opt, bit for bit, and +Inf exactly where BestPlan errors. The
-// arithmetic mirrors planFor term by term so that no rounding differs.
+// Cost returns BestPlan(d, b, lib, oneChain).Cost for the curve's b,
+// lib and chain rule, bit for bit, and +Inf exactly where BestPlan
+// errors. The arithmetic mirrors planFor term by term so that no
+// rounding differs.
 func (c *Curve) Cost(d float64) float64 {
 	best := math.Inf(1)
 	if d < 0 || math.IsNaN(d) || math.IsInf(d, 1) {
@@ -260,7 +229,7 @@ func (c *Curve) Cost(d float64) float64 {
 				continue
 			}
 		}
-		cost := t.chains*(float64(segments)*t.fixed+t.perLength*d+float64(segments-1)*t.repeater) + t.switches
+		cost := t.chains * (float64(segments)*t.fixed + t.perLength*d + float64(segments-1)*t.repeater)
 		if num.Improves(cost, best) {
 			best = cost
 		}
@@ -279,16 +248,16 @@ func (c *Curve) Cost(d float64) float64 {
 // minimum slope and the minimum intercept over the terms; the zero
 // Curve's envelope is (+Inf, +Inf). When every link is unbounded with
 // zero fixed cost, the slope is the per-length weight the curve's
-// cheapest plan charges and the intercept its switch charge.
+// cheapest plan charges and the intercept is zero.
 func (c *Curve) Envelope() (slope, intercept float64) {
 	slope, intercept = math.Inf(1), math.Inf(1)
 	for i := range c.terms {
 		t := &c.terms[i]
-		s, b := t.chains*t.perLength, t.chains*t.fixed+t.switches
+		s, b := t.chains*t.perLength, t.chains*t.fixed
 		if t.maxSegments > 1 && !math.IsInf(t.maxSpan, 1) {
 			perSegment := t.fixed + t.repeater
 			s = t.chains * (t.perLength + perSegment/t.maxSpan)
-			b = t.switches - t.chains*(t.repeater+num.Eps*perSegment)
+			b = -t.chains * (t.repeater + num.Eps*perSegment)
 		}
 		slope, intercept = math.Min(slope, s), math.Min(intercept, b)
 	}
@@ -314,7 +283,7 @@ func Instantiate(ig *impl.Graph, ch model.ChannelID, plan Plan, lib *library.Lib
 // minimum cost, with pairwise-disjoint arc implementations. It returns
 // the graph together with the per-channel plans; per Lemma 2.1 the graph
 // cost equals the sum of the plan costs.
-func Synthesize(cg *model.ConstraintGraph, lib *library.Library, opt Options) (*impl.Graph, []Plan, error) {
+func Synthesize(cg *model.ConstraintGraph, lib *library.Library) (*impl.Graph, []Plan, error) {
 	if err := cg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -325,7 +294,7 @@ func Synthesize(cg *model.ConstraintGraph, lib *library.Library, opt Options) (*
 	plans := make([]Plan, cg.NumChannels())
 	for i := 0; i < cg.NumChannels(); i++ {
 		ch := model.ChannelID(i)
-		plan, err := BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, opt)
+		plan, err := BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("p2p: channel %q: %w", cg.Channel(ch).Name, err)
 		}

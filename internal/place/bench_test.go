@@ -19,7 +19,7 @@ func BenchmarkOptimizeConvex(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(cg, lib, ids, Options{}); err != nil {
+		if _, err := Optimize(cg, lib, ids, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func BenchmarkOptimizePatternSearch(b *testing.B) {
 	ids := []model.ChannelID{1, 5} // dma_mem + mc_mem, both into sdram
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(cg, lib, ids, Options{}); err != nil {
+		if _, err := Optimize(cg, lib, ids, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,7 +27,7 @@ import (
 // certificate (certificate.value) read off the trial hubs and off the
 // collapsed point. Once the scratch has grown to the merging's size
 // the call allocates nothing.
-func LowerBound(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, opt Options) float64 {
+func LowerBound(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, sc *Scratch) float64 {
 	if len(channels) < 2 {
 		return math.Inf(-1)
 	}
@@ -36,11 +36,10 @@ func LowerBound(cg *model.ConstraintGraph, lib *library.Library, channels []mode
 	if !okM || !okD {
 		return math.Inf(-1)
 	}
-	sc := opt.Scratch
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	stage(cg, lib, channels, opt, sc)
+	stage(cg, lib, channels, sc)
 	c := &sc.cert
 	if !c.reset(cg.Norm(), mux.Cost+demux.Cost, math.Inf(1), sc) {
 		return math.Inf(-1)

@@ -31,10 +31,10 @@ func reproject(cg *model.ConstraintGraph, norm geom.Norm) *model.ConstraintGraph
 // p2pSum returns the channels' summed point-to-point cost, or ok=false
 // when a channel has no point-to-point plan (synthesis then fails
 // before any merging is priced).
-func p2pSum(cg *model.ConstraintGraph, lib *library.Library, set []model.ChannelID, opt p2p.Options) (float64, bool) {
+func p2pSum(cg *model.ConstraintGraph, lib *library.Library, set []model.ChannelID) (float64, bool) {
 	var sum float64
 	for _, ch := range set {
-		plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, opt)
+		plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 		if err != nil {
 			return 0, false
 		}
@@ -44,18 +44,23 @@ func p2pSum(cg *model.ConstraintGraph, lib *library.Library, set []model.Channel
 }
 
 // checkBound asserts the properties the dominated-merging skip rests
-// on for one merging. The bound lies under the cost Optimize finds
-// (within the Eps the dominance test forgives), and a merging Optimize
-// rejects is never bounded at or above its point-to-point sum.
-// OptimizeBelow at that sum proves dominated only a merging whose
-// placed cost is dominated, and returns exactly Optimize's candidate
-// for every other. It reports whether OptimizeBelow proved the merging
-// dominated.
-func checkBound(t *testing.T, cg *model.ConstraintGraph, lib *library.Library, set []model.ChannelID, opt Options, sum float64) bool {
+// on for one merging, every call going through sc. The bound lies
+// under the cost Optimize finds (within the Eps the dominance test
+// forgives), and a merging Optimize rejects is never bounded at or
+// above its point-to-point sum. OptimizeBelow at bar proves dominated
+// only a merging whose placed cost reaches the bar, and returns
+// exactly Optimize's candidate for every other. It reports whether
+// OptimizeBelow proved the merging dominated, the bound, and
+// Optimize's cost (+Inf when it rejects the merging).
+func checkBound(t *testing.T, cg *model.ConstraintGraph, lib *library.Library, set []model.ChannelID, sc *Scratch, sum, bar float64) (dominated bool, lb, cost float64) {
 	t.Helper()
-	lb := LowerBound(cg, lib, set, opt)
-	cand, err := Optimize(cg, lib, set, opt)
-	below, dominated, errBelow := OptimizeBelow(cg, lib, set, opt, sum)
+	lb = LowerBound(cg, lib, set, sc)
+	cand, err := Optimize(cg, lib, set, sc)
+	below, dominated, errBelow := OptimizeBelow(cg, lib, set, sc, bar)
+	cost = math.Inf(1)
+	if err == nil {
+		cost = cand.Cost
+	}
 	switch {
 	case math.IsNaN(lb):
 		t.Fatalf("%v: bound is NaN", set)
@@ -65,8 +70,8 @@ func checkBound(t *testing.T, cg *model.ConstraintGraph, lib *library.Library, s
 		t.Fatalf("%v: bound %.15g exceeds the placed cost %.15g by %g", set, lb, cand.Cost, lb-cand.Cost)
 	case dominated && (below != nil || errBelow != nil):
 		t.Fatalf("%v: proved dominated but returned candidate %v, error %v", set, below, errBelow)
-	case dominated && (err != nil || !num.GreaterEq(cand.Cost, sum)):
-		t.Fatalf("%v: proved dominated, but Optimize returns %v (error %v) against the sum %.15g", set, cand, err, sum)
+	case dominated && (err != nil || !num.GreaterEq(cand.Cost, bar)):
+		t.Fatalf("%v: proved dominated, but Optimize returns %v (error %v) against the bar %.15g", set, cand, err, bar)
 	case !dominated && (err == nil) != (errBelow == nil):
 		t.Fatalf("%v: Optimize error %v, OptimizeBelow error %v", set, err, errBelow)
 	case !dominated && err == nil && (math.Float64bits(below.Cost) != math.Float64bits(cand.Cost) ||
@@ -74,15 +79,20 @@ func checkBound(t *testing.T, cg *model.ConstraintGraph, lib *library.Library, s
 		t.Fatalf("%v: OptimizeBelow places at %v %v for %.17g, Optimize at %v %v for %.17g",
 			set, below.MuxPos, below.DemuxPos, below.Cost, cand.MuxPos, cand.DemuxPos, cand.Cost)
 	}
-	return dominated
+	return dominated, lb, cost
 }
 
 // TestLowerBoundAdmissible sweeps seeded random WAN and SoC instances,
 // re-projected into all three norms, across the five workload
-// libraries and four placement option sets, and checks every
-// enumerated merging with checkBound. The bound must lie under the
-// placement optimum, not only under what pattern search finds, so
-// step-cost libraries (where placement is heuristic) are included.
+// libraries, and checks every enumerated merging with checkBound in
+// the four ways placement is called: through one scratch reused across
+// mergings (as synthesis's pricing lanes do) or a fresh one per call
+// (as the greedy baseline does), and below the point-to-point sum or
+// below no bar (KeepDominated, and the baseline). Neither choice may
+// change a result: every way must find the bound and the placed cost
+// of the first, bit for bit. The bound must lie under the placement
+// optimum, not only under what pattern search finds, so step-cost
+// libraries (where placement is heuristic) are included.
 func TestLowerBoundAdmissible(t *testing.T) {
 	libs := map[string]*library.Library{
 		"wan": workloads.WANLibrary(), "lan": workloads.LANLibrary(), "mcm": workloads.MCMLibrary(),
@@ -94,13 +104,11 @@ func TestLowerBoundAdmissible(t *testing.T) {
 		"soc1": workloads.RandomSoC(workloads.RandomSoCConfig{Seed: 1, Modules: 6, Channels: 6}),
 		"soc2": workloads.RandomSoC(workloads.RandomSoCConfig{Seed: 2, Modules: 5, Channels: 5}),
 	}
-	opts := []Options{
-		{},
-		{P2P: p2p.Options{ChargeSwitchesOnDuplication: true}},
-		{P2P: p2p.Options{MaxChains: 2}},
-		{Capacity: MaxBandwidth},
-	}
-	sc := &Scratch{}
+	shared := &Scratch{}
+	calls := []struct {
+		sc    *Scratch
+		noBar bool
+	}{{shared, false}, {nil, false}, {shared, true}, {nil, true}}
 	var checked, skipped int
 	for _, libName := range []string{"wan", "lan", "mcm", "noc", "180nm"} {
 		lib := libs[libName]
@@ -111,18 +119,29 @@ func TestLowerBoundAdmissible(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, opt := range opts {
+				first := map[string][2]float64{} // bound and cost by merging, from opt0
+				for i, call := range calls {
 					t.Run(fmt.Sprintf("%s/%s/%s/opt%d", libName, instName, norm.Name(), i), func(t *testing.T) {
-						opt.Scratch = sc
 						for k := 2; k <= cg.NumChannels(); k++ {
 							for _, set := range enum.ByK[k] {
-								sum, ok := p2pSum(cg, lib, set, opt.P2P)
+								sum, ok := p2pSum(cg, lib, set)
 								if !ok {
 									return
 								}
+								bar := sum
+								if call.noBar {
+									bar = math.Inf(1)
+								}
 								checked++
-								if checkBound(t, cg, lib, set, opt, sum) {
+								dominated, lb, cost := checkBound(t, cg, lib, set, call.sc, sum, bar)
+								if dominated {
 									skipped++
+								}
+								key := fmt.Sprint(set)
+								if i == 0 {
+									first[key] = [2]float64{lb, cost}
+								} else if f, ok := first[key]; ok && (math.Float64bits(f[0]) != math.Float64bits(lb) || math.Float64bits(f[1]) != math.Float64bits(cost)) {
+									t.Fatalf("%v: bound %.17g and cost %.17g, but %.17g and %.17g through opt0", set, lb, cost, f[0], f[1])
 								}
 							}
 						}
@@ -151,8 +170,8 @@ func TestLowerBoundProvesWANPairsDominated(t *testing.T) {
 		t.Fatal("WAN enumerates no pair mergings")
 	}
 	for _, set := range enum.ByK[2] {
-		sum, _ := p2pSum(cg, lib, set, p2p.Options{})
-		if lb := LowerBound(cg, lib, set, Options{}); !num.NoBetter(lb, sum) {
+		sum, _ := p2pSum(cg, lib, set)
+		if lb := LowerBound(cg, lib, set, nil); !num.NoBetter(lb, sum) {
 			t.Errorf("%v: bound %.12g below point-to-point sum %.12g", set, lb, sum)
 		}
 	}
@@ -169,11 +188,11 @@ func TestLowerBoundProvesWANPairsDominated(t *testing.T) {
 func TestLowerBoundProvesWANSharedEndpointMergings(t *testing.T) {
 	cg, lib := workloads.WAN(), workloads.WANLibrary()
 	for _, set := range [][]model.ChannelID{{0, 2, 3}, {3, 4, 6}, {3, 5, 6}, {4, 5, 6}} {
-		sum, _ := p2pSum(cg, lib, set, p2p.Options{})
-		if lb := LowerBound(cg, lib, set, Options{}); !num.GreaterEq(lb, sum) {
+		sum, _ := p2pSum(cg, lib, set)
+		if lb := LowerBound(cg, lib, set, nil); !num.GreaterEq(lb, sum) {
 			t.Errorf("%v: bound %.12g below point-to-point sum %.12g", set, lb, sum)
 		}
-		if cand, dominated, err := OptimizeBelow(cg, lib, set, Options{}, sum); !dominated || cand != nil || err != nil {
+		if cand, dominated, err := OptimizeBelow(cg, lib, set, nil, sum); !dominated || cand != nil || err != nil {
 			t.Errorf("%v: OptimizeBelow = %v, %v, %v; want proved dominated", set, cand, dominated, err)
 		}
 	}
@@ -202,10 +221,10 @@ func TestLowerBoundRejectsUnplaceable(t *testing.T) {
 		}, ids},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Optimize(cg, tc.lib, tc.ids, Options{}); err == nil {
+			if _, err := Optimize(cg, tc.lib, tc.ids, nil); err == nil {
 				t.Fatal("Optimize accepts the merging; the case is mis-built")
 			}
-			if lb := LowerBound(cg, tc.lib, tc.ids, Options{}); !math.IsInf(lb, -1) {
+			if lb := LowerBound(cg, tc.lib, tc.ids, nil); !math.IsInf(lb, -1) {
 				t.Errorf("bound = %v, want -Inf", lb)
 			}
 		})
@@ -213,38 +232,42 @@ func TestLowerBoundRejectsUnplaceable(t *testing.T) {
 }
 
 // FuzzLowerBound decodes a small merging instance from the fuzz bytes
-// (norm, options, one or two links, optional repeater and switches,
-// two to four channels) and checks it with checkBound: the bound lies
-// under Optimize's cost, a merging Optimize rejects is never bounded at
-// or above its point-to-point sum, and OptimizeBelow proves only
-// dominated mergings and otherwise returns Optimize's candidate. The
-// seed corpus in testdata/fuzz/FuzzLowerBound covers each norm and
-// arity with bounded, unbounded and unplaceable mergings, and in each
-// norm three hub shapes the certificate treats specially: both hubs
-// collapsed on a shared source, the demux on a shared destination with
-// the hubs apart, and both hubs collapsed where two channels cross.
+// (norm, one or two links, optional repeater and switches, two to four
+// channels) and checks it with checkBound at its point-to-point sum,
+// each call with a fresh scratch: the bound lies under Optimize's
+// cost, a merging Optimize rejects is never bounded at or above its
+// point-to-point sum, and OptimizeBelow proves only dominated mergings
+// and otherwise returns Optimize's candidate. The seed corpus in
+// testdata/fuzz/FuzzLowerBound covers each norm and arity with
+// bounded, unbounded and unplaceable mergings, and in each norm three
+// hub shapes the certificate treats specially: both hubs collapsed on
+// a shared source, the demux on a shared destination with the hubs
+// apart, and both hubs collapsed where two channels cross.
 func FuzzLowerBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cg, lib, opt, ok := decodeBoundInstance(data)
+		cg, lib, ok := decodeBoundInstance(data)
 		if !ok {
 			return
 		}
 		set := cg.ChannelIDs()
-		sum, ok := p2pSum(cg, lib, set, opt.P2P)
+		sum, ok := p2pSum(cg, lib, set)
 		if !ok {
 			return
 		}
-		checkBound(t, cg, lib, set, opt, sum)
+		checkBound(t, cg, lib, set, nil, sum, sum)
 	})
 }
 
 // decodeBoundInstance reads FuzzLowerBound's instance from the bytes:
-// a norm byte, an options byte, four bytes per link (one or two links)
-// and five per channel (two to four channels). ok is false when the
+// a norm byte, a layout byte whose bit 6 asks for a second link, four
+// bytes per link and five per channel (two to four channels). The
+// layout byte's low six bits are ignored: they selected placement
+// options that no longer exist, and skipping them keeps every
+// committed corpus file decoding to its instance. ok is false when the
 // bytes run out early or describe an invalid library. Coordinates,
 // costs and bandwidths are small multiples of fixed units, so values
 // often land on segment and chain-count boundaries.
-func decodeBoundInstance(data []byte) (cg *model.ConstraintGraph, lib *library.Library, opt Options, ok bool) {
+func decodeBoundInstance(data []byte) (cg *model.ConstraintGraph, lib *library.Library, ok bool) {
 	take := func(n int) []byte {
 		if len(data) < n {
 			return nil
@@ -255,23 +278,15 @@ func decodeBoundInstance(data []byte) (cg *model.ConstraintGraph, lib *library.L
 	}
 	h := take(2)
 	if h == nil {
-		return nil, nil, Options{}, false
+		return nil, nil, false
 	}
 	norms := []geom.Norm{geom.Euclidean, geom.Manhattan, geom.Chebyshev}
 	cg = model.NewConstraintGraph(norms[int(h[0])%len(norms)])
-	opt.P2P = p2p.Options{
-		ChargeSwitchesOnDuplication: h[1]&1 != 0,
-		MaxChains:                   int(h[1]>>1) & 3,
-		MaxSegments:                 []int{0, 0, 2, 8}[int(h[1]>>3)&3],
-	}
-	if h[1]&0x20 != 0 {
-		opt.Capacity = MaxBandwidth
-	}
 	lib = &library.Library{}
 	for i := 0; i <= int(h[1]>>6)&1; i++ {
 		l := take(4)
 		if l == nil {
-			return nil, nil, Options{}, false
+			return nil, nil, false
 		}
 		link := library.Link{
 			Name:          fmt.Sprintf("l%d", i),
@@ -307,5 +322,5 @@ func decodeBoundInstance(data []byte) (cg *model.ConstraintGraph, lib *library.L
 		v := cg.MustAddPort(model.Port{Name: fmt.Sprintf("v%d", i), Position: geom.Pt(float64(c[2])/4, float64(c[3])/4)})
 		cg.MustAddChannel(model.Channel{Name: fmt.Sprintf("c%d", i), From: u, To: v, Bandwidth: 0.5 + float64(c[4])/8})
 	}
-	return cg, lib, opt, cg.NumChannels() >= 2 && lib.Validate() == nil
+	return cg, lib, cg.NumChannels() >= 2 && lib.Validate() == nil
 }

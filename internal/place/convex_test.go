@@ -8,7 +8,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/library"
 	"repro/internal/model"
-	"repro/internal/p2p"
 	"repro/internal/workloads"
 )
 
@@ -37,7 +36,7 @@ func TestConvexSeedMatchesGridSearch(t *testing.T) {
 				Bandwidth: 2 + r.Float64()*6,
 			}))
 		}
-		cand, err := Optimize(cg, lib, ids, Options{})
+		cand, err := Optimize(cg, lib, ids, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,36 +162,46 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-// TestConvexSeedHonoursMaxChains: the seed must weight every leg at the
-// rate pricing charges for it. A 30 Mbps leg would cost 3/m as three
-// parallel radios, but MaxChains=2 rules that out, so every leg and the
-// 60 Mbps trunk cost 7/m on optical. The optimum is then a Steiner
-// tree: each hub at the 120° point of its two ports and the other hub.
-// Weighting the legs at 3/m instead lets the trunk outweigh them, which
-// collapses both seed hubs onto the destinations, farther from the
-// optimum than the short polish reaches.
+// TestConvexSeedHonoursMaxChains: the seed must weight every piece at
+// the rate pricing charges for it, under the piece's chain bound.
+// Three 5 Mbps channels ride one radio each at 1/m, and their 15 Mbps
+// trunk would cost 2/m as two parallel radios, but a trunk is one
+// chain, so it costs 2.5/m on optical. Each hub then sits on the axis where its three legs' pulls
+// balance the trunk's, 2s/√(s²+h²) + 1 = 2.5 at distance s from its
+// ports, so s = h·√(9/7). Weighting the trunk at 2/m would put the
+// seed hubs at s = h/√3 instead.
 func TestConvexSeedHonoursMaxChains(t *testing.T) {
 	lib := &library.Library{
 		Links: []library.Link{
 			{Name: "radio", Bandwidth: 11, MaxSpan: math.Inf(1), CostPerLength: 1},
-			{Name: "optical", Bandwidth: 1000, MaxSpan: math.Inf(1), CostPerLength: 7},
+			{Name: "optical", Bandwidth: 1000, MaxSpan: math.Inf(1), CostPerLength: 2.5},
 		},
 		Nodes: []library.Node{{Name: "mux", Kind: library.Mux}, {Name: "demux", Kind: library.Demux}},
 	}
-	const length, half = 100.0, 5.0
+	const length, h = 100.0, 5.0
 	cg := model.NewConstraintGraph(geom.Euclidean)
 	var ids []model.ChannelID
-	for i, y := range []float64{-half, half} {
+	for i, y := range []float64{-h, 0, h} {
 		name := string(rune('0' + i))
 		u := cg.MustAddPort(model.Port{Name: "u" + name, Position: geom.Pt(0, y)})
 		v := cg.MustAddPort(model.Port{Name: "v" + name, Position: geom.Pt(length, y)})
-		ids = append(ids, cg.MustAddChannel(model.Channel{Name: "c" + name, From: u, To: v, Bandwidth: 30}))
+		ids = append(ids, cg.MustAddChannel(model.Channel{Name: "c" + name, From: u, To: v, Bandwidth: 5}))
 	}
-	cand, err := Optimize(cg, lib, ids, Options{P2P: p2p.Options{MaxChains: 2}})
+	s := h * math.Sqrt(9.0/7)
+	sc := &Scratch{}
+	stage(cg, lib, ids, sc)
+	seed, ok := convexSeed(cg.Norm(), lib, sc.sources, sc.dests, sc.access, &sc.trunk, nil, sc)
+	if !ok {
+		t.Fatal("convex seed declined a length-priced library")
+	}
+	if want := [2]geom.Point{geom.Pt(s, 0), geom.Pt(length-s, 0)}; geom.Euclidean.Distance(seed[0], want[0])+geom.Euclidean.Distance(seed[1], want[1]) > 1e-3 {
+		t.Errorf("seed hubs %v, want %v", seed, want)
+	}
+	cand, err := Optimize(cg, lib, ids, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 7 * (length + 2*math.Sqrt(3)*half); math.Abs(cand.Cost-want) > 1e-6*want {
-		t.Errorf("cost %.9f, want the Steiner optimum %.9f (mux %v, demux %v)", cand.Cost, want, cand.MuxPos, cand.DemuxPos)
+	if want := 2*(2*math.Hypot(s, h)+s) + 2.5*(length-2*s); math.Abs(cand.Cost-want) > 1e-6*want {
+		t.Errorf("cost %.9f, want %.9f (mux %v, demux %v)", cand.Cost, want, cand.MuxPos, cand.DemuxPos)
 	}
 }

@@ -10,7 +10,11 @@
 // and access links deliver each channel to its destination port. Every
 // piece (access links and trunk) is itself implemented point-to-point by
 // the p2p package, so a long trunk is transparently segmented with
-// repeaters and a fat access leg transparently duplicated.
+// repeaters and a fat access leg transparently duplicated. The trunk is
+// one chain sized for the sum of the merged bandwidths: the multiplexer
+// of the paper has "one outgoing link whose bandwidth is larger than
+// the sum of the incoming", and impl.Verify checks shared links by the
+// same sum.
 //
 // The optimization over (x₁, x₂) ∈ R⁴ is a multistart pattern search on
 // the exact cost function. For length-priced libraries the objective is
@@ -36,29 +40,19 @@ import (
 	"repro/internal/p2p"
 )
 
-// Options tunes candidate placement.
-type Options struct {
-	// P2P configures the embedded point-to-point planner.
-	P2P p2p.Options
-	// MaxIter bounds pattern-search iterations per start; zero means 120.
-	MaxIter int
-	// Capacity selects how the trunk is sized: the sum of merged
-	// bandwidths (default, matching the paper's multiplexer description)
-	// or their maximum (the literal Definition 2.8 bound, for ablation).
-	Capacity TrunkCapacity
-	// Scratch, when non-nil, supplies reusable buffers for the per-call
-	// endpoint staging, cost curves and convex-seed alternation, so
-	// that once it has grown an Optimize call allocates only the
-	// candidate it returns, and a LowerBound call or a dominance proof
-	// nothing at all. A
-	// scratch must not be shared between concurrent calls; synthesis
-	// keeps one per pricing worker.
-	Scratch *Scratch
-}
+// maxIter bounds the general path's pattern-search iterations per
+// start.
+const maxIter = 120
 
-// Scratch holds the reusable buffers behind Options.Scratch. The zero
-// value is ready to use; buffers grow to the largest merging priced
-// through them and are reused verbatim afterwards.
+// Scratch holds reusable buffers for the per-call endpoint staging,
+// cost curves and convex-seed alternation, so that once it has grown
+// an Optimize call allocates only the candidate it returns, and a
+// LowerBound call or a dominance proof nothing at all. The zero value
+// is ready to use; buffers grow to the largest merging priced through
+// them and are reused verbatim afterwards. Every entry point takes a
+// scratch, nil meaning a fresh one for the call. A scratch must not be
+// shared between concurrent calls; synthesis keeps one per pricing
+// worker.
 type Scratch struct {
 	sources, dests     []geom.Point
 	bws                []float64
@@ -75,23 +69,6 @@ type Scratch struct {
 	ends               []geom.Point
 	slopes             []float64
 	cert               certificate
-}
-
-// TrunkCapacity selects the trunk sizing rule.
-type TrunkCapacity int
-
-const (
-	// SumBandwidth sizes the trunk for Σ b(aᵢ).
-	SumBandwidth TrunkCapacity = iota
-	// MaxBandwidth sizes the trunk for max b(aᵢ).
-	MaxBandwidth
-)
-
-func (o Options) maxIter() int {
-	if o.MaxIter <= 0 {
-		return 120
-	}
-	return o.MaxIter
 }
 
 // Candidate is a priced k-way merging: the optimized hub positions, the
@@ -116,8 +93,8 @@ type Candidate struct {
 // library, returning the best candidate found. It returns an error when
 // the merging is infeasible: the library lacks mux/demux nodes, or no
 // single link chain can carry the combined trunk traffic.
-func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, opt Options) (*Candidate, error) {
-	cand, _, err := OptimizeBelow(cg, lib, channels, opt, math.Inf(1))
+func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, sc *Scratch) (*Candidate, error) {
+	cand, _, err := OptimizeBelow(cg, lib, channels, sc, math.Inf(1))
 	return cand, err
 }
 
@@ -131,7 +108,7 @@ func Optimize(cg *model.ConstraintGraph, lib *library.Library, channels []model.
 // without the polish or the build. A merging it cannot prove gets
 // exactly Optimize's candidate; an infinite bar proves nothing and
 // costs nothing extra.
-func OptimizeBelow(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, opt Options, bar float64) (cand *Candidate, dominated bool, err error) {
+func OptimizeBelow(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, sc *Scratch, bar float64) (cand *Candidate, dominated bool, err error) {
 	if len(channels) < 2 {
 		return nil, false, fmt.Errorf("place: merging needs at least 2 channels, got %d", len(channels))
 	}
@@ -141,11 +118,10 @@ func OptimizeBelow(cg *model.ConstraintGraph, lib *library.Library, channels []m
 		return nil, false, fmt.Errorf("place: library lacks mux/demux nodes; merging unavailable")
 	}
 
-	sc := opt.Scratch
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	trunkBW, trunkOpt := stage(cg, lib, channels, opt, sc)
+	trunkBW := stage(cg, lib, channels, sc)
 	sources, dests, bws, access, trunk := sc.sources, sc.dests, sc.bws, sc.access, &sc.trunk
 	norm := cg.Norm()
 
@@ -181,18 +157,18 @@ func OptimizeBelow(cg *model.ConstraintGraph, lib *library.Library, channels []m
 			AccessIn:  make([]p2p.Plan, 0, len(channels)),
 			AccessOut: make([]p2p.Plan, 0, len(channels)),
 		}
-		trunk, err := p2p.BestPlan(norm.Distance(x1, x2), trunkBW, lib, trunkOpt)
+		trunk, err := p2p.BestPlan(norm.Distance(x1, x2), trunkBW, lib, true)
 		if err != nil {
 			return nil, err
 		}
 		cand.TrunkPlan = trunk
 		total := mux.Cost + demux.Cost + trunk.Cost
 		for i := range channels {
-			in, err := p2p.BestPlan(norm.Distance(sources[i], x1), bws[i], lib, opt.P2P)
+			in, err := p2p.BestPlan(norm.Distance(sources[i], x1), bws[i], lib, false)
 			if err != nil {
 				return nil, err
 			}
-			out, err := p2p.BestPlan(norm.Distance(x2, dests[i]), bws[i], lib, opt.P2P)
+			out, err := p2p.BestPlan(norm.Distance(x2, dests[i]), bws[i], lib, false)
 			if err != nil {
 				return nil, err
 			}
@@ -239,7 +215,7 @@ func OptimizeBelow(cg *model.ConstraintGraph, lib *library.Library, channels []m
 		}
 		sc.starts = starts
 		for _, s := range starts {
-			if c, x1, x2 := patternSearch(eval, s[0], s[1], initStep, opt.maxIter()); c < bestCost {
+			if c, x1, x2 := patternSearch(eval, s[0], s[1], initStep, maxIter); c < bestCost {
 				bestCost, bestX1, bestX2 = c, x1, x2
 			}
 		}
@@ -255,9 +231,9 @@ func OptimizeBelow(cg *model.ConstraintGraph, lib *library.Library, channels []m
 // stage loads the merging of channels into sc: its endpoints and
 // bandwidths, one access curve per channel, and the trunk curve. The
 // trunk is a single chain so that all merged channels share one common
-// path (Definition 2.8's q*). It returns the trunk's bandwidth and
-// point-to-point options.
-func stage(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, opt Options, sc *Scratch) (trunkBW float64, trunkOpt p2p.Options) {
+// path (Definition 2.8's q*), sized for their summed bandwidth, which
+// it returns.
+func stage(cg *model.ConstraintGraph, lib *library.Library, channels []model.ChannelID, sc *Scratch) (trunkBW float64) {
 	sources := resize(&sc.sources, len(channels))
 	dests := resize(&sc.dests, len(channels))
 	bws := resize(&sc.bws, len(channels))
@@ -267,17 +243,11 @@ func stage(cg *model.ConstraintGraph, lib *library.Library, channels []model.Cha
 		sources[i] = cg.Position(c.From)
 		dests[i] = cg.Position(c.To)
 		bws[i] = c.Bandwidth
-		access[i].Reset(c.Bandwidth, lib, opt.P2P)
-		if opt.Capacity == MaxBandwidth {
-			trunkBW = math.Max(trunkBW, c.Bandwidth)
-		} else {
-			trunkBW += c.Bandwidth
-		}
+		access[i].Reset(c.Bandwidth, lib, false)
+		trunkBW += c.Bandwidth
 	}
-	trunkOpt = opt.P2P
-	trunkOpt.MaxChains = 1
-	sc.trunk.Reset(trunkBW, lib, trunkOpt)
-	return trunkBW, trunkOpt
+	sc.trunk.Reset(trunkBW, lib, true)
+	return trunkBW
 }
 
 // patternDirs are the eight compass directions of the pattern search,

@@ -33,7 +33,7 @@ func fanInstance(t *testing.T) (*model.ConstraintGraph, []model.ChannelID) {
 func TestOptimizeFanMerging(t *testing.T) {
 	cg, ids := fanInstance(t)
 	lib := workloads.WANLibrary()
-	cand, err := Optimize(cg, lib, ids, Options{})
+	cand, err := Optimize(cg, lib, ids, nil)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestOptimizeFanMerging(t *testing.T) {
 	// Candidate must beat the point-to-point alternative (3 radio links).
 	var p2pCost float64
 	for _, ch := range ids {
-		p, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, p2p.Options{})
+		p, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestOptimizeFanMerging(t *testing.T) {
 
 func TestOptimizeRejectsSmallSets(t *testing.T) {
 	cg, ids := fanInstance(t)
-	if _, err := Optimize(cg, workloads.WANLibrary(), ids[:1], Options{}); err == nil {
+	if _, err := Optimize(cg, workloads.WANLibrary(), ids[:1], nil); err == nil {
 		t.Error("single-channel merging should be rejected")
 	}
 }
@@ -78,7 +78,7 @@ func TestOptimizeNeedsSwitches(t *testing.T) {
 			{Name: "optical", Bandwidth: 1000, MaxSpan: math.Inf(1), CostPerLength: 4},
 		},
 	}
-	if _, err := Optimize(cg, lib, ids, Options{}); err == nil {
+	if _, err := Optimize(cg, lib, ids, nil); err == nil {
 		t.Error("library without mux/demux should make merging infeasible")
 	}
 }
@@ -96,37 +96,15 @@ func TestOptimizeTrunkOverload(t *testing.T) {
 			{Name: "demux", Kind: library.Demux, Cost: 0},
 		},
 	}
-	if _, err := Optimize(cg, lib, ids, Options{}); err == nil {
+	if _, err := Optimize(cg, lib, ids, nil); err == nil {
 		t.Error("trunk overload should make merging infeasible")
-	}
-}
-
-func TestOptimizeMaxBandwidthCapacity(t *testing.T) {
-	// Under the Definition 2.8 literal rule (trunk ≥ max bᵢ), the radio
-	// can carry the trunk, so merging succeeds even without optical.
-	cg, ids := fanInstance(t)
-	lib := &library.Library{
-		Links: []library.Link{
-			{Name: "radio", Bandwidth: 11, MaxSpan: math.Inf(1), CostPerLength: 2},
-		},
-		Nodes: []library.Node{
-			{Name: "mux", Kind: library.Mux, Cost: 0},
-			{Name: "demux", Kind: library.Demux, Cost: 0},
-		},
-	}
-	cand, err := Optimize(cg, lib, ids, Options{Capacity: MaxBandwidth})
-	if err != nil {
-		t.Fatalf("Optimize: %v", err)
-	}
-	if cand.TrunkPlan.Link.Name != "radio" {
-		t.Errorf("trunk = %q, want radio", cand.TrunkPlan.Link.Name)
 	}
 }
 
 func TestNodeCostsIncluded(t *testing.T) {
 	cg, ids := fanInstance(t)
 	free := workloads.WANLibrary()
-	cheap, err := Optimize(cg, free, ids, Options{})
+	cheap, err := Optimize(cg, free, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +112,7 @@ func TestNodeCostsIncluded(t *testing.T) {
 	for i := range costly.Nodes {
 		costly.Nodes[i].Cost = 7
 	}
-	expensive, err := Optimize(cg, costly, ids, Options{})
+	expensive, err := Optimize(cg, costly, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +125,7 @@ func TestNodeCostsIncluded(t *testing.T) {
 func TestInstantiateVerifies(t *testing.T) {
 	cg, ids := fanInstance(t)
 	lib := workloads.WANLibrary()
-	cand, err := Optimize(cg, lib, ids, Options{})
+	cand, err := Optimize(cg, lib, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +133,7 @@ func TestInstantiateVerifies(t *testing.T) {
 	if err := cand.Instantiate(ig, lib); err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
 	// The implementation-graph cost must equal the candidate cost.
@@ -190,7 +168,7 @@ func TestInstantiateSegmentedTrunkVerifies(t *testing.T) {
 			{Name: "demux", Kind: library.Demux, Cost: 1},
 		},
 	}
-	cand, err := Optimize(cg, lib, ids, Options{})
+	cand, err := Optimize(cg, lib, ids, nil)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -198,7 +176,7 @@ func TestInstantiateSegmentedTrunkVerifies(t *testing.T) {
 	if err := cand.Instantiate(ig, lib); err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
 	if cand.TrunkPlan.Segments < 2 {
@@ -219,7 +197,7 @@ func TestInstantiateDuplicatedAccessVerifies(t *testing.T) {
 		}))
 	}
 	lib := workloads.WANLibrary()
-	cand, err := Optimize(cg, lib, ids, Options{})
+	cand, err := Optimize(cg, lib, ids, nil)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -227,7 +205,7 @@ func TestInstantiateDuplicatedAccessVerifies(t *testing.T) {
 	if err := cand.Instantiate(ig, lib); err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
 }
@@ -245,7 +223,7 @@ func TestWANTripleMergeCost(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	cand, err := Optimize(cg, lib, ids, Options{})
+	cand, err := Optimize(cg, lib, ids, nil)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}

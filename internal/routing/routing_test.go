@@ -163,7 +163,7 @@ func TestCongestionSpreading(t *testing.T) {
 func TestRouteMPEG4(t *testing.T) {
 	cg := workloads.MPEG4()
 	lib := workloads.MPEG4Technology().Library()
-	ig, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, _, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,9 +132,7 @@ func (s *Server) batchJSONLocked(b *batch) batchJSON {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, 64<<20), &req); err != nil {
 		s.reg.Counter("serve/batch/rejected").Add(1)
 		httpError(w, http.StatusBadRequest, "decode batch: %v", err)
 		return
@@ -274,7 +272,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		"admitted", len(admitted), "shed", shedCount, "invalid", invalid,
 		"trace_id", b.traceID)
 	for _, j := range admitted {
-		go s.runJob(j)
+		s.startJob(j)
 	}
 
 	if r.URL.Query().Get("stream") == "ndjson" {

@@ -24,8 +24,8 @@ const (
 )
 
 // SynthesizeRequest is the POST /v1/synthesize body. Either Example
-// names a built-in instance ("wan", "mpeg4") or Graph and Library
-// carry the JSON forms the cdcs CLI consumes.
+// names a built-in instance (see workloads.Example) or Graph and
+// Library carry the JSON forms the cdcs CLI consumes.
 type SynthesizeRequest struct {
 	Example string          `json:"example,omitempty"`
 	Graph   json.RawMessage `json:"graph,omitempty"`
@@ -98,10 +98,10 @@ type Job struct {
 	evicts string
 
 	// tracer records the job's span forest; span is its serve/job
-	// root, queueSpan the admission-to-slot wait. sc/traceID are the
-	// root's identity — set once before the job is visible (or at
-	// restore), immutable after, so they are read without j.mu.
-	// tracer is nil only for jobs restored in a terminal state.
+	// root, queueSpan the wait from startJob to a slot. sc/traceID
+	// are the root's identity — set once before the job is visible
+	// (or at restore), immutable after, so they are read without
+	// j.mu. tracer is nil only for jobs restored in a terminal state.
 	tracer    *obs.Tracer
 	span      *obs.Span
 	queueSpan *obs.Span
@@ -221,29 +221,33 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// decodeJSON decodes one request body into v, rejecting unknown
+// fields. Both POST handlers decode their bodies through it.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // decodeInstance resolves the request into a constraint graph and
-// library, either from a built-in example or from the embedded JSON.
+// library, either from a built-in example or from the embedded JSON,
+// and rejects a graph or library that does not validate.
 func decodeInstance(req *SynthesizeRequest) (*cdcs.ConstraintGraph, *cdcs.Library, string, error) {
-	switch req.Example {
-	case "wan":
-		return workloads.WAN(), workloads.WANLibrary(), "wan", nil
-	case "lan":
-		return workloads.LAN(), workloads.LANLibrary(), "lan", nil
-	case "mcm":
-		return workloads.MCM(), workloads.MCMLibrary(), "mcm", nil
-	case "noc":
-		return workloads.NoC(), workloads.NoCLibrary(), "noc", nil
-	case "mpeg4":
-		return workloads.MPEG4(), workloads.MPEG4Technology().Library(), "mpeg4", nil
-	case "":
-	default:
-		return nil, nil, "", fmt.Errorf("unknown example %q (wan, lan, mcm, noc, mpeg4)", req.Example)
+	if req.Example != "" {
+		cg, lib, err := workloads.Example(req.Example)
+		if err != nil {
+			return nil, nil, "", err
+		}
+		return cg, lib, req.Example, nil
 	}
 	if len(req.Graph) == 0 || len(req.Library) == 0 {
 		return nil, nil, "", errors.New("need graph and library, or example")
 	}
 	cg, err := cdcs.DecodeConstraintGraph(req.Graph)
 	if err != nil {
+		return nil, nil, "", err
+	}
+	if err := cg.Validate(); err != nil {
 		return nil, nil, "", err
 	}
 	lib, err := cdcs.DecodeLibrary(req.Library)
@@ -262,9 +266,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SynthesizeRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
 		httpError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
@@ -326,14 +328,14 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("job submitted",
 		"job_id", j.ID, "workload", j.Workload, "tier", tier, "load", load,
 		"trace_id", j.traceID, "queue_cap", s.cfg.MaxConcurrent)
-	go s.runJob(j)
+	s.startJob(j)
 	writeJSON(w, http.StatusAccepted, s.jobView(j))
 }
 
 // newJobLocked creates and registers one admitted job. Caller holds
 // s.mu, has classified the tier (not TierShed) and made room with
 // evictLocked, passing what it evicted; the caller persists the job
-// and starts runJob after releasing the lock.
+// and calls startJob after releasing the lock.
 func (s *Server) newJobLocked(req SynthesizeRequest, cg *cdcs.ConstraintGraph, lib *cdcs.Library, workload, tier string, parent obs.SpanContext, load int, evicted string) *Job {
 	s.nextID++
 	j := &Job{
@@ -363,10 +365,9 @@ func (s *Server) newJobLocked(req SynthesizeRequest, cg *cdcs.ConstraintGraph, l
 
 // initJobTrace gives j its per-job tracer: a serve/job root span
 // (joining the propagated upstream trace when parent is valid, else a
-// fresh root), a closed serve/admission child recording the tier
-// decision, and an open serve/queue-wait child that runJob closes when
-// the job wins a concurrency slot. The job's event stream is stamped
-// so every SSE line carries the trace correlation.
+// fresh root) and a closed serve/admission child recording the tier
+// decision. The job's event stream is stamped so every SSE line
+// carries the trace correlation.
 func (s *Server) initJobTrace(j *Job, parent obs.SpanContext, tier string, load int) {
 	j.tracer = obs.NewTracerWithIDs(s.now, s.ids, parent)
 	j.span = j.tracer.Start(nil, "serve/job",
@@ -376,7 +377,6 @@ func (s *Server) initJobTrace(j *Job, parent obs.SpanContext, tier string, load 
 	adm := j.tracer.Start(j.span, "serve/admission",
 		obs.String("tier", tier), obs.Int("load", load))
 	j.tracer.End(adm)
-	j.queueSpan = j.tracer.Start(j.span, "serve/queue-wait")
 	j.events.SetTrace(j.traceID, j.sc.SpanID.String())
 }
 
@@ -432,6 +432,15 @@ func (s *Server) evictLocked() (evicted string, ok bool) {
 		}
 	}
 	return "", false
+}
+
+// startJob opens j's serve/queue-wait span, which runJob closes when
+// the job wins a concurrency slot, and starts runJob. The WAL append,
+// when there is one, has already ended, so the span times the wait
+// for a slot alone. The caller has counted j in s.wg.
+func (s *Server) startJob(j *Job) {
+	j.queueSpan = j.tracer.Start(j.span, "serve/queue-wait")
+	go s.runJob(j)
 }
 
 // runJob owns a job goroutine: wait for a concurrency slot, run the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/cdcs"
 	"repro/internal/durable"
 	"repro/internal/obs"
 )
@@ -18,8 +19,10 @@ func (s *Server) persistJob(j *Job) {
 	if s.store == nil {
 		return
 	}
-	spec := j.spec()
-	if err := s.store.AppendJob(j.ID, j.Workload, j.created, spec, j.traceparent(), j.evicts); err != nil {
+	sp := j.tracer.Start(j.span, "serve/wal-append")
+	err := s.store.AppendJob(j.ID, j.Workload, j.created, j.spec(), j.traceparent(), j.evicts)
+	j.tracer.End(sp)
+	if err != nil {
 		s.walWarn("job", j.ID, err)
 	}
 }
@@ -87,6 +90,17 @@ func (j *Job) spec() json.RawMessage {
 		return nil
 	}
 	return data
+}
+
+// decodeSpec rebuilds a job's request and instance from the spec its
+// WAL record stores (Job.spec).
+func decodeSpec(spec json.RawMessage) (SynthesizeRequest, *cdcs.ConstraintGraph, *cdcs.Library, error) {
+	var req SynthesizeRequest
+	if err := json.Unmarshal(spec, &req); err != nil {
+		return req, nil, nil, err
+	}
+	cg, lib, _, err := decodeInstance(&req)
+	return req, cg, lib, err
 }
 
 // snapshotTable renders the current job table and batch envelopes
@@ -197,7 +211,7 @@ func (s *Server) restore(rep *durable.Replay) {
 	}
 	for _, j := range requeued {
 		s.wg.Add(1)
-		go s.runJob(j)
+		s.startJob(j)
 	}
 	// Rebind batch envelopes to their (restored or re-queued) member
 	// jobs, oldest dropped beyond the retention bound. Members whose
@@ -307,18 +321,11 @@ func (s *Server) requeue(dj *durable.Job) *Job {
 	// the original trace: the new serve/job root parents under the
 	// crashed run's root span, so collectors stitch both attempts.
 	parent, _ := obs.ParseTraceparent(dj.Trace)
-	var req SynthesizeRequest
-	decodeErr := json.Unmarshal(dj.Spec, &req)
+	req, cg, lib, decodeErr := decodeSpec(dj.Spec)
 	if decodeErr == nil {
-		cg, lib, _, err := decodeInstance(&req)
-		if err == nil {
-			j.req = req
-			j.cg = cg
-			j.lib = lib
-			s.initJobTrace(j, parent, "restored", 0)
-			return j
-		}
-		decodeErr = err
+		j.req, j.cg, j.lib = req, cg, lib
+		s.initJobTrace(j, parent, "restored", 0)
+		return j
 	}
 	j.state = StateFailed
 	j.errMsg = "restart could not rebuild the job: " + decodeErr.Error()

@@ -70,6 +70,36 @@ func findSpan(spans []*obs.Span, name string) *obs.Span {
 	return nil
 }
 
+// TestWALAppendSpanPrecedesQueueWait: on a durable server the job
+// record's append is its own serve/wal-append child of serve/job, and
+// it ends before serve/queue-wait opens, so the queue wait times only
+// the wait for a slot.
+func TestWALAppendSpanPrecedesQueueWait(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, DataDir: t.TempDir()})
+	j, code := submit(t, ts, `{"example":"wan","options":{"workers":1}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d", code)
+	}
+	if fin := waitJob(t, ts, j.ID); fin.State != StateDone {
+		t.Fatalf("state = %q (error %q)", fin.State, fin.Error)
+	}
+	raw, env := getJobTrace(t, ts, j.ID)
+	root := findSpan(env.Spans, "serve/job")
+	if root == nil {
+		t.Fatalf("no serve/job root span:\n%s", raw)
+	}
+	wal, queue := findSpan(root.Children, "serve/wal-append"), findSpan(root.Children, "serve/queue-wait")
+	if wal == nil || queue == nil {
+		t.Fatalf("want serve/wal-append and serve/queue-wait under serve/job:\n%s", raw)
+	}
+	if wal.ParentID != root.SpanID {
+		t.Errorf("serve/wal-append parent = %q, want root %q", wal.ParentID, root.SpanID)
+	}
+	if end := wal.StartUs + wal.DurUs; end > queue.StartUs {
+		t.Errorf("serve/wal-append ends at %dus, after serve/queue-wait opens at %dus", end, queue.StartUs)
+	}
+}
+
 // TestJobTraceEndpoint: a finished job's /trace serves the full span
 // forest — serve/job root with admission, queue-wait and the synth
 // phase tree nested under it — byte-stably under a frozen clock and a
@@ -122,6 +152,9 @@ func TestJobTraceEndpoint(t *testing.T) {
 		if sp.ParentID != root.SpanID || sp.TraceID != j.TraceID {
 			t.Errorf("%s = parent %q trace %q, want under root", name, sp.ParentID, sp.TraceID)
 		}
+	}
+	if findSpan(root.Children, "serve/wal-append") != nil {
+		t.Error("serve/wal-append recorded on a server without a store")
 	}
 	// The synth phase tree nests under the serve/job root.
 	run := findSpan(root.Children, "synth/run")

@@ -51,10 +51,10 @@ func enumeratedSets(t testing.TB, cg *model.ConstraintGraph, lib *library.Librar
 func pricingAllocsPerCandidate(t testing.TB, cg *model.ConstraintGraph, lib *library.Library) float64 {
 	t.Helper()
 	sets := enumeratedSets(t, cg, lib)
-	opt := place.Options{Scratch: &place.Scratch{}}
+	sc := &place.Scratch{}
 	allocs := testing.AllocsPerRun(10, func() {
 		for _, set := range sets {
-			if _, err := place.Optimize(cg, lib, set, opt); err != nil {
+			if _, err := place.Optimize(cg, lib, set, sc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -90,10 +90,10 @@ func TestAllocBudgetNoC(t *testing.T) {
 func boundAllocsPerCall(t *testing.T, cg *model.ConstraintGraph, lib *library.Library) float64 {
 	t.Helper()
 	sets := enumeratedSets(t, cg, lib)
-	opt := place.Options{Scratch: &place.Scratch{}}
+	sc := &place.Scratch{}
 	allocs := testing.AllocsPerRun(10, func() {
 		for _, set := range sets {
-			place.LowerBound(cg, lib, set, opt)
+			place.LowerBound(cg, lib, set, sc)
 		}
 	})
 	t.Logf("%d mergings, %.1f allocs/run", len(sets), allocs)
@@ -125,19 +125,19 @@ func TestAllocBudgetLowerBoundNoC(t *testing.T) {
 // nothing once the scratch has grown.
 func TestAllocBudgetProofWAN(t *testing.T) {
 	cg, lib := workloads.WAN(), workloads.WANLibrary()
-	opt := place.Options{Scratch: &place.Scratch{}}
+	sc := &place.Scratch{}
 	var sets [][]model.ChannelID
 	var sums []float64
 	for _, set := range enumeratedSets(t, cg, lib) {
 		var sum float64
 		for _, ch := range set {
-			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, p2p.Options{})
+			plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sum += plan.Cost
 		}
-		if _, dominated, _ := place.OptimizeBelow(cg, lib, set, opt, sum); dominated {
+		if _, dominated, _ := place.OptimizeBelow(cg, lib, set, sc, sum); dominated {
 			sets, sums = append(sets, set), append(sums, sum)
 		}
 	}
@@ -146,7 +146,7 @@ func TestAllocBudgetProofWAN(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for i, set := range sets {
-			place.OptimizeBelow(cg, lib, set, opt, sums[i])
+			place.OptimizeBelow(cg, lib, set, sc, sums[i])
 		}
 	})
 	t.Logf("%d proofs, %.1f allocs/run", len(sets), allocs)

@@ -64,14 +64,14 @@ func TestBoundSkipKeepsCandidates(t *testing.T) {
 		var infeasible, dominated int
 		for k := 2; k <= n; k++ {
 			for _, set := range enum.ByK[k] {
-				cand, err := place.Optimize(c.cg, c.lib, set, place.Options{})
+				cand, err := place.Optimize(c.cg, c.lib, set, nil)
 				if err != nil {
 					infeasible++
 					continue
 				}
 				var sum float64
 				for _, ch := range set {
-					plan, err := p2p.BestPlan(c.cg.Distance(ch), c.cg.Bandwidth(ch), c.lib, p2p.Options{})
+					plan, err := p2p.BestPlan(c.cg.Distance(ch), c.cg.Bandwidth(ch), c.lib, false)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -13,9 +13,10 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/ilp"
-	"repro/internal/impl"
+	"repro/internal/library"
 	"repro/internal/merging"
 	"repro/internal/model"
+	"repro/internal/soc"
 	"repro/internal/workloads"
 )
 
@@ -84,6 +85,58 @@ func TestRandomCoveringMatchesILPProperty(t *testing.T) {
 	}
 }
 
+// TestPruningSoundOnStepCostLibraries is the pruning-soundness
+// oracle: on twelve seeded 7-channel SoC instances over the 180 nm,
+// NoC, MCM and WAN libraries (merging arity at most 4), switching off
+// Lemmas 3.1/3.2 and Theorems 3.1/3.2 must not find an architecture
+// cheaper than the full flow's under either Lemma 3.2 reference policy
+// (the max-index one the facade runs by default, and the strict one),
+// and each run's covering cost must be the ILP optimum over its own
+// candidates. Every run places mergings the same way (heuristically on
+// step-cost libraries), so a difference can only come from a prune
+// dropping a merging the optimum needs.
+func TestPruningSoundOnStepCostLibraries(t *testing.T) {
+	libs := []struct {
+		name string
+		lib  *library.Library
+	}{
+		{"180nm", soc.Tech180nm().Library()},
+		{"noc", workloads.NoCLibrary()},
+		{"mcm", workloads.MCMLibrary()},
+		{"wan", workloads.WANLibrary()},
+	}
+	ablated := merging.Options{
+		MaxK:           4,
+		DisableLemma31: true, DisableLemma32: true,
+		DisableTheorem31: true, DisableTheorem32: true,
+	}
+	checkILP := func(name string, seed int64, rep *Report, n int) {
+		if want := ilpOptimum(t, rep, n); math.Abs(rep.Cost-want) > 1e-9*math.Max(1, want) {
+			t.Errorf("%s seed %d: UCP %.12g ≠ ILP %.12g over %d candidates", name, seed, rep.Cost, want, len(rep.Candidates))
+		}
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		cg := workloads.RandomSoC(workloads.RandomSoCConfig{Seed: seed, Channels: 7})
+		for _, l := range libs {
+			_, unpruned, err := Synthesize(cg, l.lib, Options{Merging: ablated, Workers: 1})
+			if err != nil {
+				t.Fatalf("%s seed %d without prunes: %v", l.name, seed, err)
+			}
+			checkILP(l.name, seed, unpruned, cg.NumChannels())
+			for _, policy := range []merging.RefPolicy{merging.MaxIndexRef, merging.AnyRef} {
+				_, pruned, err := Synthesize(cg, l.lib, Options{Merging: merging.Options{MaxK: 4, Policy: policy}, Workers: 1})
+				if err != nil {
+					t.Fatalf("%s seed %d policy %d: %v", l.name, seed, policy, err)
+				}
+				if unpruned.Cost < pruned.Cost*(1-1e-9) {
+					t.Errorf("%s seed %d policy %d: without prunes %.9g, with prunes %.9g", l.name, seed, policy, unpruned.Cost, pruned.Cost)
+				}
+				checkILP(l.name, seed, pruned, cg.NumChannels())
+			}
+		}
+	}
+}
+
 // TestLargeInstanceStress synthesizes a 16-channel clustered instance
 // with a capped merge arity, verifies the result structurally and
 // dynamically, and checks the basic optimality invariants.
@@ -101,7 +154,7 @@ func TestLargeInstanceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 	if rep.Cost > rep.P2PCost+1e-9 {
@@ -128,7 +181,7 @@ func TestDegenerateSharedPortMerging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 	// All three channels leave the SAME port vertex. A 3-way merge on an

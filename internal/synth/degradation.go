@@ -3,7 +3,6 @@ package synth
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/model"
 )
@@ -34,23 +33,8 @@ func (e *PricingPanicError) Error() string {
 	return fmt.Sprintf("synth: pricing candidate %v panicked: %v", e.Channels, e.Value)
 }
 
-// Budgets are optional per-phase wall-clock budgets, each enforced as a
-// context deadline nested inside the run's overall Timeout. A phase
-// whose budget expires is cut short exactly like an overall deadline —
-// the flow degrades and continues — but the remaining phases still get
-// to run, so a pathological enumeration cannot starve the solver.
-type Budgets struct {
-	// Enumerate bounds Steps 1a–1b (p2p planning + candidate
-	// enumeration). Zero means no phase budget.
-	Enumerate time.Duration
-	// Price bounds Step 1c (candidate pricing).
-	Price time.Duration
-	// Solve bounds Step 2 (the covering solver).
-	Solve time.Duration
-}
-
-// Degradation records everything a deadline, budget, or candidate cap
-// cut short during a run. The zero value means the flow ran to
+// Degradation records everything a deadline or the candidate cap cut
+// short during a run. The zero value means the flow ran to
 // completion; any flag set means the returned architecture is feasible
 // and verified but possibly sub-optimal.
 type Degradation struct {
@@ -78,10 +62,6 @@ type Degradation struct {
 	// better). Both are zero when the solver proved optimality.
 	CoverLowerBound float64
 	GapBound        float64
-	// BudgetsExceeded lists the phases ("enumerate", "price", "solve")
-	// whose per-phase budget — rather than the overall deadline —
-	// expired.
-	BudgetsExceeded []string
 }
 
 // Degraded reports whether anything was cut short.
@@ -105,9 +85,6 @@ func (d *Degradation) Summary() []string {
 	}
 	if d.SolverInterrupted {
 		out = append(out, fmt.Sprintf("covering solver interrupted: best incumbent returned, cost ≤ optimum + %.4g (root bound %.4g)", d.GapBound, d.CoverLowerBound))
-	}
-	for _, phase := range d.BudgetsExceeded {
-		out = append(out, fmt.Sprintf("per-phase budget for %q spent", phase))
 	}
 	return out
 }

@@ -52,12 +52,8 @@ const (
 
 // Options configures the full flow.
 type Options struct {
-	// P2P configures point-to-point planning.
-	P2P p2p.Options
 	// Merging configures candidate enumeration.
 	Merging merging.Options
-	// Place configures candidate placement/pricing.
-	Place place.Options
 	// Solver selects the covering solver.
 	Solver SolverKind
 	// KeepDominated keeps merging candidates that cost at least as much
@@ -81,8 +77,6 @@ type Options struct {
 	// present on the caller's context behaves identically; the
 	// effective deadline is whichever is earlier.
 	Timeout time.Duration
-	// Budgets optionally bound individual phases; see Budgets.
-	Budgets Budgets
 }
 
 func (o Options) workers() int {
@@ -140,9 +134,9 @@ type Report struct {
 	SolverOptimal bool
 	// Workers is the pricing worker-pool size the run actually used.
 	Workers int
-	// Degradation records what (if anything) a deadline, per-phase
-	// budget, or candidate cap cut short; its zero value means the run
-	// completed in full.
+	// Degradation records what (if anything) a deadline or the
+	// candidate cap cut short; its zero value means the run completed
+	// in full.
 	Degradation Degradation
 	// Timings breaks Elapsed into the flow's phases.
 	Timings Timings
@@ -260,29 +254,6 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 			obs.Bool("degraded", report.Degradation.Degraded()))
 	}()
 
-	// phaseCtx nests an optional per-phase budget inside the overall
-	// deadline (via the given parent); noteBudget records — after the
-	// phase ran — whether the phase budget (rather than the overall
-	// deadline) was what expired.
-	phaseCtx := func(parent context.Context, budget time.Duration) (context.Context, context.CancelFunc) {
-		if budget <= 0 {
-			return parent, func() {}
-		}
-		return context.WithTimeout(parent, budget)
-	}
-	noteBudget := func(name string, pctx, parent context.Context) {
-		if pctx != parent && pctx.Err() != nil && ctx.Err() == nil {
-			report.Degradation.BudgetsExceeded = append(report.Degradation.BudgetsExceeded, name)
-		}
-	}
-
-	// The placement optimizer prices access legs and trunks with its own
-	// embedded point-to-point planner; unless the caller configured it
-	// separately, it must agree with the top-level planner or candidate
-	// prices would diverge from materialized costs.
-	if (opt.Place.P2P == p2p.Options{}) {
-		opt.Place.P2P = opt.P2P
-	}
 	report.Workers = opt.workers()
 
 	// --- Step 1a: optimum point-to-point plans. ---
@@ -295,7 +266,7 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 	p2pPlans := make([]p2p.Plan, n)
 	for i := 0; i < n; i++ {
 		ch := model.ChannelID(i)
-		plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, opt.P2P)
+		plan, err := p2p.BestPlan(cg.Distance(ch), cg.Bandwidth(ch), lib, false)
 		if err != nil {
 			endPlan()
 			return nil, nil, fmt.Errorf("synth: channel %q: %w", cg.Channel(ch).Name, err)
@@ -311,10 +282,7 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 	// and publishes the per-lemma prune counters plus one EventEnumLevel
 	// per completed arity.
 	events.Publish(obs.Event{Type: obs.EventPhaseStart, Phase: "enumerate"})
-	ectx, ecancel := phaseCtx(ctx, opt.Budgets.Enumerate)
-	enum, err := merging.EnumerateContext(ectx, cg, lib, opt.Merging)
-	noteBudget("enumerate", ectx, ctx)
-	ecancel()
+	enum, err := merging.EnumerateContext(ctx, cg, lib, opt.Merging)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -341,10 +309,7 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 	}
 	priceCtx, endPrice := obs.Trace(ctx, "synth/price",
 		obs.Int("mergings", enum.TotalCandidates()))
-	pctx, pcancel := phaseCtx(priceCtx, opt.Budgets.Price)
-	err = priceCandidates(pctx, cg, lib, enum, p2pPlans, opt, report)
-	noteBudget("price", pctx, priceCtx)
-	pcancel()
+	err = priceCandidates(priceCtx, cg, lib, enum, p2pPlans, opt, report)
 	if err != nil {
 		endPrice()
 		return nil, nil, err
@@ -392,10 +357,7 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 		// incumbent rather than erroring (anytime solving). The ucp
 		// layer opens its own "ucp/solve" spans under solveCtx and
 		// publishes the node/prune/incumbent counters.
-		sctx, scancel := phaseCtx(solveCtx, opt.Budgets.Solve)
-		sol, err = m.SolveDecomposedContext(sctx)
-		noteBudget("solve", sctx, solveCtx)
-		scancel()
+		sol, err = m.SolveDecomposedContext(solveCtx)
 	}
 	if err != nil {
 		endSolve()
@@ -473,7 +435,7 @@ var testPricingHook func([]model.ChannelID)
 // dominated, and every other set gets exactly Optimize's candidate.
 func priceOne(
 	cg *model.ConstraintGraph, lib *library.Library,
-	set []model.ChannelID, opt place.Options, bar float64,
+	set []model.ChannelID, sc *place.Scratch, bar float64,
 ) (cand *place.Candidate, skipped bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -487,7 +449,7 @@ func priceOne(
 	if hook := testPricingHook; hook != nil {
 		hook(set)
 	}
-	return place.OptimizeBelow(cg, lib, set, opt, bar)
+	return place.OptimizeBelow(cg, lib, set, sc, bar)
 }
 
 // priceCandidates runs Step 1c — placement-pricing every enumerated
@@ -557,20 +519,17 @@ func priceCandidates(
 	// the pattern search and convex seed are reused across every
 	// candidate the lane prices, so a warm pricing allocates only the
 	// candidate it returns. Lane scratches are never shared (Optimize
-	// mutates them), which is why the scratch rides a parameter here
-	// rather than sitting in opt.Place up front.
+	// mutates them).
 	priceSet := func(i int, sc *place.Scratch) {
 		var t0 time.Time
 		if durHist != nil {
 			t0 = now()
 		}
-		popt := opt.Place
-		popt.Scratch = sc
 		bar := math.Inf(1)
 		if !opt.KeepDominated {
 			bar = p2pSum(sets[i])
 		}
-		cand, skipped, err := priceOne(cg, lib, sets[i], popt, bar)
+		cand, skipped, err := priceOne(cg, lib, sets[i], sc, bar)
 		results[i] = priced{cand: cand, err: err, done: true, skipped: skipped}
 		queueDepth.Add(-1)
 		if skipped {
@@ -725,7 +684,7 @@ func materialize(cg *model.ConstraintGraph, lib *library.Library, report *Report
 	for _, ch := range channels {
 		ig.AssignImplementation(ch, pathsOf[ch])
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		return nil, fmt.Errorf("synth: internal error: synthesized graph fails verification: %w", err)
 	}
 	return ig, nil

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/impl"
 	"repro/internal/library"
 	"repro/internal/merging"
 	"repro/internal/model"
@@ -22,7 +21,7 @@ func TestSynthesizeWANExample1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 
@@ -175,8 +174,8 @@ func TestSynthesizeNoMergePossible(t *testing.T) {
 }
 
 func TestSynthesizeInfeasibleChannel(t *testing.T) {
-	// A channel whose bandwidth no link provides (and duplication capped
-	// off) must surface as an error.
+	// A channel whose bandwidth would need more parallel links than the
+	// chain ceiling allows must surface as an error.
 	cg := model.NewConstraintGraph(geom.Euclidean)
 	u := cg.MustAddPort(model.Port{Name: "u", Position: geom.Pt(0, 0)})
 	v := cg.MustAddPort(model.Port{Name: "v", Position: geom.Pt(10, 0)})
@@ -184,9 +183,7 @@ func TestSynthesizeInfeasibleChannel(t *testing.T) {
 	lib := &library.Library{
 		Links: []library.Link{{Name: "thin", Bandwidth: 1, MaxSpan: math.Inf(1), CostPerLength: 1}},
 	}
-	opt := Options{}
-	opt.P2P.MaxChains = 4
-	if _, _, err := Synthesize(cg, lib, opt); err == nil {
+	if _, _, err := Synthesize(cg, lib, Options{}); err == nil {
 		t.Error("unsatisfiable bandwidth should be an error")
 	}
 }
@@ -230,7 +227,7 @@ func TestSynthesizeRandomProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+		if err := ig.Verify(); err != nil {
 			t.Fatalf("trial %d: Verify: %v", trial, err)
 		}
 		if report.Cost > report.P2PCost+1e-9 {

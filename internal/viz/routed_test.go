@@ -14,7 +14,7 @@ import (
 func TestRoutedImplementationSVG(t *testing.T) {
 	cg := workloads.MPEG4()
 	lib := workloads.MPEG4Technology().Library()
-	ig, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, _, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRoutedImplementationSVG(t *testing.T) {
 func TestRoutedImplementationByteStable(t *testing.T) {
 	cg := workloads.MPEG4()
 	lib := workloads.MPEG4Technology().Library()
-	ig, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, _, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRoutedImplementationByteStable(t *testing.T) {
 func TestCongestionHeatmap(t *testing.T) {
 	cg := workloads.MPEG4()
 	lib := workloads.MPEG4Technology().Library()
-	ig, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, _, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}

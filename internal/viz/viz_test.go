@@ -65,7 +65,7 @@ func TestImplementationSVGFig4(t *testing.T) {
 func TestImplementationSVGFig5(t *testing.T) {
 	cg := workloads.MPEG4()
 	lib := workloads.MPEG4Technology().Library()
-	ig, _, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, _, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatal(err)
 	}

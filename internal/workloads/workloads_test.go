@@ -2,9 +2,9 @@ package workloads
 
 import (
 	"math"
+	"strings"
 	"testing"
 
-	"repro/internal/impl"
 	"repro/internal/merging"
 	"repro/internal/model"
 	"repro/internal/p2p"
@@ -109,11 +109,11 @@ func TestMPEG4RepeaterCount(t *testing.T) {
 		t.Errorf("analytic repeater count = %d, want %d", got, MPEG4ExpectedRepeaters)
 	}
 	// The synthesized segmentation must realize exactly that count.
-	ig, plans, err := p2p.Synthesize(cg, tech.Library(), p2p.Options{})
+	ig, plans, err := p2p.Synthesize(cg, tech.Library())
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 	repeaters := 0
@@ -235,11 +235,11 @@ func TestMCMStructure(t *testing.T) {
 	// The fabric must be synthesizable end to end: channels above
 	// 16 Gbps need duplication or SerDes, and memory-bound channels are
 	// merge candidates into the hub.
-	ig, plans, err := p2p.Synthesize(cg, lib, p2p.Options{})
+	ig, plans, err := p2p.Synthesize(cg, lib)
 	if err != nil {
 		t.Fatalf("p2p: %v", err)
 	}
-	if err := ig.Verify(impl.VerifyOptions{}); err != nil {
+	if err := ig.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 	// Bandwidth-driven media mix: the 24 Gbps memory channels exceed one
@@ -283,5 +283,26 @@ func TestPaperTablesShape(t *testing.T) {
 	// Lower triangles must stay zero.
 	if t1[1][0] != 0 || t2[7][6] != 0 {
 		t.Error("lower triangle should be zero")
+	}
+}
+
+// TestExample: every built-in example name yields a graph and library
+// that validate, and an unknown name is an error naming all five.
+func TestExample(t *testing.T) {
+	for _, name := range []string{"wan", "lan", "mcm", "noc", "mpeg4"} {
+		cg, lib, err := Example(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := cg.Validate(); err != nil {
+			t.Errorf("%s graph: %v", name, err)
+		}
+		if err := lib.Validate(); err != nil {
+			t.Errorf("%s library: %v", name, err)
+		}
+	}
+	_, _, err := Example("fig9")
+	if err == nil || !strings.Contains(err.Error(), "wan, lan, mcm, noc, mpeg4") {
+		t.Errorf("unknown example: error %v, want one naming all five", err)
 	}
 }
