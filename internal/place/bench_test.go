@@ -1,6 +1,7 @@
 package place
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/model"
@@ -26,15 +27,26 @@ func BenchmarkOptimizeConvex(b *testing.B) {
 }
 
 // BenchmarkOptimizePatternSearch measures the general multistart path
-// (fixed-cost on-chip library, no convex shortcut).
+// (step-cost on-chip library, no convex shortcut) on MPEG4 mergings of
+// two, three and four channels. One scratch serves every iteration, as
+// one serves every merging a pricing lane places, so allocs/op counts
+// the returned candidate only.
 func BenchmarkOptimizePatternSearch(b *testing.B) {
 	cg := workloads.MPEG4()
 	lib := workloads.MPEG4Technology().Library()
-	ids := []model.ChannelID{1, 5} // dma_mem + mc_mem, both into sdram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(cg, lib, ids, nil); err != nil {
-			b.Fatal(err)
-		}
+	for _, ids := range [][]model.ChannelID{
+		{1, 5},       // dma_mem + mc_mem, both into sdram
+		{0, 1, 5},    // and ctrl_dma
+		{0, 1, 4, 5}, // and idct_mc
+	} {
+		b.Run(fmt.Sprintf("k=%d", len(ids)), func(b *testing.B) {
+			sc := &Scratch{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Optimize(cg, lib, ids, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

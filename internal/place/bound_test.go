@@ -44,7 +44,8 @@ func p2pSum(cg *model.ConstraintGraph, lib *library.Library, set []model.Channel
 }
 
 // checkBound asserts the properties the dominated-merging skip rests
-// on for one merging, every call going through sc. The bound lies
+// on for one merging, every call going through sc. Optimize matches
+// the reference search (matchReference). The bound lies
 // under the cost Optimize finds (within the Eps the dominance test
 // forgives), and a merging Optimize rejects is never bounded at or
 // above its point-to-point sum. OptimizeBelow at bar proves dominated
@@ -56,6 +57,7 @@ func checkBound(t *testing.T, cg *model.ConstraintGraph, lib *library.Library, s
 	t.Helper()
 	lb = LowerBound(cg, lib, set, sc)
 	cand, err := Optimize(cg, lib, set, sc)
+	matchReference(t, cg, lib, set, cand, err)
 	below, dominated, errBelow := OptimizeBelow(cg, lib, set, sc, bar)
 	cost = math.Inf(1)
 	if err == nil {

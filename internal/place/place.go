@@ -21,7 +21,12 @@
 // a weighted sum of norms — jointly convex — so the search converges to
 // the global optimum; for fixed-priced (step-cost) libraries the result
 // is the best point among the explored pattern, which is the classical
-// engineering treatment of such piecewise-constant costs.
+// engineering treatment of such piecewise-constant costs. The search
+// prices each compass direction's three probes from 2k+3 piece costs,
+// sharing the moved hubs' pieces between them, and skips a start equal
+// to an earlier one. Neither changes a result: every probe is the same
+// float sum as a full evaluation, and a repeated start could only
+// retrace a search that already lost or tied.
 //
 // LowerBound certifies, without searching, a cost below which no
 // placement of a merging can go. OptimizeBelow checks the same
@@ -45,19 +50,21 @@ import (
 const maxIter = 120
 
 // Scratch holds reusable buffers for the per-call endpoint staging,
-// cost curves and convex-seed alternation, so that once it has grown
-// an Optimize call allocates only the candidate it returns, and a
-// LowerBound call or a dominance proof nothing at all. The zero value
-// is ready to use; buffers grow to the largest merging priced through
-// them and are reused verbatim afterwards. Every entry point takes a
-// scratch, nil meaning a fresh one for the call. A scratch must not be
-// shared between concurrent calls; synthesis keeps one per pricing
-// worker.
+// cost curves, the pattern search's piece costs and the convex-seed
+// alternation, so that once it has grown an Optimize call allocates
+// only the candidate it returns, and a LowerBound call or a dominance
+// proof nothing at all. The zero value is ready to use; buffers grow
+// to the largest merging priced through them and are reused verbatim
+// afterwards. Every entry point takes a scratch, nil meaning a fresh
+// one for the call. A scratch must not be shared between concurrent
+// calls; synthesis keeps one per pricing worker and publishes the sum
+// of their Tally fields once per run.
 type Scratch struct {
 	sources, dests     []geom.Point
 	bws                []float64
 	access             []p2p.Curve
 	trunk              p2p.Curve
+	pieces             []float64 // the pattern search's in, out, pin and pout, k costs each
 	pts                []geom.Point
 	weights            []float64
 	srcSites, dstSites []geom.Point
@@ -69,6 +76,24 @@ type Scratch struct {
 	ends               []geom.Point
 	slopes             []float64
 	cert               certificate
+
+	// Tally counts the pattern-search work done through the scratch
+	// since it was made.
+	Tally Tally
+}
+
+// Tally counts pattern-search work. Each count depends only on the
+// mergings placed, never on timing or on which scratch placed them.
+type Tally struct {
+	// Starts counts the pattern searches run: one per general-path
+	// start searched, and one for the convex path's polish.
+	Starts int64
+	// RepeatedStarts counts the general-path starts skipped because
+	// they equal an earlier start of the same merging.
+	RepeatedStarts int64
+	// Probes counts the hub pairs priced: one per search, plus 24
+	// (three moves in each of eight directions) per iteration.
+	Probes int64
 }
 
 // Candidate is a priced k-way merging: the optimized hub positions, the
@@ -124,26 +149,16 @@ func OptimizeBelow(cg *model.ConstraintGraph, lib *library.Library, channels []m
 	trunkBW := stage(cg, lib, channels, sc)
 	sources, dests, bws, access, trunk := sc.sources, sc.dests, sc.bws, sc.access, &sc.trunk
 	norm := cg.Norm()
+	nodeCost := mux.Cost + demux.Cost
 
 	var cert *certificate
-	if !math.IsInf(bar, 1) && sc.cert.reset(norm, mux.Cost+demux.Cost, bar, sc) {
+	if !math.IsInf(bar, 1) && sc.cert.reset(norm, nodeCost, bar, sc) {
 		if sc.cert.search(sc) {
 			return nil, true, nil
 		}
 		cert = &sc.cert
 	}
 
-	// eval prices the structure at given hub positions without building
-	// the full candidate (the search calls it thousands of times). Each
-	// curve cost equals its BestPlan cost bit for bit and the sum runs
-	// in build's order, so eval(x1, x2) is exactly build's total.
-	eval := func(x1, x2 geom.Point) float64 {
-		total := mux.Cost + demux.Cost + trunk.Cost(norm.Distance(x1, x2))
-		for i := range access {
-			total += access[i].Cost(norm.Distance(sources[i], x1)) + access[i].Cost(norm.Distance(x2, dests[i]))
-		}
-		return total
-	}
 	// build constructs the full candidate at the chosen positions. The
 	// candidate escapes to the caller, so its slices are fresh
 	// exact-capacity allocations, never scratch views.
@@ -200,10 +215,13 @@ func OptimizeBelow(cg *model.ConstraintGraph, lib *library.Library, channels []m
 		if cert.proved() {
 			return nil, true, nil
 		}
-		bestCost, bestX1, bestX2 = patternSearch(eval, seed[0], seed[1], initStep*0.02, 20)
+		bestCost, bestX1, bestX2 = sc.patternSearch(norm, nodeCost, seed[0], seed[1], initStep*0.02, 20)
 	} else {
 		// General path: multistart pattern search from the endpoint
-		// medians, centroids, and each channel's own endpoints.
+		// medians, centroids, and each channel's own endpoints. A start
+		// equal to an earlier one is skipped: its search would retrace
+		// the earlier search exactly, and an equal cost never replaces
+		// the best under the strict comparison below.
 		mopt := geom.MedianOptions{Scratch: &sc.median}
 		starts := append(sc.starts[:0],
 			[2]geom.Point{geom.WeightedMedian(norm, sources, bws, mopt),
@@ -214,8 +232,12 @@ func OptimizeBelow(cg *model.ConstraintGraph, lib *library.Library, channels []m
 			starts = append(starts, [2]geom.Point{sources[i], dests[i]})
 		}
 		sc.starts = starts
-		for _, s := range starts {
-			if c, x1, x2 := patternSearch(eval, s[0], s[1], initStep, maxIter); c < bestCost {
+		for i, s := range starts {
+			if repeated(starts[:i], s) {
+				sc.Tally.RepeatedStarts++
+				continue
+			}
+			if c, x1, x2 := sc.patternSearch(norm, nodeCost, s[0], s[1], initStep, maxIter); c < bestCost {
 				bestCost, bestX1, bestX2 = c, x1, x2
 			}
 		}
@@ -258,44 +280,99 @@ var patternDirs = [8]geom.Point{
 	{X: 1, Y: 1}, {X: 1, Y: -1}, {X: -1, Y: 1}, {X: -1, Y: -1},
 }
 
-// patternSearch minimizes eval over the two hub positions with a
-// shrinking compass pattern. It moves one hub at a time through the
-// eight compass directions plus joint translations, returning the best
-// cost and positions found. The three probe position-pairs per
-// direction live in a fixed-size stack array — the former per-iteration
-// slice literal was the single largest allocation source of candidate
-// pricing (3 probes × 8 directions × ~10² iterations per Optimize).
-func patternSearch(
-	eval func(geom.Point, geom.Point) float64,
-	x1, x2 geom.Point, step float64, maxIter int,
-) (float64, geom.Point, geom.Point) {
-	bestCost := eval(x1, x2)
+// patternSearch minimizes the cost of the merging staged in sc over
+// the two hub positions with a shrinking compass pattern, starting at
+// x1 and x2 with the given step, and returns the best cost and hubs
+// found. For each of the eight compass directions δ it probes three
+// moves built from the base before any is accepted: the mux alone
+// (x₁+δ, x₂), the demux alone (x₁, x₂+δ) and both (x₁+δ, x₂+δ). A probe
+// beating the best cost by more than 1e-12 is accepted, and the last
+// accepted probe becomes the next base. An iteration that accepts no
+// probe halves the step.
+//
+// The probes share their access pieces. The base's ingress and egress
+// costs (in, out) are kept across directions, and each direction
+// prices the moved mux's ingress (pin) and the moved demux's egress
+// (pout) once, so its three probes take 2k+3 curve evaluations rather
+// than 3(2k+1). The doubly moved probe prices its own trunk: a
+// floating-point translation need not preserve a distance. Every total
+// is (mux + demux) + trunk, then in[i] + out[i] added in channel order,
+// which is build's order, so a probe's cost equals build's at the same
+// hubs bit for bit. Accepting a probe adopts its pieces by swapping
+// buffers.
+func (sc *Scratch) patternSearch(norm geom.Norm, nodeCost float64, x1, x2 geom.Point, step float64, maxIter int) (float64, geom.Point, geom.Point) {
+	sources, dests, access, trunk := sc.sources, sc.dests, sc.access, &sc.trunk
+	k := len(access)
+	pieces := resize(&sc.pieces, 4*k)
+	in, out, pin, pout := pieces[:k], pieces[k:2*k], pieces[2*k:3*k], pieces[3*k:]
+	for i := range access {
+		in[i] = access[i].Cost(norm.Distance(sources[i], x1))
+		out[i] = access[i].Cost(norm.Distance(x2, dests[i]))
+	}
+	sc.Tally.Starts++
+	sc.Tally.Probes++
+	bestCost := total(nodeCost, trunk.Cost(norm.Distance(x1, x2)), in, out)
 	if math.IsInf(bestCost, 1) {
 		return bestCost, x1, x2
 	}
 	tol := step * 1e-7
-	for iter := 0; iter < maxIter && step > tol; iter++ {
+	iter := 0
+	for ; iter < maxIter && step > tol; iter++ {
 		improved := false
 		for _, d := range patternDirs {
 			delta := d.Scale(step)
-			moves := [3][2]geom.Point{
-				{x1.Add(delta), x2},            // move mux
-				{x1, x2.Add(delta)},            // move demux
-				{x1.Add(delta), x2.Add(delta)}, // translate both
+			p1, p2 := x1.Add(delta), x2.Add(delta)
+			for i := range access {
+				pin[i] = access[i].Cost(norm.Distance(sources[i], p1))
+				pout[i] = access[i].Cost(norm.Distance(p2, dests[i]))
 			}
-			for _, m := range moves {
-				if c := eval(m[0], m[1]); c < bestCost-1e-12 {
-					bestCost = c
-					x1, x2 = m[0], m[1]
-					improved = true
-				}
+			// moved is the last accepted probe: 1 moved the mux, 2 the
+			// demux, 3 both.
+			moved := 0
+			if c := total(nodeCost, trunk.Cost(norm.Distance(p1, x2)), pin, out); c < bestCost-1e-12 {
+				bestCost, moved = c, 1
 			}
+			if c := total(nodeCost, trunk.Cost(norm.Distance(x1, p2)), in, pout); c < bestCost-1e-12 {
+				bestCost, moved = c, 2
+			}
+			if c := total(nodeCost, trunk.Cost(norm.Distance(p1, p2)), pin, pout); c < bestCost-1e-12 {
+				bestCost, moved = c, 3
+			}
+			if moved&1 != 0 {
+				x1, in, pin = p1, pin, in
+			}
+			if moved&2 != 0 {
+				x2, out, pout = p2, pout, out
+			}
+			improved = improved || moved != 0
 		}
 		if !improved {
 			step /= 2
 		}
 	}
+	sc.Tally.Probes += 24 * int64(iter)
 	return bestCost, x1, x2
+}
+
+// total is the cost of a candidate whose nodes cost nodeCost, whose
+// trunk costs trunk and whose channels' access pieces cost in and out,
+// summed in build's order.
+func total(nodeCost, trunk float64, in, out []float64) float64 {
+	t := nodeCost + trunk
+	for i := range in {
+		t += in[i] + out[i]
+	}
+	return t
+}
+
+// repeated reports whether start s equals one of the earlier starts.
+func repeated(earlier [][2]geom.Point, s [2]geom.Point) bool {
+	for _, e := range earlier {
+		if e[0].Eq(s[0]) && e[1].Eq(s[1]) {
+			return true
+		}
+	}
+	return false
 }
 
 // resize returns *buf resized to n, growing the backing array only

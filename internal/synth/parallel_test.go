@@ -1,11 +1,14 @@
 package synth
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/library"
 	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/soc"
 	"repro/internal/workloads"
 )
 
@@ -30,46 +33,64 @@ func candidateSignature(rep *Report) string {
 	return sig
 }
 
+// placeCounters are the placement counters synthesis publishes once
+// per run from its pricing lanes' tallies.
+var placeCounters = []string{"place/starts", "place/starts_repeated", "place/probes"}
+
 // runWorkload synthesizes one instance at the given worker count and
-// returns the full observable outcome.
-func runWorkload(t *testing.T, cg *model.ConstraintGraph, lib *library.Library, workers int) (*Report, int, int) {
+// returns the full observable outcome, with the run's counters.
+func runWorkload(t *testing.T, cg *model.ConstraintGraph, lib *library.Library, workers int) (*Report, int, int, map[string]int64) {
 	t.Helper()
-	ig, rep, err := Synthesize(cg, lib, Options{Workers: workers})
+	sink := obs.New(obs.Config{Metrics: true})
+	ig, rep, err := SynthesizeContext(obs.NewContext(context.Background(), sink), cg, lib, Options{Workers: workers})
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	return rep, ig.NumVertices(), ig.NumLinks()
+	return rep, ig.NumVertices(), ig.NumLinks(), sink.Metrics().Snapshot().CounterMap()
 }
 
 // TestParallelPricingEquivalence: Synthesize with Workers > 1 must be
 // observationally identical to the serial run — same candidate sequence
 // (byte-identical signature), same optimal cost, same counters, same
 // implementation-graph shape — on the WAN instance and on seeded random
-// workloads of varying density. Run under -race this doubles as the
-// pool race check.
+// workloads of varying density, the last on a step-cost library whose
+// placements take the general multistart path. The place/* counters,
+// summed over the pricing lanes, must not depend on the worker count
+// either. Run under -race this doubles as the pool race check.
 func TestParallelPricingEquivalence(t *testing.T) {
-	lib := workloads.WANLibrary()
 	instances := []struct {
 		name string
 		cg   func() *model.ConstraintGraph
+		lib  *library.Library
 	}{
-		{"wan", workloads.WAN},
+		{"wan", workloads.WAN, workloads.WANLibrary()},
 		{"rand-s77", func() *model.ConstraintGraph {
 			return workloads.RandomWAN(workloads.RandomWANConfig{Seed: 77, Clusters: 3, Channels: 9})
-		}},
+		}, workloads.WANLibrary()},
 		{"rand-s1010", func() *model.ConstraintGraph {
 			return workloads.RandomWAN(workloads.RandomWANConfig{Seed: 1010, Clusters: 3, Channels: 10})
-		}},
+		}, workloads.WANLibrary()},
 		{"rand-s5", func() *model.ConstraintGraph {
 			return workloads.RandomWAN(workloads.RandomWANConfig{Seed: 5, Clusters: 2, Channels: 8})
-		}},
+		}, workloads.WANLibrary()},
+		{"soc-s3", func() *model.ConstraintGraph {
+			return workloads.RandomSoC(workloads.RandomSoCConfig{Seed: 3, Modules: 6, Channels: 7})
+		}, soc.Tech180nm().Library()},
 	}
 	for _, inst := range instances {
 		t.Run(inst.name, func(t *testing.T) {
-			serial, sv, sl := runWorkload(t, inst.cg(), lib, 1)
+			serial, sv, sl, serialCounters := runWorkload(t, inst.cg(), inst.lib, 1)
 			serialSig := candidateSignature(serial)
+			if serialCounters["synth/price/pricings"] > 0 && (serialCounters["place/starts"] == 0 || serialCounters["place/probes"] == 0) {
+				t.Fatalf("serial run placed mergings but published no pattern searches: %v", serialCounters)
+			}
 			for _, workers := range []int{2, 4, 8} {
-				rep, v, l := runWorkload(t, inst.cg(), lib, workers)
+				rep, v, l, counters := runWorkload(t, inst.cg(), inst.lib, workers)
+				for _, name := range placeCounters {
+					if counters[name] != serialCounters[name] {
+						t.Fatalf("workers=%d %s = %d, serial %d", workers, name, counters[name], serialCounters[name])
+					}
+				}
 				if got := candidateSignature(rep); got != serialSig {
 					t.Fatalf("workers=%d candidate sequence diverged:\nserial:   %s\nparallel: %s",
 						workers, serialSig, got)

@@ -415,6 +415,26 @@ func publishRun(ctx context.Context, r *Report) {
 	m.Gauge("synth/price/workers").Set(int64(r.Workers))
 }
 
+// publishPlacement adds the pricing lanes' summed pattern-search
+// tallies to the registry met (no-op when nil). The lanes count in
+// plain scratch fields, so the search loop touches no instrument, and
+// the sums depend only on which mergings were placed, not on how they
+// were spread over the lanes.
+func publishPlacement(met *obs.Registry, lanes []place.Scratch) {
+	if met == nil {
+		return
+	}
+	var sum place.Tally
+	for i := range lanes {
+		sum.Starts += lanes[i].Tally.Starts
+		sum.RepeatedStarts += lanes[i].Tally.RepeatedStarts
+		sum.Probes += lanes[i].Tally.Probes
+	}
+	met.Counter("place/starts").Add(sum.Starts)
+	met.Counter("place/starts_repeated").Add(sum.RepeatedStarts)
+	met.Counter("place/probes").Add(sum.Probes)
+}
+
 // testPricingHook, when non-nil, is invoked with each candidate set
 // just before it is priced. Tests use it to inject latency or panics
 // into Step 1c; production code never sets it.
@@ -563,31 +583,30 @@ func priceCandidates(
 	// follows the worker count, which is machine-dependent by default,
 	// and gauges stay out of the benchmark baselines.
 	met.Gauge("synth/price/scratch_pools").Set(int64(max(workers, 1)))
+	lanes := make([]place.Scratch, max(workers, 1))
 	if workers <= 1 {
-		sc := &place.Scratch{}
 		for i := range sets {
 			if canceled() {
 				break
 			}
-			priceSet(i, sc)
+			priceSet(i, &lanes[0])
 		}
 	} else {
 		jobs := make(chan int)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(sc *place.Scratch) {
 				defer wg.Done()
 				// Workers run on their own goroutines, so ctx's pprof
 				// label set (phase=synth/price, plus any workload
 				// labels) must be applied explicitly for CPU profiles
 				// to attribute their samples.
 				obs.ApplyGoroutineLabels(ctx)
-				sc := &place.Scratch{}
 				for i := range jobs {
 					priceSet(i, sc)
 				}
-			}()
+			}(&lanes[w])
 		}
 		for i := range sets {
 			if canceled() {
@@ -598,6 +617,7 @@ func priceCandidates(
 		close(jobs)
 		wg.Wait()
 	}
+	publishPlacement(met, lanes)
 
 	for i, set := range sets {
 		if !results[i].done {
