@@ -30,6 +30,12 @@
 //
 //	ig, report, err := cdcs.Synthesize(cg, lib, cdcs.Options{})
 //
+// Options carries the only choices a caller makes: the covering solver
+// (exact or greedy), the pricing worker count, a deadline, and where
+// traces, metrics and progress events go. Everything else is the
+// paper's one flow, fixed. The cdcs CLI, the cdcsd daemon and the
+// perfbench harness all synthesize through SynthesizeContext.
+//
 // The sub-systems (candidate enumeration, placement, covering solver,
 // flow simulation, …) live in internal packages; this facade re-exports
 // the types and entry points a downstream application needs. The
@@ -127,9 +133,8 @@ type (
 	Report = synth.Report
 	// Candidate is one local solution considered by the covering step.
 	Candidate = synth.Candidate
-	// Degradation is the Report section recording what a deadline or
-	// the candidate cap cut short; its zero value means the run
-	// completed in full.
+	// Degradation is the Report section recording what a deadline cut
+	// short; its zero value means the run completed in full.
 	Degradation = synth.Degradation
 	// PricingPanicError is the typed error a panic inside a pricing
 	// worker is converted to; match with errors.As.
@@ -143,47 +148,21 @@ var (
 	ErrCanceled = synth.ErrCanceled
 	// ErrInfeasible: the covering instance has an uncoverable row.
 	ErrInfeasible = ucp.ErrInfeasible
-	// ErrCandidateCap: MaxCandidates was exceeded in abort mode.
-	ErrCandidateCap = merging.ErrCandidateCap
 )
 
-// Options configures Synthesize. The zero value runs the full exact
-// flow with the paper-faithful defaults: max-index reference policy
-// (this facade installs merging.MaxIndexRef; the internal merging
-// package's own zero value is the stronger AnyRef), exact covering
-// solver, and candidate pricing parallelized across all CPUs. The cost
-// model is not an option: a merged trunk is one chain sized for the
-// sum of its channels' bandwidths, and duplication is parallel links
-// with no switch cost (Definition 2.7).
+// Options configures Synthesize. The zero value runs the paper's one
+// flow: every merging the pruning lemmas let through is enumerated
+// (max-index reference policy, merging.MaxIndexRef) and priced, the
+// dominated local solutions are discarded, and the covering is solved
+// exactly, with candidate pricing parallelized across all CPUs. The
+// cost model is not an option: a merged trunk is one chain sized for
+// the sum of its channels' bandwidths, and duplication is parallel
+// links with no switch cost (Definition 2.7). A deadline (Timeout, or
+// one on the context) is the one way to bound a run.
 type Options struct {
 	// Greedy switches the covering step to the greedy heuristic
 	// (faster, possibly sub-optimal).
 	Greedy bool
-	// StrictPruning uses the strongest sound Lemma 3.2 prune (every
-	// reference arc tested) instead of the paper-matching incremental
-	// policy; fewer candidates are priced, the optimum is unchanged.
-	StrictPruning bool
-	// KeepDominated keeps merging candidates that cannot beat their
-	// channels' point-to-point implementations (grows the covering
-	// instance; the optimum is unchanged).
-	KeepDominated bool
-	// MaxMergeArity caps the merging arity k (0 = unlimited). Large
-	// dense instances enumerate C(|A|, k) sets per level; capping
-	// trades completeness of the candidate set for runtime.
-	MaxMergeArity int
-	// MaxCandidates is a safety valve for large random instances: when
-	// positive, it caps how many merging candidates enumeration may
-	// accept instead of spending unbounded time pricing them. By
-	// default hitting the cap aborts with an error wrapping
-	// ErrCandidateCap (no partial architecture), so callers can retry
-	// with a MaxMergeArity cap or a coarser instance; with
-	// TruncateCandidates set, enumeration instead stops at the cap and
-	// synthesis continues over the truncated candidate set, recording
-	// the cut in Report.Degradation. Zero means unlimited.
-	MaxCandidates int
-	// TruncateCandidates switches MaxCandidates from abort to
-	// truncate-and-mark (graceful degradation).
-	TruncateCandidates bool
 	// Workers bounds the candidate-pricing worker pool. Zero means all
 	// CPUs; 1 forces the serial path. Any value produces an identical
 	// report and architecture — only wall-clock time changes.
@@ -250,24 +229,13 @@ func Synthesize(cg *ConstraintGraph, lib *Library, opt Options) (*Implementation
 // hangs, panics, or comes back empty-handed on a feasible instance.
 func SynthesizeContext(ctx context.Context, cg *ConstraintGraph, lib *Library, opt Options) (*ImplementationGraph, *Report, error) {
 	o := synth.Options{
-		Merging: merging.Options{
-			Policy:        merging.MaxIndexRef,
-			MaxK:          opt.MaxMergeArity,
-			MaxCandidates: opt.MaxCandidates,
-		},
+		Merging: merging.Options{Policy: merging.MaxIndexRef},
 		Workers: opt.Workers,
 		Timeout: opt.Timeout,
-	}
-	if opt.TruncateCandidates {
-		o.Merging.CapMode = merging.CapTruncate
-	}
-	if opt.StrictPruning {
-		o.Merging.Policy = merging.AnyRef
 	}
 	if opt.Greedy {
 		o.Solver = synth.GreedySolver
 	}
-	o.KeepDominated = opt.KeepDominated
 	sink := opt.Observer
 	if opt.Progress != nil {
 		// Progress rides the sink's event stream: reuse the caller's

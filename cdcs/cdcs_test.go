@@ -65,12 +65,8 @@ func TestFacadeOptionVariants(t *testing.T) {
 	}
 	for _, opt := range []Options{
 		{Greedy: true},
-		{StrictPruning: true},
-		{KeepDominated: true},
-		{MaxMergeArity: 2},
 		{Workers: 1},
 		{Workers: 4},
-		{MaxCandidates: 100},
 	} {
 		_, rep, err := Synthesize(cg, lib, opt)
 		if err != nil {
@@ -82,34 +78,6 @@ func TestFacadeOptionVariants(t *testing.T) {
 		if opt.Greedy && rep.Cost < exact.Cost-1e-9 {
 			t.Errorf("greedy beat the exact optimum: %v < %v", rep.Cost, exact.Cost)
 		}
-	}
-}
-
-// TestFacadeCandidateCap: the MaxCandidates safety valve must surface
-// through the facade as a synthesis error (no partial result), and a
-// generous cap must not disturb the flow.
-func TestFacadeCandidateCap(t *testing.T) {
-	_, lib := buildSystem(t)
-	// Four near-parallel channels: every pair and most larger subsets
-	// are merge candidates, comfortably exceeding a cap of 1.
-	cg := NewConstraintGraph(Euclidean)
-	for i := 0; i < 4; i++ {
-		u := cg.MustAddPort(Port{Name: "u" + string(rune('0'+i)), Position: Pt(0, float64(i))})
-		v := cg.MustAddPort(Port{Name: "v" + string(rune('0'+i)), Position: Pt(80, float64(i))})
-		cg.MustAddChannel(Channel{Name: "c" + string(rune('0'+i)), From: u, To: v, Bandwidth: 8})
-	}
-	ig, rep, err := Synthesize(cg, lib, Options{MaxCandidates: 1})
-	if err == nil {
-		t.Fatal("cap of 1 should abort enumeration on the dense parallel system")
-	}
-	if ig != nil || rep != nil {
-		t.Error("aborted synthesis must not return a partial result")
-	}
-	if !strings.Contains(err.Error(), "candidate cap") {
-		t.Errorf("abort error %q does not mention the cap", err)
-	}
-	if _, _, err := Synthesize(cg, lib, Options{MaxCandidates: 1000}); err != nil {
-		t.Errorf("generous cap aborted: %v", err)
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 // analyzer bans identity comparison against them.
 func TestSentinelsMatchThroughWrapping(t *testing.T) {
 	sentinels := map[string]error{
-		"ErrCanceled":     ErrCanceled,
-		"ErrInfeasible":   ErrInfeasible,
-		"ErrCandidateCap": ErrCandidateCap,
+		"ErrCanceled":   ErrCanceled,
+		"ErrInfeasible": ErrInfeasible,
 	}
 	for name, sentinel := range sentinels {
 		wrapped := fmt.Errorf("synth: solving mpeg4: %w", sentinel)

@@ -7,58 +7,16 @@ import (
 	"time"
 )
 
-// denseSystem builds four near-parallel channels — every pair and most
-// larger subsets are merge candidates — so a cap of 1 always triggers.
-func denseSystem(t *testing.T) (*ConstraintGraph, *Library) {
-	t.Helper()
-	_, lib := buildSystem(t)
-	cg := NewConstraintGraph(Euclidean)
-	for i := 0; i < 4; i++ {
-		u := cg.MustAddPort(Port{Name: "u" + string(rune('0'+i)), Position: Pt(0, float64(i))})
-		v := cg.MustAddPort(Port{Name: "v" + string(rune('0'+i)), Position: Pt(80, float64(i))})
-		cg.MustAddChannel(Channel{Name: "c" + string(rune('0'+i)), From: u, To: v, Bandwidth: 8})
-	}
-	return cg, lib
-}
-
 // TestFacadeTypedSentinels: the re-exported sentinels are matchable
 // with errors.Is through the public API.
 func TestFacadeTypedSentinels(t *testing.T) {
-	cg, lib := denseSystem(t)
+	cg, lib := buildSystem(t)
 
 	// Pre-canceled context → ErrCanceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := SynthesizeContext(ctx, cg, lib, Options{}); !errors.Is(err, ErrCanceled) {
 		t.Errorf("pre-canceled: err = %v, want errors.Is(err, ErrCanceled)", err)
-	}
-
-	// Candidate cap in abort mode → ErrCandidateCap.
-	if _, _, err := Synthesize(cg, lib, Options{MaxCandidates: 1}); !errors.Is(err, ErrCandidateCap) {
-		t.Errorf("cap abort: err = %v, want errors.Is(err, ErrCandidateCap)", err)
-	}
-}
-
-// TestFacadeTruncateCandidates: the truncate-and-mark mode continues
-// past the cap and records the cut in the report.
-func TestFacadeTruncateCandidates(t *testing.T) {
-	cg, lib := buildSystem(t)
-	ig, rep, err := Synthesize(cg, lib, Options{MaxCandidates: 1, TruncateCandidates: true})
-	if err != nil {
-		t.Fatalf("truncate mode must not error: %v", err)
-	}
-	if err := Verify(ig); err != nil {
-		t.Errorf("Verify: %v", err)
-	}
-	if !rep.Degradation.EnumerationTruncated {
-		t.Error("Degradation.EnumerationTruncated not set")
-	}
-	if !rep.Degradation.Degraded() || rep.ResultOptimal() {
-		t.Errorf("Degraded=%v ResultOptimal=%v, want true/false",
-			rep.Degradation.Degraded(), rep.ResultOptimal())
-	}
-	if rep.Cost > rep.P2PCost+1e-9 {
-		t.Errorf("degraded cost %v exceeds the p2p fallback %v", rep.Cost, rep.P2PCost)
 	}
 }
 

@@ -13,6 +13,12 @@
 //	cdcs -example wan -server http://localhost:8080         # submit to a cdcsd daemon
 //	cdcs -version                                           # print version and exit
 //
+// A local run goes through the public facade, cdcs.SynthesizeContext,
+// as cdcsd's jobs do: -solver greedy sets Options.Greedy, -progress
+// sets Options.Progress, and -trace/-metrics fill Options.Observer.
+// Only -solver baseline (greedy agglomerative merging, the E13
+// contrast) runs outside it.
+//
 // With -timeout the run has anytime semantics: on deadline the flow
 // degrades to the best feasible architecture found so far (verified,
 // possibly sub-optimal) and the report carries a degradation section
@@ -61,18 +67,17 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/cdcs"
 	"repro/internal/baseline"
 	"repro/internal/buildinfo"
 	"repro/internal/flowsim"
 	"repro/internal/impl"
 	"repro/internal/library"
-	"repro/internal/merging"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/report"
 	"repro/internal/serve"
-	"repro/internal/synth"
 	"repro/internal/viz"
 	"repro/internal/workloads"
 )
@@ -140,59 +145,37 @@ func main() {
 	// Observability: a sink only when something will read it, and a
 	// pprof label naming the workload either way (visible in profiles
 	// taken with -http style wrappers or external pprof attach).
-	var sink *obs.Sink
+	opts := cdcs.Options{Workers: *workers, Timeout: *timeout}
 	if *tracePath != "" || *metrics || *progress {
-		sink = obs.New(obs.Config{Tracing: *tracePath != "", Metrics: *metrics, Events: *progress, PprofLabels: true})
+		opts.Observer = cdcs.NewObserver(cdcs.ObserverConfig{Tracing: *tracePath != "", Metrics: *metrics, PprofLabels: true})
 	}
-	ctx := obs.NewContext(context.Background(), sink)
-	ctx = obs.WithLabels(ctx, "workload", workloadName(*graphPath, *example))
+	ctx := obs.WithLabels(context.Background(), "workload", workloadName(*graphPath, *example))
 
-	// -progress: a dedicated goroutine drains the event stream to
-	// stdout as NDJSON while the run publishes into it; waitProgress
-	// flushes everything published so far before the report prints, so
-	// event lines never interleave with the report tables.
-	waitProgress := func() {}
+	// -progress: the facade streams the run's events to this callback
+	// and delivers every one before it returns, so the NDJSON lines
+	// never interleave with the report tables.
 	if *progress {
-		replay, live, cancelSub := sink.Events().Subscribe(0)
-		done := make(chan struct{})
 		enc := json.NewEncoder(os.Stdout)
-		go func() {
-			defer close(done)
-			for _, ev := range replay {
-				_ = enc.Encode(ev)
-			}
-			for ev := range live {
-				_ = enc.Encode(ev)
-			}
-		}()
-		waitProgress = func() { cancelSub(); <-done }
+		opts.Progress = func(ev cdcs.Event) { _ = enc.Encode(ev) }
 	}
 
-	opts := synth.Options{
-		Merging: merging.Options{Policy: merging.MaxIndexRef},
-		Workers: *workers,
-		Timeout: *timeout,
-	}
 	var ig *impl.Graph
-	var rep *synth.Report
+	var rep *cdcs.Report
 	switch *solver {
-	case "exact":
-		ig, rep, err = synth.SynthesizeContext(ctx, cg, lib, opts)
-	case "greedy":
-		opts.Solver = synth.GreedySolver
-		ig, rep, err = synth.SynthesizeContext(ctx, cg, lib, opts)
+	case "exact", "greedy":
+		opts.Greedy = *solver == "greedy"
+		ig, rep, err = cdcs.SynthesizeContext(ctx, cg, lib, opts)
 	case "baseline":
 		var brep *baseline.Report
 		ig, brep, err = baseline.Synthesize(cg, lib)
 		if err == nil {
 			// Adapt the baseline report to the common shape.
-			rep = &synth.Report{Cost: brep.Cost, P2PCost: brep.P2PCost, Elapsed: brep.Elapsed}
+			rep = &cdcs.Report{Cost: brep.Cost, P2PCost: brep.P2PCost, Elapsed: brep.Elapsed}
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "cdcs: unknown solver %q\n", *solver)
 		os.Exit(2)
 	}
-	waitProgress()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdcs:", err)
 		os.Exit(1)
@@ -214,7 +197,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cdcs:", err)
 		os.Exit(1)
 	}
-	if err := writeObsOutputs(sink, *tracePath, *metrics); err != nil {
+	if err := writeObsOutputs(opts.Observer, *tracePath, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "cdcs:", err)
 		os.Exit(1)
 	}
@@ -250,7 +233,7 @@ type runReport struct {
 	ElapsedMs   float64  `json:"elapsedMs"`
 }
 
-func writeRunReport(path, solver string, cg *model.ConstraintGraph, rep *synth.Report) error {
+func writeRunReport(path, solver string, cg *model.ConstraintGraph, rep *cdcs.Report) error {
 	rr := runReport{
 		Solver:      solver,
 		Channels:    cg.NumChannels(),
@@ -376,7 +359,7 @@ func loadInputs(graphPath, libPath, example string) (*model.ConstraintGraph, *li
 	return cg, lib, nil
 }
 
-func printReport(cg *model.ConstraintGraph, rep *synth.Report) {
+func printReport(cg *model.ConstraintGraph, rep *cdcs.Report) {
 	fmt.Printf("channels            : %d\n", cg.NumChannels())
 	fmt.Printf("point-to-point cost : %.3f\n", rep.P2PCost)
 	fmt.Printf("optimal cost        : %.3f\n", rep.Cost)

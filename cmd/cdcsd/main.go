@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cdcsd [-addr :8080] [-max-jobs 2] [-retain 64] [-event-buffer 1024]
+//	cdcsd [-addr :8080] [-max-jobs 2] [-retain 64]
 //	      [-data-dir DIR] [-snapshot-every 1024]
 //	      [-shed-watermarks degrade:shed] [-degraded-timeout 2s]
 //	      [-trace-ring 256] [-self URL -peers URL,URL,...]
@@ -18,6 +18,12 @@
 //	curl -s localhost:8080/v1/jobs/j-000001
 //	curl -sN localhost:8080/v1/jobs/j-000001/events     # SSE replay + tail
 //	curl -s localhost:8080/metrics | grep ucp_incumbents_total
+//
+// A request names a built-in example or carries a graph and library;
+// its only options are workers and timeoutMs, as in
+// {"example":"wan","options":{"workers":1,"timeoutMs":500}}. Every job
+// runs the exact flow through cdcs.SynthesizeContext, and a body with
+// any other field is refused with 400.
 //
 // With -data-dir the job table is durable: each job's submission and
 // terminal result are WAL-logged as two fsynced records (and
@@ -64,7 +70,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxJobs := flag.Int("max-jobs", 2, "synthesis jobs running concurrently (excess submissions queue)")
 	retain := flag.Int("retain", 64, "jobs retained in memory (finished jobs evicted oldest-first)")
-	eventBuffer := flag.Int("event-buffer", 1024, "per-job progress-event replay ring size")
 	enablePprof := flag.Bool("pprof", false, "mount /debug/pprof (CPU, heap, goroutine profiles)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight jobs to return their degraded results; jobs still unfinished at the deadline are abandoned (and re-queued on the next start with -data-dir)")
@@ -116,7 +121,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		MaxConcurrent: *maxJobs,
 		MaxJobs:       *retain,
-		EventBuffer:   *eventBuffer,
 		EnablePprof:   *enablePprof,
 		Logger:        log,
 		Version:       version,

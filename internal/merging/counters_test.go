@@ -82,23 +82,3 @@ func TestHandAssembledResultFallbacks(t *testing.T) {
 		t.Errorf("MaxArityOf(3)=%d, want 0", got)
 	}
 }
-
-// TestCandidateCapExactBoundary: a cap equal to the actual candidate
-// count must succeed; one below must abort with an error.
-func TestCandidateCapExactBoundary(t *testing.T) {
-	cg := clusterInstance(t, 6)
-	res, err := Enumerate(cg, testLib(), Options{Policy: MaxIndexRef})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := res.TotalCandidates()
-	if total < 2 {
-		t.Skipf("instance produced only %d candidates", total)
-	}
-	if _, err := Enumerate(cg, testLib(), Options{Policy: MaxIndexRef, MaxCandidates: total}); err != nil {
-		t.Errorf("cap == total (%d) must not abort: %v", total, err)
-	}
-	if _, err := Enumerate(cg, testLib(), Options{Policy: MaxIndexRef, MaxCandidates: total - 1}); err == nil {
-		t.Errorf("cap %d below total %d must abort", total-1, total)
-	}
-}

@@ -2,7 +2,6 @@ package merging
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -11,30 +10,10 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrCandidateCap is wrapped in the error Enumerate returns when
-// MaxCandidates is exceeded under the (default) CapAbort mode; callers
-// distinguish it with errors.Is. The cdcs facade re-exports it.
-var ErrCandidateCap = errors.New("candidate cap exceeded")
-
 // cancelCheckInterval is how many tested subsets pass between
 // cooperative context polls; a power of two so the hot enumeration
 // loop masks instead of divides.
 const cancelCheckInterval = 1024
-
-// CapMode selects what happens when MaxCandidates is exceeded.
-type CapMode int
-
-const (
-	// CapAbort (the default) makes Enumerate return an error wrapping
-	// ErrCandidateCap and no partial result.
-	CapAbort CapMode = iota
-	// CapTruncate stops enumeration at the cap and returns the
-	// candidates accepted so far with Result.Truncated set — the
-	// graceful-degradation mode: the synthesis optimum over the
-	// truncated set is still a valid (possibly sub-optimal)
-	// architecture because point-to-point candidates cover every arc.
-	CapTruncate
-)
 
 // Options configures candidate enumeration.
 type Options struct {
@@ -46,14 +25,6 @@ type Options struct {
 	Policy RefPolicy
 	// MaxK caps the merging arity considered; zero means |A|.
 	MaxK int
-	// MaxCandidates caps the accepted candidate count across all levels
-	// (a safety valve for large random instances whose candidate sets
-	// would take unbounded time to price); zero means unlimited. What
-	// happens at the cap is selected by CapMode.
-	MaxCandidates int
-	// CapMode selects abort (default) or truncate-and-mark behavior
-	// when MaxCandidates is exceeded.
-	CapMode CapMode
 	// DisableLemma31, DisableLemma32 and DisableTheorem32 switch off the
 	// respective prunes for ablation studies. Theorem 3.1 elimination is
 	// implied by the per-level candidate sets and switched off via
@@ -83,17 +54,13 @@ type Result struct {
 	PrunedLemma31   int
 	PrunedLemma32   int
 	PrunedTheorem32 int
-	// Truncated is true when the MaxCandidates cap stopped enumeration
-	// under CapTruncate: ByK holds the first MaxCandidates candidates
-	// in enumeration order and higher levels were not explored.
-	Truncated bool
 	// Interrupted is true when the context deadline or cancellation
 	// stopped enumeration; ByK holds everything accepted so far.
 	Interrupted bool
 
 	// total is the running candidate count across all levels,
-	// maintained incrementally so the MaxCandidates cap check is O(1)
-	// per accepted subset instead of a rescan of ByK.
+	// maintained as subsets are accepted so TotalCandidates needs no
+	// rescan of ByK.
 	total int
 	// maxArity caches, per channel, the largest k at which it appears
 	// in a candidate set, filled in as candidates are accepted.
@@ -209,7 +176,6 @@ func EnumerateContext(ctx context.Context, cg *model.ConstraintGraph, lib *libra
 		inCand.reset()
 		active := live.appendMembers(activeScratch[:0])
 		var sets [][]model.ChannelID
-		abort := false
 
 		forEachSubset(active, k, func(subset []int) bool {
 			res.SetsTested++
@@ -255,26 +221,8 @@ func EnumerateContext(ctx context.Context, cg *model.ConstraintGraph, lib *libra
 				// channel appears in is its max arity.
 				res.maxArity[model.ChannelID(a)] = k
 			}
-			if opt.MaxCandidates > 0 {
-				switch opt.CapMode {
-				case CapTruncate:
-					if res.total >= opt.MaxCandidates {
-						res.Truncated = true
-						return false
-					}
-				default:
-					if res.total > opt.MaxCandidates {
-						abort = true
-						return false
-					}
-				}
-			}
 			return true
 		})
-		if abort {
-			endSpan(obs.Bool("aborted", true), obs.Int("candidates", res.total))
-			return nil, fmt.Errorf("merging: %w: cap %d at k=%d", ErrCandidateCap, opt.MaxCandidates, k)
-		}
 		res.ByK[k] = sets
 		if events != nil {
 			// Per-arity progress: one event per completed level, so a
@@ -288,7 +236,7 @@ func EnumerateContext(ctx context.Context, cg *model.ConstraintGraph, lib *libra
 				SetsTested: res.SetsTested,
 			})
 		}
-		if res.Truncated || res.Interrupted {
+		if res.Interrupted {
 			// The partial level is kept: every accepted set passed the
 			// prunes, so pricing it can only improve the architecture.
 			break
@@ -316,7 +264,6 @@ func EnumerateContext(ctx context.Context, cg *model.ConstraintGraph, lib *libra
 		obs.Int("setsTested", res.SetsTested),
 		obs.Int("setsPruned", res.SetsPruned),
 		obs.Int("candidates", res.total),
-		obs.Bool("truncated", res.Truncated),
 		obs.Bool("interrupted", res.Interrupted),
 	)
 	return res, nil

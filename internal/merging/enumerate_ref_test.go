@@ -6,7 +6,7 @@ package merging
 // and this file pins them on *arbitrary* instances. enumerateRef below
 // preserves the pre-refactor bookkeeping — an active index slice
 // rebuilt per level and an in-candidate hash map — and the property
-// test checks, over randomized graphs, policies and caps, that the
+// test checks, over randomized graphs, policies and arity caps, that the
 // bitset implementation returns identical candidate sets, identical
 // Theorem 3.1 eliminations, and identical counters.
 
@@ -22,10 +22,9 @@ import (
 )
 
 // enumerateRef is the pre-refactor enumeration loop: same prune order,
-// same subset odometer, same cap semantics, but map/slice bookkeeping
-// instead of bitsets. Kept uncancellable (no context) — the property
-// runs to completion.
-func enumerateRef(cg *model.ConstraintGraph, lib *library.Library, opt Options) (*Result, error) {
+// same subset odometer, but map/slice bookkeeping instead of bitsets.
+// Kept uncancellable (no context) — the property runs to completion.
+func enumerateRef(cg *model.ConstraintGraph, lib *library.Library, opt Options) *Result {
 	n := cg.NumChannels()
 	gamma := Gamma(cg)
 	delta := Delta(cg)
@@ -50,7 +49,6 @@ func enumerateRef(cg *model.ConstraintGraph, lib *library.Library, opt Options) 
 	for k := 2; k <= maxK && len(active) >= k; k++ {
 		inCandidate := make(map[int]bool)
 		var sets [][]model.ChannelID
-		abort := false
 		forEachSubset(active, k, func(subset []int) bool {
 			res.SetsTested++
 			pruned := false
@@ -85,29 +83,9 @@ func enumerateRef(cg *model.ConstraintGraph, lib *library.Library, opt Options) 
 				inCandidate[a] = true
 				res.maxArity[model.ChannelID(a)] = k
 			}
-			if opt.MaxCandidates > 0 {
-				switch opt.CapMode {
-				case CapTruncate:
-					if res.total >= opt.MaxCandidates {
-						res.Truncated = true
-						return false
-					}
-				default:
-					if res.total > opt.MaxCandidates {
-						abort = true
-						return false
-					}
-				}
-			}
 			return true
 		})
-		if abort {
-			return nil, ErrCandidateCap
-		}
 		res.ByK[k] = sets
-		if res.Truncated {
-			break
-		}
 		if len(sets) == 0 {
 			break
 		}
@@ -123,7 +101,7 @@ func enumerateRef(cg *model.ConstraintGraph, lib *library.Library, opt Options) 
 			active = next
 		}
 	}
-	return res, nil
+	return res
 }
 
 func refTestLib(maxBW float64) *library.Library {
@@ -159,13 +137,13 @@ func refRandomGraph(r *rand.Rand, nch int) *model.ConstraintGraph {
 }
 
 // TestEnumerateMatchesReference is the property test: for random
-// graphs, reference policies, arity caps, candidate caps and ablation
-// switches, the bitset enumeration must agree with the pre-refactor
+// graphs, reference policies, arity caps and ablation switches, the
+// bitset enumeration must agree with the pre-refactor
 // reference byte for byte — candidate sets, elimination levels, and
 // every counter the benchmark gate pins.
 func TestEnumerateMatchesReference(t *testing.T) {
 	lib := refTestLib(40)
-	prop := func(seed int64, nRaw, polRaw, maxKRaw, capRaw uint8, dis31, dis32, disT31, disT32, truncate bool) bool {
+	prop := func(seed int64, nRaw, polRaw, maxKRaw uint8, dis31, dis32, disT31, disT32 bool) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + int(nRaw)%7 // 2..8 channels
 		cg := refRandomGraph(r, n)
@@ -177,20 +155,11 @@ func TestEnumerateMatchesReference(t *testing.T) {
 			DisableTheorem31: disT31,
 			DisableTheorem32: disT32,
 		}
-		if capRaw%4 == 0 { // sometimes exercise the candidate cap
-			opt.MaxCandidates = 1 + int(capRaw)
-			if truncate {
-				opt.CapMode = CapTruncate
-			}
-		}
-		want, wantErr := enumerateRef(cg, lib, opt)
-		got, gotErr := Enumerate(cg, lib, opt)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Logf("error divergence: ref %v vs %v", wantErr, gotErr)
+		want := enumerateRef(cg, lib, opt)
+		got, err := Enumerate(cg, lib, opt)
+		if err != nil {
+			t.Logf("Enumerate: %v", err)
 			return false
-		}
-		if wantErr != nil {
-			return true // both aborted at the cap
 		}
 		if !reflect.DeepEqual(got.ByK, want.ByK) {
 			t.Logf("ByK diverged:\n got %v\nwant %v", got.ByK, want.ByK)
@@ -209,7 +178,6 @@ func TestEnumerateMatchesReference(t *testing.T) {
 			got.PrunedLemma31 == want.PrunedLemma31 &&
 			got.PrunedLemma32 == want.PrunedLemma32 &&
 			got.PrunedTheorem32 == want.PrunedTheorem32 &&
-			got.Truncated == want.Truncated &&
 			got.total == want.total
 		if !counters {
 			t.Logf("counters diverged:\n got %+v\nwant %+v", got, want)

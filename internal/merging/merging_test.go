@@ -200,13 +200,6 @@ func TestEnumerateMaxK(t *testing.T) {
 	}
 }
 
-func TestEnumerateCandidateCap(t *testing.T) {
-	cg := clusterInstance(t, 8)
-	if _, err := Enumerate(cg, testLib(), Options{Policy: MaxIndexRef, MaxCandidates: 3}); err == nil {
-		t.Error("cap of 3 should abort on a dense instance")
-	}
-}
-
 func TestEnumerateAblationFlags(t *testing.T) {
 	cg := clusterInstance(t, 6)
 	strict, err := Enumerate(cg, testLib(), Options{Policy: AnyRef})

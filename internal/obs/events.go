@@ -73,8 +73,8 @@ const (
 	EventIncumbent = "incumbent"
 )
 
-// DefaultEventBuffer is the replay ring size when Config.EventBuffer
-// is zero.
+// DefaultEventBuffer is the replay ring size of every stream a Sink
+// creates, and of every job stream the serving daemon creates.
 const DefaultEventBuffer = 1024
 
 // DefaultSubscriberBuffer is a subscriber's queue size when Subscribe

@@ -47,11 +47,8 @@ type Config struct {
 	Tracer *Tracer
 	// Events enables the progress event stream (phase boundaries,
 	// enumeration levels, incumbent improvements) with a bounded
-	// drop-oldest replay ring.
+	// drop-oldest replay ring of DefaultEventBuffer events.
 	Events bool
-	// EventBuffer sizes the event replay ring; zero means
-	// DefaultEventBuffer. Only meaningful with Events set.
-	EventBuffer int
 	// EventStream, when non-nil, is used as the event stream instead
 	// of creating a fresh one (implies Events). The serving daemon
 	// hands each job's pre-created stream to the run's sink so SSE
@@ -72,7 +69,6 @@ type Sink struct {
 	tracer      *Tracer
 	metrics     *Registry
 	events      *Events
-	eventBuffer int
 	pprofLabels bool
 	now         func() time.Time
 }
@@ -81,7 +77,7 @@ type Sink struct {
 // neither Tracing, Metrics nor Events yields a Sink that only
 // propagates pprof labels (or nothing at all).
 func New(cfg Config) *Sink {
-	s := &Sink{pprofLabels: cfg.PprofLabels, now: cfg.Now, eventBuffer: cfg.EventBuffer}
+	s := &Sink{pprofLabels: cfg.PprofLabels, now: cfg.Now}
 	switch {
 	case cfg.Tracer != nil:
 		s.tracer = cfg.Tracer
@@ -98,7 +94,7 @@ func New(cfg Config) *Sink {
 	case cfg.EventStream != nil:
 		s.events = cfg.EventStream
 	case cfg.Events:
-		s.events = NewEvents(cfg.EventBuffer, cfg.Now)
+		s.events = NewEvents(DefaultEventBuffer, cfg.Now)
 	}
 	return s
 }
@@ -152,7 +148,7 @@ func (s *Sink) InitEvents() {
 	if s == nil || s.events != nil {
 		return
 	}
-	s.events = NewEvents(s.eventBuffer, s.now)
+	s.events = NewEvents(DefaultEventBuffer, s.now)
 }
 
 // ctxKey* are private context key types so no other package can

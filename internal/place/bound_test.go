@@ -90,7 +90,7 @@ func checkBound(t *testing.T, cg *model.ConstraintGraph, lib *library.Library, s
 // the four ways placement is called: through one scratch reused across
 // mergings (as synthesis's pricing lanes do) or a fresh one per call
 // (as the greedy baseline does), and below the point-to-point sum or
-// below no bar (KeepDominated, and the baseline). Neither choice may
+// below no bar (Optimize, as the baseline calls it). Neither choice may
 // change a result: every way must find the bound and the placed cost
 // of the first, bit for bit. The bound must lie under the placement
 // optimum, not only under what pattern search finds, so step-cost

@@ -40,17 +40,11 @@ type SynthesizeRequest struct {
 	Options     RequestOptions `json:"options"`
 }
 
-// RequestOptions mirrors the cdcs.Options knobs that make sense per
-// request.
+// RequestOptions are the per-request cdcs.Options: the pricing worker
+// count and a deadline in milliseconds. Every job runs the exact flow.
 type RequestOptions struct {
-	Greedy             bool  `json:"greedy,omitempty"`
-	StrictPruning      bool  `json:"strictPruning,omitempty"`
-	KeepDominated      bool  `json:"keepDominated,omitempty"`
-	MaxMergeArity      int   `json:"maxMergeArity,omitempty"`
-	MaxCandidates      int   `json:"maxCandidates,omitempty"`
-	TruncateCandidates bool  `json:"truncateCandidates,omitempty"`
-	Workers            int   `json:"workers,omitempty"`
-	TimeoutMs          int64 `json:"timeoutMs,omitempty"`
+	Workers   int   `json:"workers,omitempty"`
+	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 }
 
 // Result is the machine-readable outcome of a finished job — the same
@@ -344,7 +338,7 @@ func (s *Server) newJobLocked(req SynthesizeRequest, cg *cdcs.ConstraintGraph, l
 		now:      s.now,
 		state:    StateQueued,
 		created:  s.now(),
-		events:   obs.NewEvents(s.cfg.EventBuffer, nil),
+		events:   obs.NewEvents(obs.DefaultEventBuffer, nil),
 		done:     make(chan struct{}),
 		req:      req,
 		cg:       cg,
@@ -505,16 +499,7 @@ func (s *Server) runJob(j *Job) {
 		Tracer:      j.tracer,
 	})
 	ro := j.req.Options
-	opt := cdcs.Options{
-		Greedy:             ro.Greedy,
-		StrictPruning:      ro.StrictPruning,
-		KeepDominated:      ro.KeepDominated,
-		MaxMergeArity:      ro.MaxMergeArity,
-		MaxCandidates:      ro.MaxCandidates,
-		TruncateCandidates: ro.TruncateCandidates,
-		Workers:            ro.Workers,
-		Observer:           sink,
-	}
+	opt := cdcs.Options{Workers: ro.Workers, Observer: sink}
 	if ro.TimeoutMs > 0 {
 		opt.Timeout = time.Duration(ro.TimeoutMs) * time.Millisecond
 	}

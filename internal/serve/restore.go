@@ -258,7 +258,7 @@ func (s *Server) restoreFinished(dj *durable.Job) *Job {
 		state:     dj.State,
 		created:   dj.Created,
 		errMsg:    dj.Error,
-		events:    obs.NewEvents(s.cfg.EventBuffer, nil),
+		events:    obs.NewEvents(obs.DefaultEventBuffer, nil),
 		done:      make(chan struct{}),
 	}
 	// Replay the persisted trace identity: the restored job's SSE
@@ -314,7 +314,7 @@ func (s *Server) requeue(dj *durable.Job) *Job {
 		specRaw:   dj.Spec,
 		state:     StateQueued,
 		created:   dj.Created,
-		events:    obs.NewEvents(s.cfg.EventBuffer, nil),
+		events:    obs.NewEvents(obs.DefaultEventBuffer, nil),
 		done:      make(chan struct{}),
 	}
 	// The persisted trace context makes the re-execution a child of

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -458,5 +459,39 @@ func TestJobWritesTwoRecords(t *testing.T) {
 	if c["durable/wal/records"] != 2 || c["durable/wal/fsyncs"] != 2 {
 		t.Errorf("one job wrote %d WAL records with %d fsyncs, want 2 and 2",
 			c["durable/wal/records"], c["durable/wal/fsyncs"])
+	}
+}
+
+// TestRestoreIgnoresRetiredOptions: request options are only workers
+// and timeoutMs, but a WAL written before the others were retired can
+// hold a job whose spec still carries one, here maxCandidates, which
+// used to fail the job with a candidate-cap error. A restart decodes
+// the spec leniently, so the job re-runs the one flow to WAN's
+// optimum; a POST of the same body is refused for the unknown field.
+func TestRestoreIgnoresRetiredOptions(t *testing.T) {
+	const body = `{"example":"wan","options":{"workers":1,"maxCandidates":1}}`
+	dir := t.TempDir()
+	st, _, err := durable.Open(dir, durable.Options{Logger: discardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendJob("j-000001", "wan", time.Now(), json.RawMessage(body), "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, DataDir: dir})
+	j := waitJob(t, ts, "j-000001")
+	if j.State != StateDone || !j.Restarted || j.Result == nil {
+		t.Fatalf("restored job = state %q error %q restarted %v, want re-run to done and restarted",
+			j.State, j.Error, j.Restarted)
+	}
+	if got := fmt.Sprintf("%.3f", j.Result.Cost); got != "464.552" || !j.Result.Optimal {
+		t.Errorf("restored job cost %s optimal %v, want WAN's optimum 464.552", got, j.Result.Optimal)
+	}
+	if _, code := submit(t, ts, body); code != http.StatusBadRequest {
+		t.Errorf("POST with a retired option = %d, want 400", code)
 	}
 }

@@ -73,9 +73,6 @@ type Config struct {
 	// room). A submission that cannot evict is rejected with 429.
 	// <=0 means 64.
 	MaxJobs int
-	// EventBuffer sizes each job's event replay ring; <=0 means
-	// obs.DefaultEventBuffer.
-	EventBuffer int
 	// EnablePprof mounts net/http/pprof under /debug/pprof.
 	EnablePprof bool
 	// Logger receives the server's structured logs; nil means

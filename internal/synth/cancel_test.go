@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/impl"
-	"repro/internal/merging"
 	"repro/internal/model"
 	"repro/internal/workloads"
 )
@@ -131,25 +130,6 @@ func TestPricingPanicTyped(t *testing.T) {
 				t.Error("panic error carries no stack trace")
 			}
 		})
-	}
-}
-
-// TestTruncatedEnumerationDegrades: CapTruncate mode flows through to
-// the report and the result stays verifiable.
-func TestTruncatedEnumerationDegrades(t *testing.T) {
-	ig, rep, err := Synthesize(workloads.WAN(), workloads.WANLibrary(), Options{
-		Merging: merging.Options{
-			Policy:        merging.MaxIndexRef,
-			MaxCandidates: 2,
-			CapMode:       merging.CapTruncate,
-		},
-	})
-	checkDegradedResult(t, ig, rep, err)
-	if !rep.Degradation.EnumerationTruncated {
-		t.Error("EnumerationTruncated not set")
-	}
-	if got := rep.Enumeration.TotalCandidates(); got != 2 {
-		t.Errorf("TotalCandidates = %d, want 2", got)
 	}
 }
 

@@ -33,14 +33,11 @@ func (e *PricingPanicError) Error() string {
 	return fmt.Sprintf("synth: pricing candidate %v panicked: %v", e.Channels, e.Value)
 }
 
-// Degradation records everything a deadline or the candidate cap cut
-// short during a run. The zero value means the flow ran to
-// completion; any flag set means the returned architecture is feasible
-// and verified but possibly sub-optimal.
+// Degradation records everything a deadline cut short during a run.
+// The zero value means the flow ran to completion; any flag set means
+// the returned architecture is feasible and verified but possibly
+// sub-optimal.
 type Degradation struct {
-	// EnumerationTruncated is true when the MaxCandidates cap stopped
-	// candidate enumeration in truncate mode.
-	EnumerationTruncated bool
 	// EnumerationInterrupted is true when a deadline stopped candidate
 	// enumeration.
 	EnumerationInterrupted bool
@@ -66,17 +63,13 @@ type Degradation struct {
 
 // Degraded reports whether anything was cut short.
 func (d *Degradation) Degraded() bool {
-	return d.EnumerationTruncated || d.EnumerationInterrupted ||
-		d.PricingInterrupted || d.SolverInterrupted
+	return d.EnumerationInterrupted || d.PricingInterrupted || d.SolverInterrupted
 }
 
 // Summary returns human-readable lines describing what was cut short,
 // empty when nothing was.
 func (d *Degradation) Summary() []string {
 	var out []string
-	if d.EnumerationTruncated {
-		out = append(out, "candidate enumeration truncated at the MaxCandidates cap")
-	}
 	if d.EnumerationInterrupted {
 		out = append(out, "candidate enumeration interrupted by deadline")
 	}

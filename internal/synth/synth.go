@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -56,11 +55,6 @@ type Options struct {
 	Merging merging.Options
 	// Solver selects the covering solver.
 	Solver SolverKind
-	// KeepDominated keeps merging candidates that cost at least as much
-	// as their channels' summed point-to-point implementations. The
-	// paper discards these ("the algorithm discards all the sub-optimal
-	// local solutions"); keeping them only grows the covering instance.
-	KeepDominated bool
 	// Workers bounds the candidate-pricing worker pool (Step 1c, the
 	// dominant cost of the flow). Zero or negative means
 	// runtime.NumCPU(); 1 prices serially on the calling goroutine. The
@@ -134,9 +128,8 @@ type Report struct {
 	SolverOptimal bool
 	// Workers is the pricing worker-pool size the run actually used.
 	Workers int
-	// Degradation records what (if anything) a deadline or the
-	// candidate cap cut short; its zero value means the run completed
-	// in full.
+	// Degradation records what (if anything) a deadline cut short;
+	// its zero value means the run completed in full.
 	Degradation Degradation
 	// Timings breaks Elapsed into the flow's phases.
 	Timings Timings
@@ -287,7 +280,6 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 		return nil, nil, err
 	}
 	report.Enumeration = enum
-	report.Degradation.EnumerationTruncated = enum.Truncated
 	report.Degradation.EnumerationInterrupted = enum.Interrupted
 	report.Timings.Enumerate = time.Since(phase)
 	events.Publish(obs.Event{
@@ -446,10 +438,10 @@ var testPricingHook func([]model.ChannelID)
 // goroutine calls — so a panicking worker can never take down the
 // process.
 //
-// The set is placed below bar, its point-to-point sum (+Inf when
-// dominated mergings are kept): place.OptimizeBelow reports it
-// dominated, without a candidate, once a certified lower bound on
-// every placement reaches the sum within num.Eps — the same test
+// The set is placed below bar, its point-to-point sum:
+// place.OptimizeBelow reports it dominated, without a candidate, once
+// a certified lower bound on every placement reaches the sum within
+// num.Eps — the same test
 // priceCandidates applies to a placed cost, which is never below that
 // bound. So a skipped set is exactly one that pricing would have found
 // dominated, and every other set gets exactly Optimize's candidate.
@@ -477,10 +469,10 @@ func priceOne(
 // sub-problems, so they fan out freely; results are collected into a
 // slice indexed by enumeration order and appended to the report
 // serially, which keeps the candidate sequence, the counters and hence
-// the covering instance identical to a single-worker run. Unless
-// KeepDominated is set, a merging proved to cost at least its
-// point-to-point sum is counted dominated without being placed (see
-// priceOne).
+// the covering instance identical to a single-worker run. As the paper
+// does, it discards every merging that costs at least its channels'
+// point-to-point sum; one proved to do so is counted dominated without
+// being placed (see priceOne).
 //
 // When ctx expires mid-phase, no further candidates are dispatched:
 // already-dispatched pricings finish (each is bounded by the pattern
@@ -545,11 +537,7 @@ func priceCandidates(
 		if durHist != nil {
 			t0 = now()
 		}
-		bar := math.Inf(1)
-		if !opt.KeepDominated {
-			bar = p2pSum(sets[i])
-		}
-		cand, skipped, err := priceOne(cg, lib, sets[i], sc, bar)
+		cand, skipped, err := priceOne(cg, lib, sets[i], sc, p2pSum(sets[i]))
 		results[i] = priced{cand: cand, err: err, done: true, skipped: skipped}
 		queueDepth.Add(-1)
 		if skipped {
@@ -638,7 +626,7 @@ func priceCandidates(
 			report.InfeasibleMergings++
 			continue
 		}
-		if !opt.KeepDominated && num.GreaterEq(cand.Cost, p2pSum(set)) {
+		if num.GreaterEq(cand.Cost, p2pSum(set)) {
 			report.DominatedMergings++
 			continue
 		}

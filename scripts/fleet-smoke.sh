@@ -116,14 +116,27 @@ assert "$STEADY" '.latency.p99_ms < 30000' "steady p99 blew the generous bound"
 
 # ---- Overload phase: ~10x the steady rate into 6:12 watermarks.
 # Shedding is the correct behavior here — what must NOT happen is a
-# hard error or a total collapse of completions. The mix adds the NoC
-# instance (~55-60 ms serial) to the default wan/lan/mcm blend: since
-# synthesis skips provably dominated mergings, a wan or lan job takes
-# ~3 ms, and the default blend alone no longer reliably fills the
-# queues past the shed watermark. NoC weighs 4 because its placement
-# got ~2.5x faster: at weight 1 the phase shed in only 3 of 5 runs.
+# hard error or a total collapse of completions. Whether the queues
+# fill must not depend on how fast synthesis is (a wan job takes a few
+# milliseconds), so just before the burst two holders park both job
+# slots of every replica. A holder is an 18-channel on-chip instance
+# far too large to finish (`cdcs-gen -kind soc -channels 18 -modules 12
+# -seed 7`, sharing soc12's library; tens of thousands of mergings are
+# still unpriced at the deadline) run on one worker under a 3 s
+# deadline, so it keeps its slot for 3 s however fast synthesis gets.
+# Arrivals queue past the shed watermark meanwhile, and the queues
+# drain once the holders return.
+holder=$(jq -nc --slurpfile g scripts/testdata/soc18.graph.json \
+    --slurpfile l scripts/testdata/soc12.lib.json \
+    '{workload: "holder", graph: $g[0], library: $l[0], options: {workers: 1, timeoutMs: 3000}}')
+for port in $P1 $P2 $P3; do
+    for _ in 1 2; do
+        printf '%s' "$holder" | curl -fsS -X POST "http://127.0.0.1:$port/v1/synthesize" -d @- >/dev/null \
+            || fail "holder submit to replica $port failed"
+    done
+done
 OVER="$BIN/fleet-overload.json"
-"$BIN/cdcs-load" -targets "$PEERS" -mix wan=2,lan=2,mcm=1,noc=4 \
+"$BIN/cdcs-load" -targets "$PEERS" \
     -qps 120 -duration 5s -deadline 60s -report "$OVER" 2>>"$LOG" \
     || fail "overload cdcs-load run failed"
 assert "$OVER" '.shed > 0' "overload phase never shed (watermarks not biting)"
