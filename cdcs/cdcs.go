@@ -44,6 +44,7 @@ package cdcs
 
 import (
 	"context"
+	"runtime"
 	"time"
 
 	"repro/internal/flowsim"
@@ -164,8 +165,11 @@ type Options struct {
 	// (faster, possibly sub-optimal).
 	Greedy bool
 	// Workers bounds the candidate-pricing worker pool. Zero means all
-	// CPUs; 1 forces the serial path. Any value produces an identical
-	// report and architecture — only wall-clock time changes.
+	// CPUs; 1 forces the serial path; a value above
+	// runtime.GOMAXPROCS(0) is clamped to it, since each worker keeps
+	// its own goroutine and placement scratch and more than can run at
+	// once only cost memory. Any value produces an identical report and
+	// architecture — only wall-clock time changes.
 	Workers int
 	// Timeout bounds the run's wall clock with anytime semantics: when
 	// it expires mid-run, Synthesize still returns a feasible verified
@@ -230,7 +234,7 @@ func Synthesize(cg *ConstraintGraph, lib *Library, opt Options) (*Implementation
 func SynthesizeContext(ctx context.Context, cg *ConstraintGraph, lib *Library, opt Options) (*ImplementationGraph, *Report, error) {
 	o := synth.Options{
 		Merging: merging.Options{Policy: merging.MaxIndexRef},
-		Workers: opt.Workers,
+		Workers: min(opt.Workers, runtime.GOMAXPROCS(0)),
 		Timeout: opt.Timeout,
 	}
 	if opt.Greedy {

@@ -3,8 +3,11 @@ package cdcs
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/workloads"
 )
 
 // buildSystem constructs the quickstart-style system through the facade
@@ -100,8 +103,43 @@ func TestFacadeWorkersEquivalent(t *testing.T) {
 		t.Errorf("Workers changed the candidate count: %d vs %d",
 			len(serial.Candidates), len(parallel.Candidates))
 	}
-	if parallel.Workers != 4 {
-		t.Errorf("report workers = %d, want 4", parallel.Workers)
+	if want := min(4, runtime.GOMAXPROCS(0)); parallel.Workers != want {
+		t.Errorf("report workers = %d, want %d", parallel.Workers, want)
+	}
+}
+
+// TestFacadeWorkersClamped: a Workers value far above the CPUs the
+// process may use must not start a pricing goroutine and placement
+// scratch per merging. On MPEG4, with 1<<20 workers asked for, the
+// report and the scratch_pools gauge stay at or below GOMAXPROCS, and
+// the result equals the serial run's.
+func TestFacadeWorkersClamped(t *testing.T) {
+	cg, lib := workloads.MPEG4(), workloads.MPEG4Technology().Library()
+	_, serial, err := Synthesize(cg, lib, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := NewObserver(ObserverConfig{Metrics: true})
+	_, rep, err := Synthesize(cg, lib, Options{Workers: 1 << 20, Observer: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	if rep.Workers > procs {
+		t.Errorf("report workers = %d, above GOMAXPROCS %d", rep.Workers, procs)
+	}
+	pools := int64(-1)
+	for _, g := range ob.Metrics().Snapshot().Gauges {
+		if g.Name == "synth/price/scratch_pools" {
+			pools = g.Value
+		}
+	}
+	if pools < 1 || pools > int64(procs) {
+		t.Errorf("synth/price/scratch_pools = %d, want 1..%d", pools, procs)
+	}
+	if rep.Cost != serial.Cost || len(rep.Candidates) != len(serial.Candidates) {
+		t.Errorf("clamped run: cost %v with %d candidates, serial %v with %d",
+			rep.Cost, len(rep.Candidates), serial.Cost, len(serial.Candidates))
 	}
 }
 

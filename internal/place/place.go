@@ -23,10 +23,14 @@
 // is the best point among the explored pattern, which is the classical
 // engineering treatment of such piecewise-constant costs. The search
 // prices each compass direction's three probes from 2k+3 piece costs,
-// sharing the moved hubs' pieces between them, and skips a start equal
-// to an earlier one. Neither changes a result: every probe is the same
-// float sum as a full evaluation, and a repeated start could only
-// retrace a search that already lost or tied.
+// sharing the moved hubs' pieces between them, skips a start equal to
+// an earlier one, and ends as soon as no smaller step can improve its
+// base: every piece curve is nondecreasing in distance, so once no
+// piece gets cheaper when shortened by the longest compass move, no
+// later probe can be accepted. None of these changes a result: every
+// probe is the same float sum as a full evaluation, a repeated start
+// could only retrace a search that already lost or tied, and a search
+// that ends early returns what its remaining halvings would have.
 //
 // LowerBound certifies, without searching, a cost below which no
 // placement of a merging can go. OptimizeBelow checks the same
@@ -93,8 +97,13 @@ type Tally struct {
 	// they equal an earlier start of the same merging.
 	RepeatedStarts int64
 	// Probes counts the hub pairs priced: one per search, plus 24
-	// (three moves in each of eight directions) per iteration.
+	// (three moves in each of eight directions) per iteration run; a
+	// search that settles runs no further iteration.
 	Probes int64
+	// Settled counts the searches that ended because no smaller step
+	// could improve their base (see settled), before their step reached
+	// its floor or their iterations ran out.
+	Settled int64
 }
 
 // Candidate is a priced k-way merging: the optimized hub positions, the
@@ -300,7 +309,13 @@ var patternDirs = [8]geom.Point{
 // is (mux + demux) + trunk, then in[i] + out[i] added in channel order,
 // which is build's order, so a probe's cost equals build's at the same
 // hubs bit for bit. Accepting a probe adopts its pieces by swapping
-// buffers.
+// buffers, and its trunk cost becomes the base's (tc).
+//
+// Before each iteration that follows a halving, settled asks whether
+// any probe at the current step or a smaller one, which moves a hub by
+// at most reach·step, could still be accepted; when none could, the
+// search returns its base at once, which is what the remaining
+// halvings would have returned.
 func (sc *Scratch) patternSearch(norm geom.Norm, nodeCost float64, x1, x2 geom.Point, step float64, maxIter int) (float64, geom.Point, geom.Point) {
 	sources, dests, access, trunk := sc.sources, sc.dests, sc.access, &sc.trunk
 	k := len(access)
@@ -312,14 +327,22 @@ func (sc *Scratch) patternSearch(norm geom.Norm, nodeCost float64, x1, x2 geom.P
 	}
 	sc.Tally.Starts++
 	sc.Tally.Probes++
-	bestCost := total(nodeCost, trunk.Cost(norm.Distance(x1, x2)), in, out)
+	tc := trunk.Cost(norm.Distance(x1, x2))
+	bestCost := total(nodeCost, tc, in, out)
 	if math.IsInf(bestCost, 1) {
 		return bestCost, x1, x2
 	}
 	tol := step * 1e-7
+	reach := compassReach(norm)
 	iter := 0
-	for ; iter < maxIter && step > tol; iter++ {
-		improved := false
+	// improved starts true because the first iteration follows no
+	// halving.
+	for improved := true; iter < maxIter && step > tol; iter++ {
+		if !improved && sc.settled(norm, x1, x2, reach*step, tc, in, out) {
+			sc.Tally.Settled++
+			break
+		}
+		improved = false
 		for _, d := range patternDirs {
 			delta := d.Scale(step)
 			p1, p2 := x1.Add(delta), x2.Add(delta)
@@ -330,14 +353,17 @@ func (sc *Scratch) patternSearch(norm geom.Norm, nodeCost float64, x1, x2 geom.P
 			// moved is the last accepted probe: 1 moved the mux, 2 the
 			// demux, 3 both.
 			moved := 0
-			if c := total(nodeCost, trunk.Cost(norm.Distance(p1, x2)), pin, out); c < bestCost-1e-12 {
-				bestCost, moved = c, 1
+			t := trunk.Cost(norm.Distance(p1, x2))
+			if c := total(nodeCost, t, pin, out); c < bestCost-1e-12 {
+				bestCost, tc, moved = c, t, 1
 			}
-			if c := total(nodeCost, trunk.Cost(norm.Distance(x1, p2)), in, pout); c < bestCost-1e-12 {
-				bestCost, moved = c, 2
+			t = trunk.Cost(norm.Distance(x1, p2))
+			if c := total(nodeCost, t, in, pout); c < bestCost-1e-12 {
+				bestCost, tc, moved = c, t, 2
 			}
-			if c := total(nodeCost, trunk.Cost(norm.Distance(p1, p2)), pin, pout); c < bestCost-1e-12 {
-				bestCost, moved = c, 3
+			t = trunk.Cost(norm.Distance(p1, p2))
+			if c := total(nodeCost, t, pin, pout); c < bestCost-1e-12 {
+				bestCost, tc, moved = c, t, 3
 			}
 			if moved&1 != 0 {
 				x1, in, pin = p1, pin, in
@@ -353,6 +379,52 @@ func (sc *Scratch) patternSearch(norm geom.Norm, nodeCost float64, x1, x2 geom.P
 	}
 	sc.Tally.Probes += 24 * int64(iter)
 	return bestCost, x1, x2
+}
+
+// compassReach is the length of the longest compass move per unit of
+// step, ‖(1, 1)‖ in each built-in norm: 2 in L1, √2 in L2 and 1 in
+// L∞. Taking the longest of the eight directions keeps settled exact
+// for any other norm too.
+func compassReach(norm geom.Norm) float64 {
+	reach := 0.0
+	for _, d := range patternDirs {
+		reach = max(reach, norm.Distance(d, geom.Point{}))
+	}
+	return reach
+}
+
+// settled reports whether no probe that moves each hub by at most r
+// can be accepted from the base hubs x1, x2, whose trunk costs tc and
+// whose channels' access pieces cost in and out: whether every piece,
+// the trunk first, costs as much at its base length shortened by r as
+// at its base length. r is widened by 1e-9 of the piece length plus r
+// and the hubs' coordinate magnitudes, a margin far above the rounding
+// of a probe's x+δ, of Distance and of reach·step.
+//
+// By the triangle inequality such a probe leaves every piece at least
+// its shortened length; the p2p curves of a library Library.Validate
+// accepts (non-negative costs) are nondecreasing in distance, so no
+// piece costs less than at the base; and float addition is monotone,
+// so no probe's total, summed in the base's order, falls below the
+// best cost, let alone 1e-12 below. The base then survives every
+// remaining iteration unchanged. On a length-priced curve any piece of
+// nonzero length gets cheaper when shortened, so there the check fails
+// at its first such piece.
+func (sc *Scratch) settled(norm geom.Norm, x1, x2 geom.Point, r, tc float64, in, out []float64) bool {
+	slack := r + 1e-9*(r+math.Abs(x1.X)+math.Abs(x1.Y)+math.Abs(x2.X)+math.Abs(x2.Y))
+	cheaper := func(c *p2p.Curve, d, base float64) bool {
+		return c.Cost(max(0, d-slack-1e-9*d)) < base
+	}
+	if cheaper(&sc.trunk, norm.Distance(x1, x2), tc) {
+		return false
+	}
+	for i := range sc.access {
+		if cheaper(&sc.access[i], norm.Distance(sc.sources[i], x1), in[i]) ||
+			cheaper(&sc.access[i], norm.Distance(x2, sc.dests[i]), out[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // total is the cost of a candidate whose nodes cost nodeCost, whose

@@ -19,7 +19,12 @@ import (
 // for bit. The WAN and LAN libraries take the convex path, the others
 // the general multistart path. A two-channel Manhattan merging with
 // unequal bandwidths must skip a repeated start: its weighted-median
-// start is the heavier channel's own endpoints.
+// start is the heavier channel's own endpoints. The reference runs
+// every search to its step floor, so the match also pins the settled
+// exit as exact; that exit must end searches in every sub-sweep of the
+// step-cost libraries (180 nm, NoC) and in none of the length-priced
+// ones (WAN, LAN, MCM), where every piece of nonzero length gets
+// cheaper when shortened.
 func TestPatternSearchMatchesReference(t *testing.T) {
 	libs := map[string]*library.Library{
 		"wan": workloads.WANLibrary(), "lan": workloads.LANLibrary(), "mcm": workloads.MCMLibrary(),
@@ -31,7 +36,9 @@ func TestPatternSearchMatchesReference(t *testing.T) {
 		"soc3": workloads.RandomSoC(workloads.RandomSoCConfig{Seed: 3, Modules: 6, Channels: 5}),
 		"soc4": workloads.RandomSoC(workloads.RandomSoCConfig{Seed: 4, Modules: 4, Channels: 5}),
 	}
+	stepCost := map[string]bool{"noc": true, "180nm": true}
 	var convex, general, repeats int
+	var settled int64
 	sc := &Scratch{}
 	for _, libName := range []string{"wan", "lan", "mcm", "noc", "180nm"} {
 		lib := libs[libName]
@@ -39,6 +46,7 @@ func TestPatternSearchMatchesReference(t *testing.T) {
 			for _, norm := range []geom.Norm{geom.Euclidean, geom.Manhattan, geom.Chebyshev} {
 				cg := reproject(instances[instName], norm)
 				t.Run(fmt.Sprintf("%s/%s/%s", libName, instName, norm.Name()), func(t *testing.T) {
+					swept := sc.Tally
 					for _, set := range subsets(cg.ChannelIDs(), 2, 4) {
 						before := sc.Tally
 						cand, err := Optimize(cg, lib, set, sc)
@@ -54,11 +62,19 @@ func TestPatternSearchMatchesReference(t *testing.T) {
 							t.Errorf("%v: no repeated start skipped, but the weighted median of two unequal Manhattan channels is the heavier one's endpoints", set)
 						}
 					}
+					n := sc.Tally.Settled - swept.Settled
+					settled += n
+					switch {
+					case stepCost[libName] && n == 0:
+						t.Errorf("no search settled on the step-cost %s library (%d searches)", libName, sc.Tally.Starts-swept.Starts)
+					case !stepCost[libName] && n != 0:
+						t.Errorf("%d searches settled on the length-priced %s library", n, libName)
+					}
 				})
 			}
 		}
 	}
-	t.Logf("%d convex-path and %d general-path mergings matched; %d repeated starts skipped", convex, general, repeats)
+	t.Logf("%d convex-path and %d general-path mergings matched; %d repeated starts skipped, %d searches settled", convex, general, repeats, settled)
 	if convex == 0 || general == 0 || repeats == 0 {
 		t.Errorf("the sweep must exercise both paths and the repeated-start skip")
 	}

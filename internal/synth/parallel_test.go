@@ -35,7 +35,7 @@ func candidateSignature(rep *Report) string {
 
 // placeCounters are the placement counters synthesis publishes once
 // per run from its pricing lanes' tallies.
-var placeCounters = []string{"place/starts", "place/starts_repeated", "place/probes"}
+var placeCounters = []string{"place/starts", "place/starts_repeated", "place/probes", "place/settled"}
 
 // runWorkload synthesizes one instance at the given worker count and
 // returns the full observable outcome, with the run's counters.

@@ -421,10 +421,12 @@ func publishPlacement(met *obs.Registry, lanes []place.Scratch) {
 		sum.Starts += lanes[i].Tally.Starts
 		sum.RepeatedStarts += lanes[i].Tally.RepeatedStarts
 		sum.Probes += lanes[i].Tally.Probes
+		sum.Settled += lanes[i].Tally.Settled
 	}
 	met.Counter("place/starts").Add(sum.Starts)
 	met.Counter("place/starts_repeated").Add(sum.RepeatedStarts)
 	met.Counter("place/probes").Add(sum.Probes)
+	met.Counter("place/settled").Add(sum.Settled)
 }
 
 // testPricingHook, when non-nil, is invoked with each candidate set

@@ -175,14 +175,16 @@ wait_drained() {
 }
 wait_drained
 
-# Six slow fillers lift replica 1 exactly to the degrade watermark
-# (load >= 6) without nearing shed (12), so probes forward, not drop.
-# The fillers themselves are all admitted below the watermark, so none
-# of them leaves the replica.
+# Six holders (the overload leg's 3 s deadline-bound instance) lift
+# replica 1 exactly to the degrade watermark (load >= 6) without
+# nearing shed (12), so probes forward, not drop. The load stays there
+# for 3 s however fast synthesis gets; a quick filler such as MPEG4
+# (~0.1 s) can let it fall before a probe arrives. The holders
+# themselves are all admitted below the watermark, so none of them
+# leaves the replica, and the drain below cancels them.
 for i in $(seq 1 6); do
-    curl -fsS -X POST "http://127.0.0.1:$P1/v1/synthesize" \
-        -d '{"example":"mpeg4","workload":"filler","options":{"workers":1}}' >/dev/null \
-        || fail "filler submit $i failed"
+    printf '%s' "$holder" | curl -fsS -X POST "http://127.0.0.1:$P1/v1/synthesize" -d @- >/dev/null \
+        || fail "holder submit $i to replica 1 failed"
 done
 
 # Probe with distinct workloads until rendezvous routing picks another
