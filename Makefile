@@ -47,11 +47,13 @@ bench-gate:
 bench-seed:
 	$(GO) run ./cmd/cdcs-bench -short -json BENCH_seed.json
 
-# Gate the steady-state pricing allocation budget: measured
-# allocations per priced candidate on the WAN and NoC workloads must
-# stay within the checked-in budget in internal/synth/alloc_test.go.
+# Gate the memory budgets: measured allocations per priced candidate
+# on the WAN and NoC workloads (internal/synth/alloc_test.go), and the
+# heap a finished cdcsd job retains (internal/serve/memory_test.go),
+# must stay within their checked-in budgets.
 bench-alloc:
 	$(GO) test ./internal/synth -run 'TestAllocBudget' -count=1 -v
+	$(GO) test ./internal/serve -run 'TestPerJobHeapBudget' -count=1 -v
 
 # End-to-end smoke test of the cdcsd serving daemon: start it, submit
 # the wan example, assert SSE incumbent events and Prometheus-format

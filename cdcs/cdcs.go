@@ -155,17 +155,19 @@ var (
 // flow: every merging the pruning lemmas let through is enumerated
 // (max-index reference policy, merging.MaxIndexRef) and priced, the
 // dominated local solutions are discarded, and the covering is solved
-// exactly, with candidate pricing parallelized across all CPUs. The
-// cost model is not an option: a merged trunk is one chain sized for
-// the sum of its channels' bandwidths, and duplication is parallel
-// links with no switch cost (Definition 2.7). A deadline (Timeout, or
-// one on the context) is the one way to bound a run.
+// exactly, with candidate pricing parallelized across
+// runtime.GOMAXPROCS(0) workers. The cost model is not an option: a
+// merged trunk is one chain sized for the sum of its channels'
+// bandwidths, and duplication is parallel links with no switch cost
+// (Definition 2.7). A deadline (Timeout, or one on the context) is the
+// one way to bound a run.
 type Options struct {
 	// Greedy switches the covering step to the greedy heuristic
 	// (faster, possibly sub-optimal).
 	Greedy bool
-	// Workers bounds the candidate-pricing worker pool. Zero means all
-	// CPUs; 1 forces the serial path; a value above
+	// Workers bounds the candidate-pricing worker pool. Zero (or a
+	// negative value) means runtime.GOMAXPROCS(0), the CPUs the process
+	// may run on at once; 1 forces the serial path; a value above
 	// runtime.GOMAXPROCS(0) is clamped to it, since each worker keeps
 	// its own goroutine and placement scratch and more than can run at
 	// once only cost memory. Any value produces an identical report and
@@ -191,10 +193,13 @@ type Options struct {
 	// bound and gap — while the run is still in flight, so a long
 	// anytime solve is observable before its deadline fires. The
 	// callback runs on a dedicated goroutine (never on the solver's
-	// hot path) over a bounded drop-oldest queue: a slow callback lags
-	// but cannot stall or deadlock the run. Every event is delivered
-	// before Synthesize returns. See docs/OBSERVABILITY.md for the
-	// event schema.
+	// hot path) that follows the run's event stream by sequence
+	// number: a slow callback lags but cannot stall or deadlock the
+	// run, and it misses events only once it falls more than the
+	// stream's 1,024-event replay ring (obs.DefaultEventBuffer) behind,
+	// which shows as a gap in Seq. Every event published during the run
+	// is delivered before Synthesize returns. See docs/OBSERVABILITY.md
+	// for the event schema.
 	Progress func(Event)
 }
 
@@ -244,28 +249,39 @@ func SynthesizeContext(ctx context.Context, cg *ConstraintGraph, lib *Library, o
 	if opt.Progress != nil {
 		// Progress rides the sink's event stream: reuse the caller's
 		// Observer (retrofitting a stream if it lacks one) or build a
-		// private events-only sink. The drain goroutine decouples the
-		// callback from the solver's hot path; the deferred cancel
-		// closes the tail and waits, so every event published during
-		// the run is delivered before this function returns.
+		// private events-only sink. The drain goroutine follows the
+		// stream by sequence number, off the solver's hot path; the
+		// deferred stop makes it read once more and waits, so every
+		// event published during the run is delivered before this
+		// function returns.
 		if sink == nil {
 			sink = obs.New(obs.Config{Events: true})
 		} else {
 			sink.InitEvents()
 		}
-		replay, live, cancel := sink.Events().Subscribe(0)
-		done := make(chan struct{})
+		events := sink.Events()
+		stop, done := make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(done)
-			for _, ev := range replay {
-				opt.Progress(ev)
-			}
-			for ev := range live {
-				opt.Progress(ev)
+			var seq int64
+			for last := false; ; {
+				evs, next, closed := events.Since(seq)
+				for _, ev := range evs {
+					opt.Progress(ev)
+					seq = ev.Seq
+				}
+				if closed || last {
+					return
+				}
+				select {
+				case <-next:
+				case <-stop:
+					last = true
+				}
 			}
 		}()
 		defer func() {
-			cancel()
+			close(stop)
 			<-done
 		}()
 	}

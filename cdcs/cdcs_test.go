@@ -128,19 +128,42 @@ func TestFacadeWorkersClamped(t *testing.T) {
 	if rep.Workers > procs {
 		t.Errorf("report workers = %d, above GOMAXPROCS %d", rep.Workers, procs)
 	}
-	pools := int64(-1)
-	for _, g := range ob.Metrics().Snapshot().Gauges {
-		if g.Name == "synth/price/scratch_pools" {
-			pools = g.Value
-		}
-	}
-	if pools < 1 || pools > int64(procs) {
+	if pools := scratchPools(ob); pools < 1 || pools > int64(procs) {
 		t.Errorf("synth/price/scratch_pools = %d, want 1..%d", pools, procs)
 	}
 	if rep.Cost != serial.Cost || len(rep.Candidates) != len(serial.Candidates) {
 		t.Errorf("clamped run: cost %v with %d candidates, serial %v with %d",
 			rep.Cost, len(rep.Candidates), serial.Cost, len(serial.Candidates))
 	}
+}
+
+// TestFacadeWorkersDefaultIsGOMAXPROCS: Workers 0 means the CPUs the
+// process may run on at once, the same cap a positive value gets, not
+// every CPU of the host. Under GOMAXPROCS 1, MPEG4 must price on one
+// lane.
+func TestFacadeWorkersDefaultIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ob := NewObserver(ObserverConfig{Metrics: true})
+	_, rep, err := Synthesize(workloads.MPEG4(), workloads.MPEG4Technology().Library(), Options{Observer: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Workers != 1 {
+		t.Errorf("report workers = %d under GOMAXPROCS 1, want 1", rep.Workers)
+	}
+	if pools := scratchPools(ob); pools != 1 {
+		t.Errorf("synth/price/scratch_pools = %d under GOMAXPROCS 1, want 1", pools)
+	}
+}
+
+// scratchPools reads the synth/price/scratch_pools gauge, -1 if unset.
+func scratchPools(ob *Observer) int64 {
+	for _, g := range ob.Metrics().Snapshot().Gauges {
+		if g.Name == "synth/price/scratch_pools" {
+			return g.Value
+		}
+	}
+	return -1
 }
 
 func TestFacadeSimulate(t *testing.T) {

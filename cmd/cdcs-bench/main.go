@@ -43,7 +43,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: all, table1, table2, fig3, candidates, fig4, fig5, flowsim, lid, bwsweep, lan, baseline, steiner, ablation, scaling")
 	short := flag.Bool("short", false, "skip the slow sweeps (ablation, scaling)")
 	md := flag.Bool("md", false, "emit Markdown instead of plain text")
-	workers := flag.Int("workers", 0, "candidate-pricing worker pool size for every synthesis run (0 = all CPUs, 1 = serial)")
+	workers := flag.Int("workers", 0, "candidate-pricing worker pool size for every synthesis run (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "per-synthesis-run deadline for every experiment (0 = none); expired runs degrade instead of hanging")
 	jsonPath := flag.String("json", "", "write a machine-readable baseline (per-experiment pass/fail, wall time, algorithm counters) to this file")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of every synthesis phase to this file")

@@ -97,7 +97,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write the implementation graph as JSON to this file")
 	solver := flag.String("solver", "exact", "synthesis mode: exact, greedy (heuristic covering) or baseline (greedy agglomerative merging)")
 	simulate := flag.Bool("simulate", false, "validate the result with the flow simulator")
-	workers := flag.Int("workers", 0, "candidate-pricing worker pool size (0 = all CPUs, 1 = serial)")
+	workers := flag.Int("workers", 0, "candidate-pricing worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "overall synthesis deadline (0 = none); on expiry the run degrades to the best feasible architecture instead of failing")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the synthesis phases to this file; with -server, the stitched distributed trace collected from every replica")
 	metrics := flag.Bool("metrics", false, "print the algorithm-counter snapshot after the run")

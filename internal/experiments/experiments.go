@@ -24,7 +24,7 @@ import (
 )
 
 // workers is the Step 1c pricing-pool size every experiment's synthesis
-// runs use; 0 lets synth default to all CPUs.
+// runs use; 0 lets synth default to runtime.GOMAXPROCS(0).
 var workers int
 
 // timeout is the per-synthesis-run deadline every experiment applies;
@@ -34,7 +34,7 @@ var workers int
 var timeout time.Duration
 
 // SetWorkers fixes the candidate-pricing worker-pool size for all
-// experiment synthesis runs (0 = all CPUs, 1 = serial). cmd/cdcs-bench
+// experiment synthesis runs (0 = GOMAXPROCS, 1 = serial). cmd/cdcs-bench
 // exposes it as -workers so serial/parallel timings can be compared on
 // the same tables.
 func SetWorkers(n int) { workers = n }

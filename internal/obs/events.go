@@ -77,29 +77,31 @@ const (
 // creates, and of every job stream the serving daemon creates.
 const DefaultEventBuffer = 1024
 
-// DefaultSubscriberBuffer is a subscriber's queue size when Subscribe
-// is called with a non-positive buffer.
-const DefaultSubscriberBuffer = 256
+// closedWake is the wake channel Since hands out once a stream is
+// closed (or nil): a reader's select on it returns at once.
+var closedWake = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
-// Events is a bounded, drop-oldest, concurrency-safe pub/sub stream.
+// Events is a bounded, drop-oldest, concurrency-safe event stream.
 // Published events are stamped with a contiguous sequence number and
-// kept in a bounded replay ring (oldest dropped first), so a late
-// subscriber receives the retained history followed by the live tail
-// with no gap and no duplicate — Subscribe snapshots the ring and
-// registers the tail channel under one lock.
+// kept in a replay ring that grows on demand up to its cap and then
+// drops the oldest event first. Readers follow the stream by sequence
+// number with Since, so a stream holds no per-reader state: a reader
+// that falls more than the cap behind resumes at the oldest retained
+// event and sees the gap in seq.
 //
 // A nil *Events is a valid no-op receiver everywhere, so emitting code
 // never branches on "is the stream on".
 type Events struct {
 	mu      sync.Mutex
 	cap     int
-	buf     []Event // replay ring, rotated via start
+	buf     []Event // replay ring: appended up to cap, then rotated via start
 	start   int
-	count   int
 	seq     int64
-	dropped int64
-	subs    map[int]chan Event
-	nextSub int
+	wake    chan struct{} // closed by the next Publish or Close; nil until a reader waits
 	closed  bool
 	now     func() time.Time
 	epoch   time.Time
@@ -123,7 +125,8 @@ func (e *Events) SetTrace(traceID, spanID string) {
 
 // NewEvents returns a stream retaining the last bufCap events for
 // replay (<=0 means DefaultEventBuffer) under the given clock (nil
-// means time.Now).
+// means time.Now). The ring's storage grows with the events published,
+// not with bufCap.
 func NewEvents(bufCap int, now func() time.Time) *Events {
 	if bufCap <= 0 {
 		bufCap = DefaultEventBuffer
@@ -131,20 +134,14 @@ func NewEvents(bufCap int, now func() time.Time) *Events {
 	if now == nil {
 		now = time.Now
 	}
-	return &Events{
-		cap:  bufCap,
-		buf:  make([]Event, 0, bufCap),
-		subs: make(map[int]chan Event),
-		now:  now,
-	}
+	return &Events{cap: bufCap, now: now}
 }
 
 // Publish stamps ev with the next sequence number and relative
 // timestamp, retains it in the replay ring (dropping the oldest
-// retained event when full), and offers it to every subscriber. A
-// subscriber whose queue is full has its own oldest queued event
-// dropped to make room — a slow consumer lags, it never blocks the
-// publisher (the solver's hot path). No-op on a nil or closed stream.
+// retained event when full), and wakes every waiting reader. It never
+// waits on a reader, so a slow one cannot stall the publisher (the
+// solver's hot path). No-op on a nil or closed stream.
 func (e *Events) Publish(ev Event) {
 	if e == nil {
 		return
@@ -167,119 +164,65 @@ func (e *Events) Publish(ev Event) {
 	if ev.SpanID == "" {
 		ev.SpanID = e.spanID
 	}
-	if e.count < e.cap {
+	if len(e.buf) < e.cap {
 		e.buf = append(e.buf, ev)
-		e.count++
 	} else {
 		e.buf[e.start] = ev
 		e.start = (e.start + 1) % e.cap
-		e.dropped++
 	}
-	for _, ch := range e.subs {
-		select {
-		case ch <- ev:
-		default:
-			// Full queue: drop the subscriber's oldest, then retry. The
-			// second send can only fail if the subscriber drained and
-			// refilled the queue concurrently; dropping the new event
-			// then is the same bounded-lag contract.
-			select {
-			case <-ch:
-				e.dropped++
-			default:
-			}
-			select {
-			case ch <- ev:
-			default:
-				e.dropped++
-			}
-		}
-	}
+	e.wakeLocked()
 }
 
-// Subscribe atomically snapshots the replay ring and registers a live
-// tail channel with the given queue size (<=0 means
-// DefaultSubscriberBuffer): the returned history followed by the
-// channel's events is sequence-contiguous. cancel unregisters and
-// closes the channel (already-queued events remain receivable); on a
-// closed stream the channel comes back closed, so consumers uniformly
-// run replay-then-range. A nil *Events subscribes to an empty, closed
-// stream.
-func (e *Events) Subscribe(buf int) (replay []Event, live <-chan Event, cancel func()) {
-	if buf <= 0 {
-		buf = DefaultSubscriberBuffer
-	}
-	ch := make(chan Event, buf)
+// Since returns a copy of the retained events with a sequence number
+// above seq, oldest first; when the ring no longer holds seq+1, it
+// starts at the oldest retained event. It also returns a channel that
+// the next Publish or Close closes, and whether the stream is closed,
+// in which case no event will follow the returned ones. A reader
+// passes the last Seq it received (0 at first), handles the returned
+// events and then waits on the channel. A nil *Events returns no
+// events and reports closed.
+func (e *Events) Since(seq int64) (evs []Event, next <-chan struct{}, closed bool) {
 	if e == nil {
-		close(ch)
-		return nil, ch, func() {}
+		return nil, closedWake, true
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	replay = e.historyLocked()
+	first := e.seq - int64(len(e.buf)) + 1
+	if seq < first {
+		seq = first - 1
+	}
+	if n := int(e.seq - seq); n > 0 {
+		evs = make([]Event, n)
+		for i := range evs {
+			evs[i] = e.buf[(e.start+int(seq-first)+1+i)%len(e.buf)]
+		}
+	}
 	if e.closed {
-		close(ch)
-		return replay, ch, func() {}
+		return evs, closedWake, true
 	}
-	id := e.nextSub
-	e.nextSub++
-	e.subs[id] = ch
-	return replay, ch, func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if _, ok := e.subs[id]; ok {
-			delete(e.subs, id)
-			close(ch)
-		}
+	if e.wake == nil {
+		e.wake = make(chan struct{})
 	}
+	return evs, e.wake, false
 }
 
-// History returns a copy of the retained events, oldest first.
-func (e *Events) History() []Event {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.historyLocked()
-}
-
-func (e *Events) historyLocked() []Event {
-	out := make([]Event, 0, e.count)
-	for i := 0; i < e.count; i++ {
-		out = append(out, e.buf[(e.start+i)%e.cap])
-	}
-	return out
-}
-
-// Dropped returns how many events were evicted from the replay ring or
-// subscriber queues.
-func (e *Events) Dropped() int64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.dropped
-}
-
-// Close ends the stream: every subscriber's channel is closed (after
-// its queued events drain) and further publishes are dropped. The
-// replay ring stays readable, so late subscribers still get the full
-// retained history followed by an immediately-closed tail. Safe to
-// call more than once; no-op on nil.
+// Close ends the stream: waiting readers wake, further publishes are
+// dropped and every later Since reports closed. The replay ring stays
+// readable, so a late reader still gets the full retained history.
+// Safe to call more than once; no-op on nil.
 func (e *Events) Close() {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
 	e.closed = true
-	for id, ch := range e.subs {
-		delete(e.subs, id)
-		close(ch)
+	e.wakeLocked()
+}
+
+func (e *Events) wakeLocked() {
+	if e.wake != nil {
+		close(e.wake)
+		e.wake = nil
 	}
 }

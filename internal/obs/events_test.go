@@ -6,192 +6,242 @@ import (
 	"time"
 )
 
-// collect receives until ch closes or n events arrived.
-func collect(t *testing.T, ch <-chan Event, n int) []Event {
+// publishN publishes n enum_level events.
+func publishN(e *Events, n int) {
+	for i := 0; i < n; i++ {
+		e.Publish(Event{Type: EventEnumLevel, K: i})
+	}
+}
+
+// requireSeqs fails unless evs carry the sequence numbers first,
+// first+1, …, last, in order: no gap, no duplicate.
+func requireSeqs(t *testing.T, evs []Event, first, last int64) {
 	t.Helper()
-	var out []Event
-	timeout := time.After(5 * time.Second)
-	for len(out) < n {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return out
-			}
-			out = append(out, ev)
-		case <-timeout:
-			t.Fatalf("timed out after %d of %d events", len(out), n)
+	if want := int(last - first + 1); len(evs) != want {
+		t.Fatalf("got %d events, want %d (seq %d..%d)", len(evs), want, first, last)
+	}
+	for i, ev := range evs {
+		if want := first + int64(i); ev.Seq != want {
+			t.Fatalf("event %d has Seq %d, want %d (gap or duplicate)", i, ev.Seq, want)
 		}
 	}
-	return out
+}
+
+// isClosed reports whether ch is already closed.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 func TestEventsPublishStampsContiguousSeq(t *testing.T) {
 	e := NewEvents(16, nil)
-	for i := 0; i < 5; i++ {
-		e.Publish(Event{Type: EventEnumLevel, K: i})
-	}
-	hist := e.History()
-	if len(hist) != 5 {
-		t.Fatalf("history len = %d, want 5", len(hist))
-	}
-	for i, ev := range hist {
-		if ev.Seq != int64(i+1) {
-			t.Errorf("hist[%d].Seq = %d, want %d", i, ev.Seq, i+1)
-		}
+	publishN(e, 5)
+	evs, _, closed := e.Since(0)
+	requireSeqs(t, evs, 1, 5)
+	if closed {
+		t.Error("an open stream reported closed")
 	}
 }
 
+// TestEventsReplayThenTailIsGapFree reads the retained history, waits
+// on the returned channel, and reads again from the last Seq it got:
+// the two reads must join without a gap or a duplicate.
 func TestEventsReplayThenTailIsGapFree(t *testing.T) {
 	e := NewEvents(64, nil)
-	for i := 0; i < 10; i++ {
-		e.Publish(Event{Type: EventEnumLevel})
+	publishN(e, 10)
+	replay, next, _ := e.Since(0)
+	requireSeqs(t, replay, 1, 10)
+	if evs, _, _ := e.Since(10); len(evs) != 0 {
+		t.Fatalf("Since(last) returned %d events before any publish, want 0", len(evs))
 	}
-	replay, live, cancel := e.Subscribe(64)
-	defer cancel()
-	if len(replay) != 10 {
-		t.Fatalf("replay len = %d, want 10", len(replay))
+	if isClosed(next) {
+		t.Fatal("wake channel closed before the next publish")
 	}
-	for i := 0; i < 10; i++ {
-		e.Publish(Event{Type: EventIncumbent})
+	publishN(e, 10)
+	if !isClosed(next) {
+		t.Fatal("Publish did not close the wake channel")
 	}
-	tail := collect(t, live, 10)
-	all := append(replay, tail...)
-	for i, ev := range all {
-		if ev.Seq != int64(i+1) {
-			t.Fatalf("event %d has Seq %d, want %d (gap or duplicate across replay/tail boundary)", i, ev.Seq, i+1)
-		}
-	}
+	tail, _, _ := e.Since(replay[len(replay)-1].Seq)
+	requireSeqs(t, append(replay, tail...), 1, 20)
 }
 
 func TestEventsRingDropsOldest(t *testing.T) {
 	e := NewEvents(4, nil)
-	for i := 0; i < 10; i++ {
-		e.Publish(Event{Type: EventEnumLevel, K: i})
-	}
-	hist := e.History()
-	if len(hist) != 4 {
-		t.Fatalf("history len = %d, want 4", len(hist))
-	}
-	for i, ev := range hist {
-		if want := int64(7 + i); ev.Seq != want {
-			t.Errorf("hist[%d].Seq = %d, want %d (oldest must be dropped first)", i, ev.Seq, want)
+	publishN(e, 10)
+	evs, _, _ := e.Since(0)
+	// The oldest are dropped first: seq 7..10 remain.
+	requireSeqs(t, evs, 7, 10)
+	for i, ev := range evs {
+		if want := 6 + i; ev.K != want {
+			t.Errorf("event %d has K %d, want %d", i, ev.K, want)
 		}
 	}
-	if e.Dropped() < 6 {
-		t.Errorf("Dropped() = %d, want >= 6", e.Dropped())
+	part, _, _ := e.Since(8)
+	requireSeqs(t, part, 9, 10)
+}
+
+// TestEventsRingGrowsOnDemand: the ring's storage follows the events
+// published, not the cap, so a stream of a few events stays small.
+func TestEventsRingGrowsOnDemand(t *testing.T) {
+	e := NewEvents(DefaultEventBuffer, nil)
+	if cap(e.buf) != 0 {
+		t.Fatalf("fresh stream holds %d slots, want 0", cap(e.buf))
+	}
+	publishN(e, 16)
+	if c := cap(e.buf); c < 16 || c > 32 {
+		t.Errorf("16 events hold %d slots, want 16..32", c)
+	}
+	publishN(e, 3*DefaultEventBuffer)
+	if len(e.buf) != DefaultEventBuffer {
+		t.Errorf("ring holds %d events, want the cap %d", len(e.buf), DefaultEventBuffer)
 	}
 }
 
+// TestEventsLaggingReaderWithinRingLosesNothing: a reader 600 events
+// behind gets all 600, contiguous (a 256-event per-reader queue would
+// have dropped 344 of them).
+func TestEventsLaggingReaderWithinRingLosesNothing(t *testing.T) {
+	e := NewEvents(DefaultEventBuffer, nil)
+	publishN(e, 5)
+	first, _, _ := e.Since(0)
+	publishN(e, 600)
+	evs, _, _ := e.Since(first[len(first)-1].Seq)
+	requireSeqs(t, evs, 6, 605)
+}
+
+// TestEventsReaderBeyondRingResumesAtOldest: a reader more than the
+// ring's size behind resumes at the oldest retained event — its gap in
+// Seq shows what it lost — and sees no duplicate.
+func TestEventsReaderBeyondRingResumesAtOldest(t *testing.T) {
+	e := NewEvents(DefaultEventBuffer, nil)
+	publishN(e, 10)
+	first, _, _ := e.Since(0)
+	publishN(e, 1500)
+	evs, _, _ := e.Since(first[len(first)-1].Seq)
+	const last = 1510
+	requireSeqs(t, evs, last-DefaultEventBuffer+1, last)
+	more, _, _ := e.Since(evs[len(evs)-1].Seq)
+	if len(more) != 0 {
+		t.Errorf("reading on from the last Seq returned %d events, want 0", len(more))
+	}
+}
+
+// TestEventsSlowSubscriberNeverBlocksPublisher: a reader that asked to
+// be woken and then never reads must not hold up Publish.
 func TestEventsSlowSubscriberNeverBlocksPublisher(t *testing.T) {
 	e := NewEvents(64, nil)
-	_, live, cancel := e.Subscribe(2)
-	defer cancel()
-	// Publish far more than the queue holds without draining; Publish
-	// must return (drop-oldest) rather than block the solver.
-	for i := 0; i < 20; i++ {
-		e.Publish(Event{Type: EventIncumbent})
+	_, next, _ := e.Since(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		publishN(e, 10*64)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Publish blocked on a reader that never reads")
 	}
-	// The queue retains the newest events.
-	got := collect(t, live, 2)
-	if got[len(got)-1].Seq != 20 {
-		t.Errorf("last queued Seq = %d, want 20 (queue keeps newest)", got[len(got)-1].Seq)
+	if !isClosed(next) {
+		t.Error("the silent reader's wake channel was not closed")
 	}
+	evs, _, _ := e.Since(0)
+	requireSeqs(t, evs, 10*64-63, 10*64)
 }
 
 func TestEventsNilReceiverIsInert(t *testing.T) {
 	var e *Events
 	e.Publish(Event{Type: EventIncumbent}) // must not panic
-	if h := e.History(); h != nil {
-		t.Errorf("nil History() = %v, want nil", h)
+	e.SetTrace("t", "s")
+	evs, next, closed := e.Since(0)
+	if len(evs) != 0 {
+		t.Errorf("nil Since events = %v, want none", evs)
 	}
-	if d := e.Dropped(); d != 0 {
-		t.Errorf("nil Dropped() = %d, want 0", d)
+	if !closed {
+		t.Error("nil Since must report closed")
 	}
-	replay, live, cancel := e.Subscribe(1)
-	if len(replay) != 0 {
-		t.Errorf("nil Subscribe replay = %v, want empty", replay)
+	if !isClosed(next) {
+		t.Error("nil Since must return a closed channel")
 	}
-	if _, ok := <-live; ok {
-		t.Error("nil Subscribe live channel must come back closed")
-	}
-	cancel()
 	e.Close()
 }
 
 func TestEventsClose(t *testing.T) {
 	e := NewEvents(16, nil)
 	e.Publish(Event{Type: EventRunStart})
-	_, live, cancel := e.Subscribe(4)
-	defer cancel()
+	_, next, _ := e.Since(1)
 	e.Publish(Event{Type: EventRunEnd})
+	_, next2, _ := e.Since(2)
 	e.Close()
 	e.Close() // idempotent
-	// Queued events drain, then the channel reports closed.
-	got := collect(t, live, 2)
-	if len(got) != 1 || got[0].Type != EventRunEnd {
-		t.Fatalf("drained %v, want the one queued run_end", got)
+	if !isClosed(next) || !isClosed(next2) {
+		t.Fatal("Close must wake every waiting reader")
 	}
 	// Publishing after Close is dropped.
 	e.Publish(Event{Type: EventIncumbent})
-	if len(e.History()) != 2 {
-		t.Errorf("history after post-close publish = %d events, want 2", len(e.History()))
+	evs, next3, closed := e.Since(1)
+	if !closed || !isClosed(next3) {
+		t.Error("Since after Close must report closed with a closed channel")
 	}
-	// Late subscribers still get the retained history and a closed tail.
-	replay, live2, cancel2 := e.Subscribe(1)
-	defer cancel2()
-	if len(replay) != 2 {
-		t.Errorf("post-close replay len = %d, want 2", len(replay))
+	if len(evs) != 1 || evs[0].Type != EventRunEnd {
+		t.Fatalf("Since(1) after Close = %v, want the one run_end", evs)
 	}
-	if _, ok := <-live2; ok {
-		t.Error("post-close live channel must come back closed")
-	}
+	// A late reader still gets the retained history.
+	replay, _, _ := e.Since(0)
+	requireSeqs(t, replay, 1, 2)
 }
 
-func TestEventsCancelIsIdempotentAndStopsDelivery(t *testing.T) {
-	e := NewEvents(16, nil)
-	_, live, cancel := e.Subscribe(4)
-	cancel()
-	cancel() // second cancel must not panic or double-close
-	if _, ok := <-live; ok {
-		t.Error("canceled subscription channel must be closed")
-	}
-	e.Publish(Event{Type: EventIncumbent}) // no subscriber left; must not panic
-}
-
+// TestEventsConcurrentPublishSubscribe follows the stream with Since
+// from two readers while four publishers race, the way SSE handlers
+// do; under -race this is the stream's data-race check.
 func TestEventsConcurrentPublishSubscribe(t *testing.T) {
-	e := NewEvents(1024, nil)
-	const publishers, each = 4, 100
-	var wg sync.WaitGroup
+	e := NewEvents(DefaultEventBuffer, nil)
+	const publishers, each, readers = 4, 100, 2
+	var pubs sync.WaitGroup
 	for p := 0; p < publishers; p++ {
-		wg.Add(1)
+		pubs.Add(1)
 		go func() {
-			defer wg.Done()
+			defer pubs.Done()
 			for i := 0; i < each; i++ {
 				e.Publish(Event{Type: EventIncumbent})
 			}
 		}()
 	}
-	// Subscribe mid-stream; replay+tail must still be gap-free.
-	replay, live, cancel := e.Subscribe(1024)
-	wg.Wait()
-	e.Close()
-	var tail []Event
-	for ev := range live {
-		tail = append(tail, ev)
+	go func() {
+		pubs.Wait()
+		e.Close()
+	}()
+	got := make([][]Event, readers)
+	var reads sync.WaitGroup
+	for r := range got {
+		reads.Add(1)
+		go func() {
+			defer reads.Done()
+			var seq int64
+			for {
+				evs, next, closed := e.Since(seq)
+				got[r] = append(got[r], evs...)
+				if len(evs) > 0 {
+					seq = evs[len(evs)-1].Seq
+				}
+				if closed {
+					return
+				}
+				select {
+				case <-next:
+				case <-time.After(5 * time.Second):
+					t.Errorf("reader %d not woken after %d events", r, len(got[r]))
+					return
+				}
+			}
+		}()
 	}
-	cancel()
-	all := append(replay, tail...)
-	if len(all) == 0 {
-		t.Fatal("no events delivered")
-	}
-	want := all[0].Seq
-	for i, ev := range all {
-		if ev.Seq != want+int64(i) {
-			t.Fatalf("event %d has Seq %d, want %d (replay/tail must be contiguous)", i, ev.Seq, want+int64(i))
-		}
-	}
-	if last := all[len(all)-1].Seq; last != publishers*each {
-		t.Errorf("last Seq = %d, want %d", last, publishers*each)
+	reads.Wait()
+	for _, evs := range got {
+		requireSeqs(t, evs, 1, publishers*each)
 	}
 }
 
@@ -204,8 +254,8 @@ func TestEventsDeterministicTimestamps(t *testing.T) {
 	e := NewEvents(8, now)
 	e.Publish(Event{Type: EventRunStart})
 	e.Publish(Event{Type: EventRunEnd})
-	hist := e.History()
-	if hist[0].TimeUs != 0 || hist[1].TimeUs != 1000 {
-		t.Errorf("TimeUs = %d, %d; want 0, 1000 (relative to first event)", hist[0].TimeUs, hist[1].TimeUs)
+	evs, _, _ := e.Since(0)
+	if evs[0].TimeUs != 0 || evs[1].TimeUs != 1000 {
+		t.Errorf("TimeUs = %d, %d; want 0, 1000 (relative to first event)", evs[0].TimeUs, evs[1].TimeUs)
 	}
 }

@@ -596,10 +596,12 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobEvents streams the job's progress as Server-Sent Events:
-// first the bounded retained history (replay), then the live tail —
-// Subscribe snapshots both under one lock, so the sequence numbers the
-// client sees are contiguous. The stream ends when the job finishes
-// (its event stream closes) or the client disconnects.
+// first the retained history (replay), then the live tail. It follows
+// the stream by sequence number, so the events the client sees are
+// contiguous unless it falls more than the ring's size behind. Each
+// batch of ready events is written and then flushed once. The stream
+// ends when the job finishes (its event stream closes) or the client
+// disconnects.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.getJob(r.PathValue("id"))
 	if j == nil {
@@ -616,39 +618,32 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	replay, live, cancel := j.events.Subscribe(0)
-	defer cancel()
-	write := func(ev obs.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
+	var seq int64
+	for {
+		evs, next, closed := j.events.Since(seq)
+		for _, ev := range evs {
+			data, err := json.Marshal(ev)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", ev.Type, ev.Seq, data); err != nil {
+				return
+			}
+			seq = ev.Seq
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", ev.Type, ev.Seq, data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	for _, ev := range replay {
-		if !write(ev) {
+		if closed {
+			// Job finished: emit a terminal comment so curl users see a
+			// clean end-of-stream marker.
+			fmt.Fprintf(w, ": stream closed (job %s)\n\n", j.State())
+			flusher.Flush()
 			return
 		}
-	}
-	ctx := r.Context()
-	for {
+		if len(evs) > 0 {
+			flusher.Flush()
+		}
 		select {
-		case ev, ok := <-live:
-			if !ok {
-				// Job finished: emit a terminal comment so curl users
-				// see a clean end-of-stream marker.
-				fmt.Fprintf(w, ": stream closed (job %s)\n\n", j.State())
-				flusher.Flush()
-				return
-			}
-			if !write(ev) {
-				return
-			}
-		case <-ctx.Done():
+		case <-next:
+		case <-r.Context().Done():
 			return
 		}
 	}

@@ -370,6 +370,39 @@ func TestSSEReplayAfterCompletion(t *testing.T) {
 	checkEventStream(t, events)
 }
 
+// flushCounter counts the flushes a handler asks of its writer.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestSSEReplayAfterCompletionFlushesOnce: a subscriber to a finished
+// job gets the whole replay and the end-of-stream trailer written as
+// one batch, so the handler flushes exactly once.
+func TestSSEReplayAfterCompletionFlushesOnce(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	j, _ := submit(t, ts, `{"example":"wan","options":{"workers":1}}`)
+	waitJob(t, ts, j.ID)
+	// The state turns terminal just before the job's event stream
+	// closes; wait for the close.
+	<-srv.getJob(j.ID).done
+	rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, j.Links.Events, nil))
+	if rec.flushes != 1 {
+		t.Errorf("flushes = %d, want 1", rec.flushes)
+	}
+	body := rec.Body.String()
+	checkEventStream(t, readSSE(t, strings.NewReader(body)))
+	if trailer := ": stream closed (job done)\n\n"; !strings.HasSuffix(body, trailer) {
+		t.Errorf("stream does not end with %q:\n%s", trailer, body)
+	}
+}
+
 // TestMetricsScrapeUnderLoad hammers /metrics while jobs publish into
 // the shared registry from pricing workers — the -race run of this
 // test is the snapshot-vs-writer data-race check.

@@ -57,11 +57,12 @@ type Options struct {
 	Solver SolverKind
 	// Workers bounds the candidate-pricing worker pool (Step 1c, the
 	// dominant cost of the flow). Zero or negative means
-	// runtime.NumCPU(); 1 prices serially on the calling goroutine. The
-	// results are collected in enumeration order and every pricing
-	// sub-problem is a pure function of its candidate set, so the
-	// report — candidate order, costs, counters — and the synthesized
-	// graph are identical for every worker count.
+	// runtime.GOMAXPROCS(0), the CPUs the process may run on at once;
+	// 1 prices serially on the calling goroutine. The results are
+	// collected in enumeration order and every pricing sub-problem is a
+	// pure function of its candidate set, so the report — candidate
+	// order, costs, counters — and the synthesized graph are identical
+	// for every worker count.
 	Workers int
 	// Timeout bounds the whole run's wall clock. When it expires the
 	// flow does not error: each remaining phase is cut short
@@ -75,7 +76,7 @@ type Options struct {
 
 func (o Options) workers() int {
 	if o.Workers <= 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return o.Workers
 }
