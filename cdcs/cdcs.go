@@ -51,7 +51,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/impl"
 	"repro/internal/library"
-	"repro/internal/merging"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/synth"
@@ -153,9 +152,9 @@ var (
 
 // Options configures Synthesize. The zero value runs the paper's one
 // flow: every merging the pruning lemmas let through is enumerated
-// (max-index reference policy, merging.MaxIndexRef) and priced, the
-// dominated local solutions are discarded, and the covering is solved
-// exactly, with candidate pricing parallelized across
+// (under the max-index reference policy, merging's zero value) and
+// priced, the dominated local solutions are discarded, and the covering
+// is solved exactly, with candidate pricing parallelized across
 // runtime.GOMAXPROCS(0) workers. The cost model is not an option: a
 // merged trunk is one chain sized for the sum of its channels'
 // bandwidths, and duplication is parallel links with no switch cost
@@ -194,10 +193,12 @@ type Options struct {
 	// anytime solve is observable before its deadline fires. The
 	// callback runs on a dedicated goroutine (never on the solver's
 	// hot path) that follows the run's event stream by sequence
-	// number: a slow callback lags but cannot stall or deadlock the
-	// run, and it misses events only once it falls more than the
-	// stream's 1,024-event replay ring (obs.DefaultEventBuffer) behind,
-	// which shows as a gap in Seq. Every event published during the run
+	// number, starting after the stream's last event before the run,
+	// so a reused Observer's earlier runs are not replayed. A slow
+	// callback lags but cannot stall or deadlock the run, and it
+	// misses events only once it falls more than the stream's
+	// 1,024-event replay ring (obs.DefaultEventBuffer) behind, which
+	// shows as a gap in Seq. Every event published during the run
 	// is delivered before Synthesize returns. See docs/OBSERVABILITY.md
 	// for the event schema.
 	Progress func(Event)
@@ -238,7 +239,6 @@ func Synthesize(cg *ConstraintGraph, lib *Library, opt Options) (*Implementation
 // hangs, panics, or comes back empty-handed on a feasible instance.
 func SynthesizeContext(ctx context.Context, cg *ConstraintGraph, lib *Library, opt Options) (*ImplementationGraph, *Report, error) {
 	o := synth.Options{
-		Merging: merging.Options{Policy: merging.MaxIndexRef},
 		Workers: min(opt.Workers, runtime.GOMAXPROCS(0)),
 		Timeout: opt.Timeout,
 	}
@@ -250,20 +250,21 @@ func SynthesizeContext(ctx context.Context, cg *ConstraintGraph, lib *Library, o
 		// Progress rides the sink's event stream: reuse the caller's
 		// Observer (retrofitting a stream if it lacks one) or build a
 		// private events-only sink. The drain goroutine follows the
-		// stream by sequence number, off the solver's hot path; the
-		// deferred stop makes it read once more and waits, so every
-		// event published during the run is delivered before this
-		// function returns.
+		// stream by sequence number, off the solver's hot path, from the
+		// stream's last event before this run: a reused Observer's
+		// earlier runs are not replayed. The deferred stop makes it read
+		// once more and waits, so every event published during the run
+		// is delivered before this function returns.
 		if sink == nil {
 			sink = obs.New(obs.Config{Events: true})
 		} else {
 			sink.InitEvents()
 		}
 		events := sink.Events()
+		seq := events.Seq()
 		stop, done := make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(done)
-			var seq int64
 			for last := false; ; {
 				evs, next, closed := events.Since(seq)
 				for _, ev := range evs {

@@ -28,7 +28,7 @@ type RoutingResult = routing.Result
 // RouteRectilinear embeds every link of a Manhattan-norm architecture
 // as an L-shaped wire route with greedy congestion spreading.
 func RouteRectilinear(ig *ImplementationGraph) (*RoutingResult, error) {
-	return routing.RouteImplementation(ig, routing.Options{})
+	return routing.RouteImplementation(ig)
 }
 
 // On-chip technology and latency-insensitive analysis.
@@ -72,7 +72,7 @@ type SteinerResult = steiner.Tree
 // the wirelength floor for any structure connecting them (iterated
 // 1-Steiner heuristic).
 func SteinerLowerBound(terminals []geom.Point) (*SteinerResult, error) {
-	return steiner.SteinerTree(terminals, steiner.Options{})
+	return steiner.SteinerTree(terminals)
 }
 
 // Floorplanning (position derivation upstream of synthesis).

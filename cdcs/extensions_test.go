@@ -74,7 +74,7 @@ func TestFacadeFullOnChipFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lidRep.SingleCycle() {
+	if lidRep.MaxLatencyCycles > 1 {
 		t.Error("0.18 µm flow should be single cycle at 12 mm reach")
 	}
 }

@@ -60,6 +60,44 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
+// TestProgressReusedObserver runs twice on one Observer with an event
+// stream: the second run's callback must get only its own events, one
+// run_start and as many events as the first run, numbered on from where
+// the first run ended, not a replay of the first run's retained events.
+func TestProgressReusedObserver(t *testing.T) {
+	obsv := NewObserver(ObserverConfig{Events: true})
+	run := func() []Event {
+		var got []Event
+		_, _, err := Synthesize(workloads.WAN(), workloads.WANLibrary(), Options{
+			Workers:  1,
+			Observer: obsv,
+			Progress: func(ev Event) { got = append(got, ev) },
+		})
+		if err != nil {
+			t.Fatalf("Synthesize: %v", err)
+		}
+		return got
+	}
+	first, second := run(), run()
+	if len(first) == 0 {
+		t.Fatal("first run delivered no events")
+	}
+	starts := 0
+	for _, ev := range second {
+		if ev.Type == obs.EventRunStart {
+			starts++
+		}
+	}
+	if starts != 1 || len(second) != len(first) {
+		t.Fatalf("second run got %d events with %d run_start, want %d with 1", len(second), starts, len(first))
+	}
+	for i, ev := range second {
+		if want := first[len(first)-1].Seq + int64(i+1); ev.Seq != want {
+			t.Fatalf("second run's event %d has Seq %d, want %d", i, ev.Seq, want)
+		}
+	}
+}
+
 // TestProgressWithObserver combines Progress with a caller-built
 // Observer that had no event stream: the facade retrofits one and both
 // collectors serve the same run.

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/flowsim"
-	"repro/internal/merging"
 	"repro/internal/report"
 	"repro/internal/synth"
 	"repro/internal/workloads"
@@ -24,9 +23,7 @@ func main() {
 	fmt.Printf("campus LAN: %d channels, media: wireless (54 Mbps, $1/m) vs fiber (10 Gbps, $4/m)\n\n",
 		cg.NumChannels())
 
-	ig, rep, err := synth.Synthesize(cg, lib, synth.Options{
-		Merging: merging.Options{Policy: merging.MaxIndexRef},
-	})
+	ig, rep, err := synth.Synthesize(cg, lib, synth.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func main() {
 	lib := workloads.NoCLibrary()
 
 	ig, rep, err := synth.Synthesize(cg, lib, synth.Options{
-		Merging: merging.Options{Policy: merging.MaxIndexRef, MaxK: 4},
+		Merging: merging.Options{MaxK: 4},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -90,7 +90,7 @@ func main() {
 	}
 	lib := soc.Tech180nm().Library()
 	ig, rep, err := synth.Synthesize(cg, lib, synth.Options{
-		Merging: merging.Options{Policy: merging.MaxIndexRef, MaxK: 4},
+		Merging: merging.Options{MaxK: 4},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -102,7 +102,7 @@ func main() {
 		rep.Cost, rep.P2PCost, rep.SavingsPercent(), len(rep.SelectedCandidates())-countP2P(rep))
 
 	// --- Stage 4: routing. ---
-	routed, err := routing.RouteImplementation(ig, routing.Options{})
+	routed, err := routing.RouteImplementation(ig)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,14 +9,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strconv"
-	"strings"
-	"time"
-
-	"repro/internal/merging"
 	"repro/internal/report"
 	"repro/internal/synth"
 	"repro/internal/workloads"
+	"strconv"
+	"strings"
+	"time"
 )
 
 func main() {
@@ -39,7 +37,7 @@ func main() {
 		cg := workloads.RandomWAN(workloads.RandomWANConfig{
 			Seed: *seed + int64(n), Clusters: 3, Channels: n,
 		})
-		opts := synth.Options{Merging: merging.Options{Policy: merging.MaxIndexRef}}
+		opts := synth.Options{}
 
 		start := time.Now()
 		_, exact, err := synth.Synthesize(cg, lib, opts)

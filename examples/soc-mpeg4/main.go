@@ -64,7 +64,7 @@ func main() {
 		ig.NumLinks(), ig.NumCommVertices())
 
 	// Rectilinear embedding of every metal segment (Figure 5 style).
-	routed, err := routing.RouteImplementation(ig, routing.Options{})
+	routed, err := routing.RouteImplementation(ig)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,9 +43,7 @@ func main() {
 	fmt.Println("== Table 2: Merging Distance Sum Matrix Δ (km) ==")
 	fmt.Println(report.UpperTriangle(names, merging.Delta(cg).At))
 
-	ig, rep, err := synth.Synthesize(cg, lib, synth.Options{
-		Merging: merging.Options{Policy: merging.MaxIndexRef},
-	})
+	ig, rep, err := synth.Synthesize(cg, lib, synth.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func Ablation() Outcome {
 		name string
 		opts merging.Options
 	}
-	base := merging.Options{Policy: merging.MaxIndexRef}
+	base := merging.Options{}
 	variants := []variant{
 		{"all prunes (default)", base},
 		{"no Lemma 3.1", with(base, func(o *merging.Options) { o.DisableLemma31 = true })},

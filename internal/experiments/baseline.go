@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/merging"
 	"repro/internal/report"
 	"repro/internal/synth"
 	"repro/internal/workloads"
@@ -46,9 +45,7 @@ func BaselineComparison() Outcome {
 	for _, in := range instances {
 		w := in.cg()
 		start := time.Now()
-		_, exact, err := synth.SynthesizeContext(synthCtx("baseline"), w.cg, w.lib, synthOpts(synth.Options{
-			Merging: merging.Options{Policy: merging.MaxIndexRef},
-		}))
+		_, exact, err := synth.SynthesizeContext(synthCtx("baseline"), w.cg, w.lib, synthOpts(synth.Options{}))
 		exactTime := time.Since(start)
 		if err != nil {
 			return errorOutcome("E13", err)

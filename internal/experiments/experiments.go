@@ -181,7 +181,7 @@ func Candidates() Outcome {
 	lib := workloads.WANLibrary()
 	paper := workloads.PaperCandidateCounts()
 
-	res, err := merging.Enumerate(cg, lib, merging.Options{Policy: merging.MaxIndexRef})
+	res, err := merging.Enumerate(cg, lib, merging.Options{})
 	if err != nil {
 		return errorOutcome("E4", err)
 	}
@@ -242,9 +242,7 @@ func Candidates() Outcome {
 func Fig4() Outcome {
 	cg := workloads.WAN()
 	lib := workloads.WANLibrary()
-	ig, rep, err := synth.SynthesizeContext(synthCtx("fig4"), cg, lib, synthOpts(synth.Options{
-		Merging: merging.Options{Policy: merging.MaxIndexRef},
-	}))
+	ig, rep, err := synth.SynthesizeContext(synthCtx("fig4"), cg, lib, synthOpts(synth.Options{}))
 	if err != nil {
 		return errorOutcome("E5", err)
 	}
@@ -357,7 +355,7 @@ func Fig5() Outcome {
 		},
 	}
 	text := report.Table([]string{"channel", "d (mm)", "segments", "repeaters"}, rows)
-	if routed, err := routing.RouteImplementation(ig, routing.Options{}); err == nil {
+	if routed, err := routing.RouteImplementation(ig); err == nil {
 		text += fmt.Sprintf("\nrouted wirelength %.2f mm, congestion max/mean overlap %d/%.2f\n",
 			routed.TotalWirelength, routed.MaxOverlap, routed.MeanOverlap)
 	}

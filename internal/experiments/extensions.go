@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/flowsim"
 	"repro/internal/lid"
-	"repro/internal/merging"
 	"repro/internal/report"
 	"repro/internal/synth"
 	"repro/internal/workloads"
@@ -19,9 +18,7 @@ import (
 func FlowValidation() Outcome {
 	cg := workloads.WAN()
 	lib := workloads.WANLibrary()
-	ig, _, err := synth.SynthesizeContext(synthCtx("flowsim"), cg, lib, synthOpts(synth.Options{
-		Merging: merging.Options{Policy: merging.MaxIndexRef},
-	}))
+	ig, _, err := synth.SynthesizeContext(synthCtx("flowsim"), cg, lib, synthOpts(synth.Options{}))
 	if err != nil {
 		return errorOutcome("E9", err)
 	}

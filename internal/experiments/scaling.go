@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
-
-	"repro/internal/merging"
 	"repro/internal/report"
 	"repro/internal/synth"
 	"repro/internal/workloads"
+	"time"
 )
 
 // ScalingSizes is the default |A| sweep of experiment E8.
@@ -27,7 +25,7 @@ func Scaling(sizes []int) Outcome {
 			Seed: int64(1000 + n), Clusters: 3, Channels: n,
 		})
 		lib := workloads.WANLibrary()
-		opts := synthOpts(synth.Options{Merging: merging.Options{Policy: merging.MaxIndexRef}})
+		opts := synthOpts(synth.Options{})
 
 		start := time.Now()
 		_, exact, err := synth.SynthesizeContext(synthCtx("scaling"), cg, lib, opts)

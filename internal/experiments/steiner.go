@@ -23,7 +23,7 @@ import (
 func SteinerGap() Outcome {
 	cg, lib := workloads.NoC(), workloads.NoCLibrary()
 	_, rep, err := synth.SynthesizeContext(synthCtx("steiner"), cg, lib, synthOpts(synth.Options{
-		Merging: merging.Options{Policy: merging.MaxIndexRef, MaxK: 4},
+		Merging: merging.Options{MaxK: 4},
 	}))
 	if err != nil {
 		return errorOutcome("E14", err)
@@ -60,7 +60,7 @@ func SteinerGap() Outcome {
 				}
 			}
 		}
-		st, err := steiner.SteinerTree(terminals, steiner.Options{})
+		st, err := steiner.SteinerTree(terminals)
 		if err != nil {
 			return errorOutcome("E14", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/merging"
 	"repro/internal/model"
 	"repro/internal/report"
 	"repro/internal/synth"
@@ -34,9 +33,7 @@ func BandwidthSweep() Outcome {
 	sweep := []float64{1, 2, 3, 3.5, 3.8, 5, 8, 10, 15, 22}
 	for _, b := range sweep {
 		cg := wanWithBandwidth(b)
-		_, rep, err := synth.SynthesizeContext(synthCtx("bwsweep"), cg, lib, synthOpts(synth.Options{
-			Merging: merging.Options{Policy: merging.MaxIndexRef},
-		}))
+		_, rep, err := synth.SynthesizeContext(synthCtx("bwsweep"), cg, lib, synthOpts(synth.Options{}))
 		if err != nil {
 			return errorOutcome("E11", err)
 		}
@@ -117,9 +114,7 @@ func wanWithBandwidth(b float64) *model.ConstraintGraph {
 func LANCaseStudy() Outcome {
 	cg := workloads.LAN()
 	lib := workloads.LANLibrary()
-	_, rep, err := synth.SynthesizeContext(synthCtx("lan"), cg, lib, synthOpts(synth.Options{
-		Merging: merging.Options{Policy: merging.MaxIndexRef},
-	}))
+	_, rep, err := synth.SynthesizeContext(synthCtx("lan"), cg, lib, synthOpts(synth.Options{}))
 	if err != nil {
 		return errorOutcome("E12", err)
 	}

@@ -80,17 +80,6 @@ func (r *Router) Peers() []string {
 	return out
 }
 
-// Others returns the membership without self, in sorted order.
-func (r *Router) Others() []string {
-	out := make([]string, 0, len(r.peers)-1)
-	for _, p := range r.peers {
-		if p != r.self {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Route returns the peer that owns key: the member with the highest
 // rendezvous score. Ties (astronomically unlikely with 64-bit scores)
 // break toward the lexicographically first peer via the sorted
@@ -105,9 +94,6 @@ func (r *Router) Route(key string) string {
 	}
 	return best
 }
-
-// Owns reports whether this replica is key's owner.
-func (r *Router) Owns(key string) bool { return r.Route(key) == r.self }
 
 // score is the rendezvous weight of (peer, key): FNV-1a over
 // "peer\x00key" (the NUL keeps "ab"+"c" and "a"+"bc" distinct),

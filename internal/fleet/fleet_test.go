@@ -37,9 +37,6 @@ func TestNewNormalizesAndIncludesSelf(t *testing.T) {
 	if r.Self() != "http://a:1" {
 		t.Errorf("Self() = %q, want normalized http://a:1", r.Self())
 	}
-	if others := r.Others(); len(others) != 1 || others[0] != "http://b:2" {
-		t.Errorf("Others() = %v, want [http://b:2]", others)
-	}
 	// Self absent from the peer list is added, not an error.
 	r2 := mustNew(t, "http://c:3", []string{"http://a:1"})
 	if len(r2.Peers()) != 2 {
@@ -69,9 +66,6 @@ func TestRouteAgreement(t *testing.T) {
 			if got := r.Route(key); got != owner {
 				t.Fatalf("replicas disagree on key %q: %q vs %q", key, owner, got)
 			}
-		}
-		if routers[0].Owns(key) != (owner == routers[0].Self()) {
-			t.Fatalf("Owns(%q) inconsistent with Route", key)
 		}
 	}
 }
@@ -132,10 +126,7 @@ func TestRouteDeterministicAcrossConstruction(t *testing.T) {
 
 func TestSinglePeerFleet(t *testing.T) {
 	r := mustNew(t, "http://a:1", nil)
-	if !r.Owns("anything") {
-		t.Error("single-replica fleet must own every key")
-	}
-	if len(r.Others()) != 0 {
-		t.Errorf("Others() = %v, want empty", r.Others())
+	if got := r.Route("anything"); got != r.Self() {
+		t.Errorf("single-replica fleet routed a key to %q, want self", got)
 	}
 }

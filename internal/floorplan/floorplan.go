@@ -45,10 +45,6 @@ type Options struct {
 	Iterations int
 	// SlotPitch is the center-to-center slot distance; zero means 2.0.
 	SlotPitch float64
-	// InitialTemp and Cooling control the annealing schedule; zeros
-	// mean (auto, 0.995-per-100-moves).
-	InitialTemp float64
-	Cooling     float64
 }
 
 func (o Options) iterations() int {
@@ -149,17 +145,13 @@ func Place(modules []Module, demands []Demand, opt Options) (*Placement, error) 
 	}
 
 	cur := cost()
-	temp := opt.InitialTemp
+	// The annealing schedule starts near one demand's cost and cools by
+	// 0.995 every 100 moves.
+	temp := cur / math.Max(1, float64(len(demands)))
 	if temp <= 0 {
-		temp = cur / math.Max(1, float64(len(demands))) // ~ one demand's cost
-		if temp <= 0 {
-			temp = 1
-		}
+		temp = 1
 	}
-	cooling := opt.Cooling
-	if cooling <= 0 || cooling >= 1 {
-		cooling = 0.995
-	}
+	const cooling = 0.995
 
 	pl := &Placement{}
 	for iter := 0; iter < opt.iterations(); iter++ {

@@ -24,11 +24,10 @@ import (
 
 // Config tunes a simulation run.
 type Config struct {
-	// Ticks is the simulation length; zero means 500.
+	// Ticks is the simulation length; zero means 500. The first fifth
+	// of the ticks is warmup, excluded from throughput measurement
+	// (pipelines need to fill).
 	Ticks int
-	// Warmup is the number of initial ticks excluded from throughput
-	// measurement (pipelines need to fill); zero means Ticks/5.
-	Warmup int
 }
 
 func (c Config) ticks() int {
@@ -36,13 +35,6 @@ func (c Config) ticks() int {
 		return 500
 	}
 	return c.Ticks
-}
-
-func (c Config) warmup() int {
-	if c.Warmup > 0 {
-		return c.Warmup
-	}
-	return c.ticks() / 5
 }
 
 // ChannelStats reports one channel's measured service.
@@ -92,16 +84,6 @@ func (r *Result) AllSatisfied() bool {
 		}
 	}
 	return true
-}
-
-// ChannelByName finds a channel's stats by constraint-graph name.
-func (r *Result) ChannelByName(name string) (ChannelStats, bool) {
-	for _, c := range r.Channels {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return ChannelStats{}, false
 }
 
 // flow is one (channel, path) traffic stream: a pipeline of queues, one
@@ -157,7 +139,7 @@ func Simulate(ig *impl.Graph, cfg Config) (*Result, error) {
 	}
 
 	ticks := cfg.ticks()
-	warmup := cfg.warmup()
+	warmup := ticks / 5
 	meanUtil := make([]float64, ig.NumLinks())
 	peakUtil := make([]float64, ig.NumLinks())
 	measured := 0

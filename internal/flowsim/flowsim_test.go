@@ -200,7 +200,7 @@ func TestMaxRuleTrunkStarves(t *testing.T) {
 	}
 	var totalMerged float64
 	for _, name := range []string{"a4", "a5", "a6"} {
-		c, ok := res.ChannelByName(name)
+		c, ok := channelByName(res, name)
 		if !ok {
 			t.Fatalf("channel %s missing", name)
 		}
@@ -271,9 +271,9 @@ func TestLatencyEqualsHopCount(t *testing.T) {
 }
 
 func TestLatencyUnreachedIsMinusOne(t *testing.T) {
-	// Zero warmup + zero effective capacity is impossible to build via
-	// the library (positive bandwidth required); instead use one tick:
-	// a 5-hop pipeline cannot deliver within 3 ticks.
+	// Zero effective capacity is impossible to build via the library
+	// (positive bandwidth required); instead use few ticks: a 5-hop
+	// pipeline cannot deliver within 3 ticks.
 	cg := model.NewConstraintGraph(geom.Manhattan)
 	u := cg.MustAddPort(model.Port{Name: "u", Position: geom.Pt(0, 0)})
 	v := cg.MustAddPort(model.Port{Name: "v", Position: geom.Pt(5, 0)})
@@ -286,7 +286,7 @@ func TestLatencyUnreachedIsMinusOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(ig, Config{Ticks: 3, Warmup: 1})
+	res, err := Simulate(ig, Config{Ticks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,4 +294,14 @@ func TestLatencyUnreachedIsMinusOne(t *testing.T) {
 		t.Errorf("latency = %d, want -1 (nothing delivered in 3 ticks over 5 hops)",
 			res.Channels[0].LatencyTicks)
 	}
+}
+
+// channelByName finds a channel's stats by constraint-graph name.
+func channelByName(r *Result, name string) (ChannelStats, bool) {
+	for _, c := range r.Channels {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return ChannelStats{}, false
 }

@@ -27,8 +27,9 @@ func BenchmarkWeightedMedianL2(b *testing.B) {
 func BenchmarkWeightedMedianL1(b *testing.B) {
 	sites, weights := benchSites(16)
 	b.ReportAllocs()
+	opt := MedianOptions{Scratch: new(MedianScratch)}
 	for i := 0; i < b.N; i++ {
-		WeightedMedianL1(sites, weights)
+		WeightedMedian(Manhattan, sites, weights, opt)
 	}
 }
 

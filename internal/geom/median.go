@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // The placement step of the CDCS algorithm ("a simple nonlinear
 // optimization problem", Section 3) reduces to weighted single-facility
@@ -11,8 +8,8 @@ import (
 // Σᵢ wᵢ·‖x − sᵢ‖. This file provides the classical solvers:
 //
 //   - WeightedMedianL2: Weiszfeld iteration for the Euclidean norm,
-//   - WeightedMedianL1: exact per-axis weighted median for Manhattan,
-//   - WeightedMedian:   dispatch plus a derivative-free coordinate
+//   - WeightedMedian:   dispatch to Weiszfeld or, for Manhattan, to an
+//     exact per-axis weighted median, plus a derivative-free coordinate
 //     descent fallback that works for any Norm.
 //
 // All of them solve convex problems, so the local optimum found is the
@@ -27,10 +24,9 @@ type MedianOptions struct {
 	MaxIter int
 	// Scratch, when non-nil, supplies reusable buffers for the L1
 	// solver's per-axis weighted medians, making repeated calls
-	// allocation-free. The scratch path sorts by insertion, so it is
-	// meant for the small site sets of the placement hot loop (a merging
-	// has k ≤ a dozen channels); large one-off calls should leave it nil
-	// and keep the O(n log n) path.
+	// allocation-free; nil means a fresh scratch per call. The L1 solver
+	// sorts by insertion, which suits the small site sets of placement
+	// (a merging has k ≤ a dozen channels).
 	Scratch *MedianScratch
 }
 
@@ -174,40 +170,28 @@ func RefineMedian(n Norm, sites []Point, weights []float64, x Point, maxIter int
 	return x
 }
 
-// WeightedMedianL1 returns a minimizer of Σ wᵢ·‖x − sitesᵢ‖₁. Under the
+// weightedMedianL1 returns a minimizer of Σ wᵢ·‖x − sitesᵢ‖₁. Under the
 // Manhattan norm the problem separates per axis, and each axis optimum is
 // a weighted median of the site coordinates. A nil weights slice means
-// unit weights. It panics if sites is empty or a weight is negative.
-func WeightedMedianL1(sites []Point, weights []float64) Point {
-	return weightedMedianL1(sites, weights, nil)
-}
-
+// unit weights; a nil sc means a fresh scratch.
 func weightedMedianL1(sites []Point, weights []float64, sc *MedianScratch) Point {
-	checkSites(sites, weights)
-	if sc != nil {
-		return Point{
-			X: weightedMedian1DScratch(sites, weights, sc, func(p Point) float64 { return p.X }),
-			Y: weightedMedian1DScratch(sites, weights, sc, func(p Point) float64 { return p.Y }),
-		}
-	}
-	xs := make([]float64, len(sites))
-	ys := make([]float64, len(sites))
-	for i, s := range sites {
-		xs[i] = s.X
-		ys[i] = s.Y
+	if sc == nil {
+		sc = new(MedianScratch)
 	}
 	return Point{
-		X: weightedMedian1D(xs, weights),
-		Y: weightedMedian1D(ys, weights),
+		X: weightedMedian1D(sites, weights, sc, func(p Point) float64 { return p.X }),
+		Y: weightedMedian1D(sites, weights, sc, func(p Point) float64 { return p.Y }),
 	}
 }
 
-// weightedMedian1DScratch is weightedMedian1D on caller-owned buffers:
-// coordinates and weights are copied into the scratch pair and kept
-// sorted by insertion (the placement hot loop calls this with k ≤ a
-// dozen sites, where insertion sort beats the boxing of sort.Slice and
-// allocates nothing once the scratch has grown).
-func weightedMedian1DScratch(sites []Point, weights []float64, sc *MedianScratch, coord func(Point) float64) float64 {
+// weightedMedian1D returns a weighted median of the sites' coord values:
+// a point m such that the total weight strictly below m and strictly
+// above m are each at most half of the total weight. Coordinates and
+// weights are copied into the scratch pair and kept sorted by insertion
+// (placement calls this with k ≤ a dozen sites, where insertion sort
+// beats the boxing of sort.Slice and allocates nothing once the scratch
+// has grown).
+func weightedMedian1D(sites []Point, weights []float64, sc *MedianScratch, coord func(Point) float64) float64 {
 	vals := sc.vals[:0]
 	ws := sc.ws[:0]
 	var total float64
@@ -233,32 +217,6 @@ func weightedMedian1DScratch(sites []Point, weights []float64, sc *MedianScratch
 		}
 	}
 	return vals[len(vals)-1]
-}
-
-// weightedMedian1D returns a weighted median of vals: a point m such that
-// the total weight strictly below m and strictly above m are each at most
-// half of the total weight.
-func weightedMedian1D(vals []float64, weights []float64) float64 {
-	type vw struct {
-		v, w float64
-	}
-	items := make([]vw, len(vals))
-	var total float64
-	for i, v := range vals {
-		w := weightAt(weights, i)
-		items[i] = vw{v, w}
-		total += w
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].v < items[j].v })
-	half := total / 2
-	var acc float64
-	for _, it := range items {
-		acc += it.w
-		if acc >= half {
-			return it.v
-		}
-	}
-	return items[len(items)-1].v
 }
 
 // WeightedMedian minimizes Σ wᵢ·‖x − sitesᵢ‖ under an arbitrary norm. For

@@ -46,7 +46,7 @@ func TestWeightedMedianL2EquilateralFermat(t *testing.T) {
 
 func TestWeightedMedianL1Exact(t *testing.T) {
 	sites := []Point{Pt(0, 0), Pt(2, 1), Pt(10, 8)}
-	got := WeightedMedianL1(sites, nil)
+	got := WeightedMedian(Manhattan, sites, nil, MedianOptions{})
 	// Per-axis median of {0,2,10} and {0,1,8}.
 	if !got.Eq(Pt(2, 1)) {
 		t.Errorf("L1 median = %v, want (2, 1)", got)
@@ -56,7 +56,7 @@ func TestWeightedMedianL1Exact(t *testing.T) {
 func TestWeightedMedianL1Weighted(t *testing.T) {
 	sites := []Point{Pt(0, 0), Pt(10, 10)}
 	// The heavy site wins both axes.
-	got := WeightedMedianL1(sites, []float64{1, 3})
+	got := WeightedMedian(Manhattan, sites, []float64{1, 3}, MedianOptions{})
 	if !got.Eq(Pt(10, 10)) {
 		t.Errorf("weighted L1 median = %v, want (10, 10)", got)
 	}
@@ -75,7 +75,7 @@ func TestWeightedMedianDispatch(t *testing.T) {
 func TestMedianPanics(t *testing.T) {
 	cases := []func(){
 		func() { WeightedMedianL2(nil, nil, MedianOptions{}) },
-		func() { WeightedMedianL1([]Point{Pt(0, 0)}, []float64{1, 2}) },
+		func() { WeightedMedian(Manhattan, []Point{Pt(0, 0)}, []float64{1, 2}, MedianOptions{}) },
 		func() { WeightedMedianL2([]Point{Pt(0, 0)}, []float64{-1}, MedianOptions{}) },
 	}
 	for i, fn := range cases {

@@ -131,17 +131,3 @@ func SumOfDistances(n Norm, x Point, sites []Point, weights []float64) float64 {
 	}
 	return total
 }
-
-// TriangleSlack returns ‖p−r‖ + ‖r−q‖ − ‖p−q‖, the extra length incurred
-// by detouring through r. It is non-negative for every norm.
-func TriangleSlack(n Norm, p, q, r Point) float64 {
-	return n.Distance(p, r) + n.Distance(r, q) - n.Distance(p, q)
-}
-
-// Snap rounds v to the given number of decimal places. The paper's tables
-// publish distances rounded to two decimals; Snap(v, 2) reproduces that
-// presentation.
-func Snap(v float64, decimals int) float64 {
-	scale := math.Pow(10, float64(decimals))
-	return math.Round(v*scale) / scale
-}

@@ -109,20 +109,10 @@ func (b BoundingBox) Width() float64 { return b.Max.X - b.Min.X }
 // Height returns the vertical extent of the box.
 func (b BoundingBox) Height() float64 { return b.Max.Y - b.Min.Y }
 
-// Contains reports whether p lies inside the box (inclusive).
-func (b BoundingBox) Contains(p Point) bool {
-	return p.X >= b.Min.X && p.X <= b.Max.X && p.Y >= b.Min.Y && p.Y <= b.Max.Y
-}
-
 // Expand returns the box grown by margin on every side.
 func (b BoundingBox) Expand(margin float64) BoundingBox {
 	return BoundingBox{
 		Min: Point{b.Min.X - margin, b.Min.Y - margin},
 		Max: Point{b.Max.X + margin, b.Max.Y + margin},
 	}
-}
-
-// Center returns the center point of the box.
-func (b BoundingBox) Center() Point {
-	return Point{(b.Min.X + b.Max.X) / 2, (b.Min.Y + b.Max.Y) / 2}
 }

@@ -102,9 +102,6 @@ func TestBounds(t *testing.T) {
 	if b.Contains(Pt(10, 0)) {
 		t.Error("box should not contain (10, 0)")
 	}
-	if got := b.Center(); !got.Eq(Pt(1, 2)) {
-		t.Errorf("Center = %v, want (1, 2)", got)
-	}
 	e := b.Expand(1)
 	if !e.Min.Eq(Pt(-3, -2)) || !e.Max.Eq(Pt(5, 6)) {
 		t.Errorf("Expand = %+v", e)

@@ -3,8 +3,8 @@ package geom
 import "math/rand"
 
 // Deterministic random point generation for the workload generators and
-// the property-based tests. All functions take an explicit *rand.Rand so
-// experiments are reproducible from a seed.
+// the property-based tests: an explicit *rand.Rand keeps experiments
+// reproducible from a seed.
 
 // RandomInBox returns a point uniformly distributed in b.
 func RandomInBox(r *rand.Rand, b BoundingBox) Point {
@@ -12,30 +12,4 @@ func RandomInBox(r *rand.Rand, b BoundingBox) Point {
 		X: b.Min.X + r.Float64()*b.Width(),
 		Y: b.Min.Y + r.Float64()*b.Height(),
 	}
-}
-
-// RandomCluster returns n points normally distributed around center with
-// the given standard deviation per axis.
-func RandomCluster(r *rand.Rand, center Point, stddev float64, n int) []Point {
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{
-			X: center.X + r.NormFloat64()*stddev,
-			Y: center.Y + r.NormFloat64()*stddev,
-		}
-	}
-	return pts
-}
-
-// RandomClusters places k cluster centers uniformly in b and draws
-// perCluster points around each with the given spread, modelling the
-// "groups of nearby nodes separated by long hauls" structure of the
-// paper's WAN example.
-func RandomClusters(r *rand.Rand, b BoundingBox, k, perCluster int, spread float64) [][]Point {
-	clusters := make([][]Point, k)
-	for i := range clusters {
-		center := RandomInBox(r, b)
-		clusters[i] = RandomCluster(r, center, spread, perCluster)
-	}
-	return clusters
 }

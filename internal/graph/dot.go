@@ -17,8 +17,6 @@ type DotOptions struct {
 	VertexAttrs func(VertexID) string
 	// ArcLabel returns the label for an arc.
 	ArcLabel func(ArcID) string
-	// ArcAttrs returns extra DOT attributes (e.g. `style=dashed`).
-	ArcAttrs func(ArcID) string
 }
 
 // Dot renders the graph in Graphviz DOT syntax. The output is stable:
@@ -47,19 +45,12 @@ func (g *Digraph) Dot(opt DotOptions) string {
 	for i := 0; i < g.NumArcs(); i++ {
 		id := ArcID(i)
 		a := g.Arc(id)
-		var attrs []string
+		label := ""
 		if opt.ArcLabel != nil {
-			if label := opt.ArcLabel(id); label != "" {
-				attrs = append(attrs, fmt.Sprintf("label=%s", quoteDotID(label)))
-			}
+			label = opt.ArcLabel(id)
 		}
-		if opt.ArcAttrs != nil {
-			if extra := opt.ArcAttrs(id); extra != "" {
-				attrs = append(attrs, extra)
-			}
-		}
-		if len(attrs) > 0 {
-			fmt.Fprintf(&b, "  n%d -> n%d [%s];\n", a.From, a.To, strings.Join(attrs, ", "))
+		if label != "" {
+			fmt.Fprintf(&b, "  n%d -> n%d [label=%s];\n", a.From, a.To, quoteDotID(label))
 		} else {
 			fmt.Fprintf(&b, "  n%d -> n%d;\n", a.From, a.To)
 		}

@@ -26,12 +26,6 @@ func TestDotGoldenAndByteStable(t *testing.T) {
 			}
 			return ""
 		},
-		ArcAttrs: func(a ArcID) string {
-			if a == a1 {
-				return "style=dashed"
-			}
-			return ""
-		},
 	}
 
 	want := `digraph "cdcs" {
@@ -39,7 +33,7 @@ func TestDotGoldenAndByteStable(t *testing.T) {
   n1 [label="v1"];
   n2 [label="v2"];
   n0 -> n1 [label="fast"];
-  n1 -> n2 [label="slow", style=dashed];
+  n1 -> n2 [label="slow"];
   n2 -> n0;
 }
 `

@@ -1,8 +1,9 @@
-// Package graph is the hand-rolled directed-multigraph kernel underneath
-// the CDCS data structures (constraint graphs and implementation graphs).
+// Package graph is the hand-rolled directed-multigraph store underneath
+// the CDCS data structures (constraint graphs and implementation graphs):
+// the digraph itself, paths over it (Defs. 2.2-2.3) and DOT rendering.
 // It is deliberately minimal and allocation-friendly: vertices and arcs
-// are dense integer IDs, attributes live in caller-owned parallel slices,
-// and all traversals are iterative.
+// are dense integer IDs and attributes live in caller-owned parallel
+// slices.
 //
 // The package supports multi-arcs (several distinct arcs between the same
 // ordered vertex pair), which the model needs: a module may communicate
@@ -31,15 +32,6 @@ type Digraph struct {
 	arcs []Arc
 	out  [][]ArcID
 	in   [][]ArcID
-}
-
-// NewDigraph returns a graph pre-sized for n vertices (all isolated).
-func NewDigraph(n int) *Digraph {
-	g := &Digraph{}
-	for i := 0; i < n; i++ {
-		g.AddVertex()
-	}
-	return g
 }
 
 // NumVertices returns the number of vertices added so far.
@@ -76,16 +68,6 @@ func (g *Digraph) AddArc(u, v VertexID) (ArcID, error) {
 	return id, nil
 }
 
-// MustAddArc is AddArc for programmatic construction where the arguments
-// are known valid; it panics on error.
-func (g *Digraph) MustAddArc(u, v VertexID) ArcID {
-	id, err := g.AddArc(u, v)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 // Arc returns the endpoints of arc id.
 func (g *Digraph) Arc(id ArcID) Arc {
 	return g.arcs[id]
@@ -108,48 +90,6 @@ func (g *Digraph) Out(v VertexID) []ArcID { return g.out[v] }
 // In returns the IDs of arcs entering v. The returned slice is owned by
 // the graph and must not be modified.
 func (g *Digraph) In(v VertexID) []ArcID { return g.in[v] }
-
-// OutDegree returns the number of arcs leaving v.
-func (g *Digraph) OutDegree(v VertexID) int { return len(g.out[v]) }
-
-// InDegree returns the number of arcs entering v.
-func (g *Digraph) InDegree(v VertexID) int { return len(g.in[v]) }
-
-// Degree returns the total number of arcs incident to v.
-func (g *Digraph) Degree(v VertexID) int { return len(g.out[v]) + len(g.in[v]) }
-
-// ArcsBetween returns the IDs of all arcs from u to v, in insertion order.
-func (g *Digraph) ArcsBetween(u, v VertexID) []ArcID {
-	var ids []ArcID
-	for _, id := range g.out[u] {
-		if g.arcs[id].To == v {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// Arcs returns a snapshot of every arc, indexed by ArcID.
-func (g *Digraph) Arcs() []Arc {
-	out := make([]Arc, len(g.arcs))
-	copy(out, g.arcs)
-	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Digraph) Clone() *Digraph {
-	c := &Digraph{
-		arcs: make([]Arc, len(g.arcs)),
-		out:  make([][]ArcID, len(g.out)),
-		in:   make([][]ArcID, len(g.in)),
-	}
-	copy(c.arcs, g.arcs)
-	for i := range g.out {
-		c.out[i] = append([]ArcID(nil), g.out[i]...)
-		c.in[i] = append([]ArcID(nil), g.in[i]...)
-	}
-	return c
-}
 
 func (g *Digraph) checkVertex(v VertexID) error {
 	if !g.HasVertex(v) {

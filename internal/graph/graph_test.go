@@ -58,25 +58,24 @@ func TestParallelArcs(t *testing.T) {
 	if a == b {
 		t.Error("parallel arcs must get distinct IDs")
 	}
-	between := g.ArcsBetween(0, 1)
-	if len(between) != 2 {
-		t.Errorf("ArcsBetween = %v, want 2 arcs", between)
+	if out, in := g.Out(0), g.In(1); len(out) != 2 || len(in) != 2 || out[0] != a || out[1] != b {
+		t.Errorf("Out(0) = %v, In(1) = %v; want both parallel arcs", out, in)
 	}
-	if len(g.ArcsBetween(1, 0)) != 0 {
+	if len(g.Out(1)) != 0 {
 		t.Error("reverse direction should have no arcs")
 	}
 }
 
 func TestDegrees(t *testing.T) {
 	g, _ := buildDiamond(t)
-	if g.OutDegree(0) != 2 || g.InDegree(0) != 0 {
-		t.Errorf("vertex 0 degrees: out=%d in=%d", g.OutDegree(0), g.InDegree(0))
+	if len(g.Out(0)) != 2 || len(g.In(0)) != 0 {
+		t.Errorf("vertex 0 degrees: out=%d in=%d", len(g.Out(0)), len(g.In(0)))
 	}
-	if g.OutDegree(3) != 0 || g.InDegree(3) != 2 {
-		t.Errorf("vertex 3 degrees: out=%d in=%d", g.OutDegree(3), g.InDegree(3))
+	if len(g.Out(3)) != 0 || len(g.In(3)) != 2 {
+		t.Errorf("vertex 3 degrees: out=%d in=%d", len(g.Out(3)), len(g.In(3)))
 	}
-	if g.Degree(1) != 2 {
-		t.Errorf("vertex 1 total degree = %d, want 2", g.Degree(1))
+	if d := len(g.Out(1)) + len(g.In(1)); d != 2 {
+		t.Errorf("vertex 1 total degree = %d, want 2", d)
 	}
 }
 
@@ -164,8 +163,8 @@ func TestTopoSort(t *testing.T) {
 	for i, v := range order {
 		pos[v] = i
 	}
-	for _, a := range g.Arcs() {
-		if pos[a.From] >= pos[a.To] {
+	for id := 0; id < g.NumArcs(); id++ {
+		if a := g.Arc(ArcID(id)); pos[a.From] >= pos[a.To] {
 			t.Errorf("arc %d→%d violates topological order %v", a.From, a.To, order)
 		}
 	}

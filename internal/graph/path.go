@@ -60,21 +60,6 @@ func (p Path) Interior() []VertexID {
 	return p.Vertices[1 : len(p.Vertices)-1]
 }
 
-// SubPathTo returns the prefix of p up to (and including) vertex v,
-// mirroring sub(q, vⱼ) of Definition 2.3. It returns false if v is not
-// on the path.
-func (p Path) SubPathTo(v VertexID) (Path, bool) {
-	for i, u := range p.Vertices {
-		if u == v {
-			return Path{
-				Vertices: p.Vertices[:i+1],
-				Arcs:     p.Arcs[:i],
-			}, true
-		}
-	}
-	return Path{}, false
-}
-
 // String renders the path as "v0 -> v1 -> v2".
 func (p Path) String() string {
 	s := ""
@@ -85,58 +70,4 @@ func (p Path) String() string {
 		s += fmt.Sprint(v)
 	}
 	return s
-}
-
-// SimplePaths enumerates all simple paths from src to dst whose interior
-// vertices all satisfy allowInterior (src and dst are exempt). The
-// enumeration stops early once limit paths have been found; limit <= 0
-// means unlimited. This powers the Definition 2.4 satisfaction checker,
-// where interior vertices must be communication vertices.
-func (g *Digraph) SimplePaths(src, dst VertexID, allowInterior func(VertexID) bool, limit int) []Path {
-	if !g.HasVertex(src) || !g.HasVertex(dst) || src == dst {
-		return nil
-	}
-	var out []Path
-	onPath := make([]bool, g.NumVertices())
-	var vertStack []VertexID
-	var arcStack []ArcID
-
-	var rec func(v VertexID) bool // returns false to abort (limit hit)
-	rec = func(v VertexID) bool {
-		onPath[v] = true
-		vertStack = append(vertStack, v)
-		defer func() {
-			onPath[v] = false
-			vertStack = vertStack[:len(vertStack)-1]
-		}()
-		for _, id := range g.Out(v) {
-			w := g.Arc(id).To
-			if onPath[w] {
-				continue
-			}
-			if w == dst {
-				p := Path{
-					Vertices: append(append([]VertexID(nil), vertStack...), dst),
-					Arcs:     append(append([]ArcID(nil), arcStack...), id),
-				}
-				out = append(out, p)
-				if limit > 0 && len(out) >= limit {
-					return false
-				}
-				continue
-			}
-			if allowInterior != nil && !allowInterior(w) {
-				continue
-			}
-			arcStack = append(arcStack, id)
-			ok := rec(w)
-			arcStack = arcStack[:len(arcStack)-1]
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	rec(src)
-	return out
 }

@@ -151,9 +151,8 @@ func TestDotOutput(t *testing.T) {
 		Name:        "test",
 		VertexLabel: func(v VertexID) string { return "V" + string(rune('A'+int(v))) },
 		ArcLabel:    func(ArcID) string { return "ch" },
-		ArcAttrs:    func(ArcID) string { return "style=dashed" },
 	})
-	for _, want := range []string{`digraph "test"`, `"VA"`, `"VB"`, `n0 -> n1`, `"ch"`, "style=dashed"} {
+	for _, want := range []string{`digraph "test"`, `"VA"`, `"VB"`, `n0 -> n1`, `"ch"`} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, dot)
 		}

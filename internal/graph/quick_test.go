@@ -61,8 +61,8 @@ func TestDegreeSumProperty(t *testing.T) {
 		g := buildRandom(seed, n, m)
 		outSum, inSum := 0, 0
 		for v := 0; v < g.NumVertices(); v++ {
-			outSum += g.OutDegree(VertexID(v))
-			inSum += g.InDegree(VertexID(v))
+			outSum += len(g.Out(VertexID(v)))
+			inSum += len(g.In(VertexID(v)))
 		}
 		return outSum == g.NumArcs() && inSum == g.NumArcs()
 	}

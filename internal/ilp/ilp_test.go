@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,7 +127,7 @@ func TestILPMatchesUCPProperty(t *testing.T) {
 		if !m.Feasible() {
 			continue
 		}
-		ucpSol, err := m.Solve()
+		ucpSol, err := m.SolveContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d ucp: %v", trial, err)
 		}

@@ -104,11 +104,6 @@ func (ig *Graph) Vertex(v graph.VertexID) Vertex { return ig.vertices[v] }
 // Link returns the library link instantiated on the given arc.
 func (ig *Graph) Link(a graph.ArcID) library.Link { return ig.links[a] }
 
-// Computational reports whether v is a computational vertex.
-func (ig *Graph) Computational(v graph.VertexID) bool {
-	return ig.vertices[v].Kind == Computational
-}
-
 // AddCommVertex inserts a communication vertex instantiating the given
 // library node at the given position, returning its ID.
 func (ig *Graph) AddCommVertex(node library.Node, pos geom.Point, name string) (graph.VertexID, error) {
@@ -187,15 +182,6 @@ func (ig *Graph) PathLength(p graph.Path) float64 {
 	var total float64
 	for _, a := range p.Arcs {
 		total += ig.ArcLength(a)
-	}
-	return total
-}
-
-// PathCost returns c(q) = Σ c(aᵢ) over the path's arcs (link costs only).
-func (ig *Graph) PathCost(p graph.Path) float64 {
-	var total float64
-	for _, a := range p.Arcs {
-		total += ig.links[a].Cost(ig.ArcLength(a))
 	}
 	return total
 }

@@ -182,14 +182,3 @@ func (lib *Library) NodeCost(kind NodeKind) float64 {
 	}
 	return math.Inf(1)
 }
-
-// LinksWithBandwidth returns all links whose bandwidth is at least b.
-func (lib *Library) LinksWithBandwidth(b float64) []Link {
-	var out []Link
-	for _, l := range lib.Links {
-		if l.Bandwidth >= b {
-			out = append(out, l)
-		}
-	}
-	return out
-}

@@ -129,6 +129,17 @@ func TestNodeCost(t *testing.T) {
 	}
 }
 
+// LinksWithBandwidth returns all links whose bandwidth is at least b.
+func (lib *Library) LinksWithBandwidth(b float64) []Link {
+	var out []Link
+	for _, l := range lib.Links {
+		if l.Bandwidth >= b {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 func TestLinksWithBandwidth(t *testing.T) {
 	lib := validLibrary()
 	fast := lib.LinksWithBandwidth(30)

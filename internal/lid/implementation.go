@@ -93,6 +93,3 @@ func AnalyzeImplementation(ig *impl.Graph, p Params) (*ImplementationReport, err
 	}
 	return rep, nil
 }
-
-// SingleCycle reports whether every channel completes in one cycle.
-func (r *ImplementationReport) SingleCycle() bool { return r.MaxLatencyCycles <= 1 }

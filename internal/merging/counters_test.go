@@ -28,7 +28,7 @@ func fullRescanMaxArity(r *Result, ch model.ChannelID) int {
 func TestMaxArityMapMatchesRescan(t *testing.T) {
 	for _, n := range []int{4, 6, 8} {
 		cg := clusterInstance(t, n)
-		for _, policy := range []RefPolicy{AnyRef, MaxIndexRef, MaxDistRef} {
+		for _, policy := range []RefPolicy{AnyRef, MaxIndexRef} {
 			res, err := Enumerate(cg, testLib(), Options{Policy: policy})
 			if err != nil {
 				t.Fatal(err)

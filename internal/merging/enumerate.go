@@ -18,10 +18,9 @@ const cancelCheckInterval = 1024
 // Options configures candidate enumeration.
 type Options struct {
 	// Policy selects the Lemma 3.2 reference-arc policy. The zero value
-	// at this layer is AnyRef, the strongest sound prune; the public
-	// cdcs facade instead installs MaxIndexRef as its default, matching
-	// the paper's incremental Figure 2 implementation. Both are sound,
-	// so the synthesis optimum is identical either way.
+	// is MaxIndexRef, matching the paper's incremental Figure 2
+	// implementation; AnyRef is the strongest sound prune. Both are
+	// sound, so the synthesis optimum is identical either way.
 	Policy RefPolicy
 	// MaxK caps the merging arity considered; zero means |A|.
 	MaxK int
@@ -130,10 +129,6 @@ func EnumerateContext(ctx context.Context, cg *model.ConstraintGraph, lib *libra
 	gamma := Gamma(cg)
 	delta := Delta(cg)
 	bw := BandwidthVector(cg)
-	dist := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dist[i] = cg.Distance(model.ChannelID(i))
-	}
 
 	maxK := opt.MaxK
 	if maxK <= 0 || maxK > n {
@@ -199,7 +194,7 @@ func EnumerateContext(ctx context.Context, cg *model.ConstraintGraph, lib *libra
 						res.PrunedLemma31++
 					}
 				} else {
-					if !opt.DisableLemma32 && NotMergeableSet(gamma, delta, subset, opt.Policy, dist) {
+					if !opt.DisableLemma32 && NotMergeableSet(gamma, delta, subset, opt.Policy) {
 						pruned = true
 						res.PrunedLemma32++
 					}

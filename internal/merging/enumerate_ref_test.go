@@ -29,10 +29,6 @@ func enumerateRef(cg *model.ConstraintGraph, lib *library.Library, opt Options) 
 	gamma := Gamma(cg)
 	delta := Delta(cg)
 	bw := BandwidthVector(cg)
-	dist := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dist[i] = cg.Distance(model.ChannelID(i))
-	}
 	maxK := opt.MaxK
 	if maxK <= 0 || maxK > n {
 		maxK = n
@@ -63,7 +59,7 @@ func enumerateRef(cg *model.ConstraintGraph, lib *library.Library, opt Options) 
 						res.PrunedLemma31++
 					}
 				} else {
-					if !opt.DisableLemma32 && NotMergeableSet(gamma, delta, subset, opt.Policy, dist) {
+					if !opt.DisableLemma32 && NotMergeableSet(gamma, delta, subset, opt.Policy) {
 						pruned = true
 						res.PrunedLemma32++
 					}
@@ -148,7 +144,7 @@ func TestEnumerateMatchesReference(t *testing.T) {
 		n := 2 + int(nRaw)%7 // 2..8 channels
 		cg := refRandomGraph(r, n)
 		opt := Options{
-			Policy:           RefPolicy(int(polRaw) % 4),
+			Policy:           RefPolicy(int(polRaw) % 2),
 			MaxK:             int(maxKRaw) % (n + 2), // 0 (=n) .. n+1 (clamped)
 			DisableLemma31:   dis31,
 			DisableLemma32:   dis32,

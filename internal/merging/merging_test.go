@@ -145,16 +145,10 @@ func TestNotMergeableSetPolicies(t *testing.T) {
 		_ = ids
 		gamma := Gamma(cg)
 		delta := Delta(cg)
-		dist := make([]float64, n)
-		for i := range dist {
-			dist[i] = cg.Distance(model.ChannelID(i))
-		}
 		set := []int{0, 1, 2}
-		for _, pol := range []RefPolicy{MaxIndexRef, MaxDistRef, MinDistRef} {
-			if NotMergeableSet(gamma, delta, set, pol, dist) &&
-				!NotMergeableSet(gamma, delta, set, AnyRef, dist) {
-				t.Fatalf("trial %d: AnyRef weaker than %v", trial, pol)
-			}
+		if NotMergeableSet(gamma, delta, set, MaxIndexRef) &&
+			!NotMergeableSet(gamma, delta, set, AnyRef) {
+			t.Fatalf("trial %d: AnyRef weaker than %v", trial, MaxIndexRef)
 		}
 	}
 }
@@ -162,16 +156,16 @@ func TestNotMergeableSetPolicies(t *testing.T) {
 func TestNotMergeableSetDegenerate(t *testing.T) {
 	g := NewSymMatrix(3)
 	d := NewSymMatrix(3)
-	if NotMergeableSet(g, d, []int{0}, AnyRef, []float64{1, 1, 1}) {
+	if NotMergeableSet(g, d, []int{0}, AnyRef) {
 		t.Error("singleton can never be non-mergeable")
 	}
-	if NotMergeableSet(g, d, nil, AnyRef, nil) {
+	if NotMergeableSet(g, d, nil, AnyRef) {
 		t.Error("empty set can never be non-mergeable")
 	}
 }
 
 func TestRefPolicyString(t *testing.T) {
-	for _, p := range []RefPolicy{AnyRef, MaxIndexRef, MaxDistRef, MinDistRef} {
+	for _, p := range []RefPolicy{AnyRef, MaxIndexRef} {
 		if p.String() == "unknown" || p.String() == "" {
 			t.Errorf("policy %d has no name", p)
 		}

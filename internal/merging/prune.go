@@ -75,43 +75,33 @@ func NotMergeableBandwidth(bw []float64, arcs []int, lib *library.Library) bool 
 
 // RefPolicy selects how the Lemma 3.2 reference arc is chosen when
 // testing a k-set (k ≥ 3). Lemma 3.2 holds for any reference, so testing
-// more references prunes more sets; all policies are sound.
+// more references prunes more sets; both policies are sound.
 type RefPolicy int
 
 const (
+	// MaxIndexRef, the zero value, tests only the highest-numbered arc,
+	// matching an incremental implementation that extends sets by
+	// appending arcs (the paper's Figure 2).
+	MaxIndexRef RefPolicy = iota
 	// AnyRef tests every arc of the set as the reference and prunes if
 	// any test triggers — the strongest sound prune.
-	AnyRef RefPolicy = iota
-	// MaxIndexRef tests only the highest-numbered arc, matching an
-	// incremental implementation that extends sets by appending arcs.
-	MaxIndexRef
-	// MaxDistRef tests only the arc with the largest distance, which
-	// maximizes the (k−1)·d(a_r) term of the left-hand side.
-	MaxDistRef
-	// MinDistRef tests only the arc with the smallest distance.
-	MinDistRef
+	AnyRef
 )
 
 // String names the policy.
 func (p RefPolicy) String() string {
 	switch p {
-	case AnyRef:
-		return "any-ref"
 	case MaxIndexRef:
 		return "max-index-ref"
-	case MaxDistRef:
-		return "max-dist-ref"
-	case MinDistRef:
-		return "min-dist-ref"
+	case AnyRef:
+		return "any-ref"
 	default:
 		return "unknown"
 	}
 }
 
 // NotMergeableSet applies Lemma 3.2 under the given reference policy.
-// dist supplies d(a) per arc index (needed by the distance-based
-// policies).
-func NotMergeableSet(gamma, delta *SymMatrix, arcs []int, policy RefPolicy, dist []float64) bool {
+func NotMergeableSet(gamma, delta *SymMatrix, arcs []int, policy RefPolicy) bool {
 	if len(arcs) < 2 {
 		return false
 	}
@@ -130,22 +120,6 @@ func NotMergeableSet(gamma, delta *SymMatrix, arcs []int, policy RefPolicy, dist
 		ref := arcs[0]
 		for _, i := range arcs {
 			if i > ref {
-				ref = i
-			}
-		}
-		return NotMergeableRef(gamma, delta, arcs, ref)
-	case MaxDistRef:
-		ref := arcs[0]
-		for _, i := range arcs {
-			if num.Stronger(dist[i], dist[ref]) {
-				ref = i
-			}
-		}
-		return NotMergeableRef(gamma, delta, arcs, ref)
-	case MinDistRef:
-		ref := arcs[0]
-		for _, i := range arcs {
-			if num.Below(dist[i], dist[ref]) {
 				ref = i
 			}
 		}

@@ -99,15 +99,13 @@ func TestLemma32SoundAgainstPricing(t *testing.T) {
 		cg := randomInstance(r, nch)
 		gamma := merging.Gamma(cg)
 		delta := merging.Delta(cg)
-		dist := make([]float64, nch)
 		var set []int
 		var ids []model.ChannelID
 		for i := 0; i < nch; i++ {
-			dist[i] = cg.Distance(model.ChannelID(i))
 			set = append(set, i)
 			ids = append(ids, model.ChannelID(i))
 		}
-		if !merging.NotMergeableSet(gamma, delta, set, merging.AnyRef, dist) {
+		if !merging.NotMergeableSet(gamma, delta, set, merging.AnyRef) {
 			continue
 		}
 		prunedChecked++

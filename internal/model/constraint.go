@@ -13,8 +13,6 @@ package model
 import (
 	"fmt"
 	"math"
-	"sort"
-
 	"repro/internal/geom"
 	"repro/internal/graph"
 )
@@ -190,9 +188,6 @@ func (cg *ConstraintGraph) Position(id PortID) geom.Point {
 	return cg.ports[id].Position
 }
 
-// Digraph exposes the underlying directed graph (read-only use).
-func (cg *ConstraintGraph) Digraph() *graph.Digraph { return cg.g }
-
 // Validate checks structural invariants: every channel endpoint exists,
 // bandwidths are positive, no two ports share a name, and every channel
 // connects two distinct ports. (Distance consistency holds by
@@ -213,39 +208,4 @@ func (cg *ConstraintGraph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortedChannelNames returns channel names sorted lexicographically;
-// handy for deterministic reports.
-func (cg *ConstraintGraph) SortedChannelNames() []string {
-	names := make([]string, len(cg.channels))
-	for i, c := range cg.channels {
-		names[i] = c.Name
-	}
-	sort.Strings(names)
-	return names
-}
-
-// TotalBandwidth returns Σ b(a) over all channels.
-func (cg *ConstraintGraph) TotalBandwidth() float64 {
-	var sum float64
-	for _, c := range cg.channels {
-		sum += c.Bandwidth
-	}
-	return sum
-}
-
-// Dot renders the constraint graph in Graphviz DOT syntax, labelling
-// arcs with their name, distance and bandwidth.
-func (cg *ConstraintGraph) Dot() string {
-	return cg.g.Dot(graph.DotOptions{
-		Name: "constraint",
-		VertexLabel: func(v graph.VertexID) string {
-			return cg.ports[v].Name
-		},
-		ArcLabel: func(a graph.ArcID) string {
-			c := cg.channels[a]
-			return fmt.Sprintf("%s d=%.2f b=%.1f", c.Name, cg.Distance(a), c.Bandwidth)
-		},
-	})
 }

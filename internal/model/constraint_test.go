@@ -3,7 +3,6 @@ package model
 import (
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -108,30 +107,12 @@ func TestChannelIDsAndAggregates(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 1 {
 		t.Errorf("ChannelIDs = %v", ids)
 	}
-	if got := cg.TotalBandwidth(); got != 15 {
-		t.Errorf("TotalBandwidth = %v", got)
-	}
-	names := cg.SortedChannelNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("SortedChannelNames = %v", names)
-	}
 }
 
 func TestValidateEmptyGraph(t *testing.T) {
 	cg := NewConstraintGraph(nil)
 	if err := cg.Validate(); err == nil {
 		t.Error("empty graph should fail validation")
-	}
-}
-
-func TestDotOutput(t *testing.T) {
-	cg, u, v := twoPortGraph(t)
-	cg.MustAddChannel(Channel{Name: "a1", From: u, To: v, Bandwidth: 10})
-	dot := cg.Dot()
-	for _, want := range []string{"digraph", `"u"`, `"v"`, "a1", "d=5.00", "b=10.0"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q:\n%s", want, dot)
-		}
 	}
 }
 
@@ -183,37 +164,5 @@ func TestDecodeErrors(t *testing.T) {
 		if _, err := DecodeConstraintGraph([]byte(c)); err == nil {
 			t.Errorf("case %d should fail to decode", i)
 		}
-	}
-}
-
-func TestProjection(t *testing.T) {
-	cg := NewConstraintGraph(geom.Euclidean)
-	a := cg.MustAddPort(Port{Name: "a", Position: geom.Pt(0, 0)})
-	b := cg.MustAddPort(Port{Name: "b", Position: geom.Pt(1, 0)})
-	c := cg.MustAddPort(Port{Name: "c", Position: geom.Pt(2, 0)})
-	ab := cg.MustAddChannel(Channel{Name: "ab", From: a, To: b, Bandwidth: 1})
-	bc := cg.MustAddChannel(Channel{Name: "bc", From: b, To: c, Bandwidth: 2})
-	cg.MustAddChannel(Channel{Name: "ca", From: c, To: a, Bandwidth: 3})
-
-	sub, err := cg.Projection([]ChannelID{ab, bc})
-	if err != nil {
-		t.Fatalf("Projection: %v", err)
-	}
-	if sub.NumChannels() != 2 {
-		t.Errorf("projected channels = %d, want 2", sub.NumChannels())
-	}
-	if sub.NumPorts() != 3 {
-		t.Errorf("projected ports = %d, want 3 (a, b, c all touched)", sub.NumPorts())
-	}
-	// Distances preserved.
-	id, ok := sub.ChannelByName("bc")
-	if !ok {
-		t.Fatal("channel bc lost in projection")
-	}
-	if sub.Distance(id) != 1 {
-		t.Errorf("projected distance = %v, want 1", sub.Distance(id))
-	}
-	if _, err := cg.Projection([]ChannelID{99}); err == nil {
-		t.Error("projection of unknown channel should fail")
 	}
 }

@@ -92,35 +92,3 @@ func DecodeConstraintGraph(data []byte) (*ConstraintGraph, error) {
 	}
 	return cg, nil
 }
-
-// Projection returns the projection G^k of Definition 3.1: a new
-// constraint graph containing only the given channels and the ports they
-// touch. Port and channel names are preserved.
-func (cg *ConstraintGraph) Projection(channels []ChannelID) (*ConstraintGraph, error) {
-	sub := NewConstraintGraph(cg.norm)
-	portMap := make(map[PortID]PortID)
-	for _, id := range channels {
-		if int(id) < 0 || int(id) >= len(cg.channels) {
-			return nil, fmt.Errorf("model: projection: unknown channel %d", id)
-		}
-		c := cg.channels[id]
-		for _, end := range []PortID{c.From, c.To} {
-			if _, done := portMap[end]; !done {
-				newID, err := sub.AddPort(cg.ports[end])
-				if err != nil {
-					return nil, err
-				}
-				portMap[end] = newID
-			}
-		}
-		if _, err := sub.AddChannel(Channel{
-			Name:      c.Name,
-			From:      portMap[c.From],
-			To:        portMap[c.To],
-			Bandwidth: c.Bandwidth,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return sub, nil
-}

@@ -206,6 +206,18 @@ func (e *Events) Since(seq int64) (evs []Event, next <-chan struct{}, closed boo
 	return evs, e.wake, false
 }
 
+// Seq returns the sequence number of the last published event, 0 when
+// there is none or the stream is nil. A reader that starts Since there
+// sees only the events published after this call.
+func (e *Events) Seq() int64 {
+	if e == nil {
+		return 0
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.seq
+}
+
 // Close ends the stream: waiting readers wake, further publishes are
 // dropped and every later Since reports closed. The replay ring stays
 // readable, so a late reader still gets the full retained history.

@@ -172,17 +172,6 @@ func FromContext(ctx context.Context) *Sink {
 	return s
 }
 
-// Counter is shorthand for FromContext(ctx).Metrics().Counter(name):
-// the handle a phase fetches once and then Adds to freely.
-func Counter(ctx context.Context, name string) *CounterHandle {
-	return FromContext(ctx).Metrics().Counter(name)
-}
-
-// Gauge is shorthand for FromContext(ctx).Metrics().Gauge(name).
-func Gauge(ctx context.Context, name string) *GaugeHandle {
-	return FromContext(ctx).Metrics().Gauge(name)
-}
-
 // EventsFromContext is shorthand for FromContext(ctx).Events(): the
 // stream handle a phase fetches once and then publishes to freely (nil
 // — a no-op publisher — when events are disabled).

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -86,7 +87,7 @@ func TestTraceExportsDeterministic(t *testing.T) {
 			end(Int("n", 3))
 		}
 		endRun(Float("cost", 1234.5))
-		tree, err := sink.Tracer().JSON()
+		tree, err := json.Marshal(sink.Tracer().Roots())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,14 +198,14 @@ func TestConcurrentInstrumentsAndSpans(t *testing.T) {
 func TestCounterMapAndShorthands(t *testing.T) {
 	sink := New(Config{Metrics: true})
 	ctx := NewContext(context.Background(), sink)
-	Counter(ctx, "a").Add(3)
-	Gauge(ctx, "g").Set(9)
+	FromContext(ctx).Metrics().Counter("a").Add(3)
+	FromContext(ctx).Metrics().Gauge("g").Set(9)
 	m := sink.Metrics().Snapshot().CounterMap()
 	if m["a"] != 3 {
 		t.Fatalf("CounterMap = %v", m)
 	}
-	// Shorthands on a sink-less context are inert.
-	Counter(context.Background(), "a").Add(1)
+	// A sink-less context's handles are inert.
+	FromContext(context.Background()).Metrics().Counter("a").Add(1)
 	if got := sink.Metrics().Counter("a").Value(); got != 3 {
 		t.Fatalf("counter leaked across contexts: %d", got)
 	}

@@ -26,11 +26,6 @@ func Int(key string, value int) Attr {
 	return Attr{Key: key, Value: strconv.Itoa(value)}
 }
 
-// Int64 builds an int64 attribute.
-func Int64(key string, value int64) Attr {
-	return Attr{Key: key, Value: strconv.FormatInt(value, 10)}
-}
-
 // Float builds a float attribute, formatted with the shortest
 // round-trip representation (deterministic for a given value).
 func Float(key string, value float64) Attr {
@@ -206,14 +201,6 @@ func copySpan(sp *Span) *Span {
 	return c
 }
 
-// JSON exports the span forest as indented JSON ({"spans": [...]}).
-// Byte-identical across runs when the tracer's clock is deterministic.
-func (t *Tracer) JSON() ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Spans []*Span `json:"spans"`
-	}{Spans: t.Roots()}, "", "  ")
-}
-
 // ChromeTrace exports the span forest in the Chrome trace_event JSON
 // array format — loadable by chrome://tracing and Perfetto. Every span
 // becomes one complete ("ph":"X") event; attributes become args. Spans
@@ -347,25 +334,6 @@ type chromeEvent struct {
 	PID   int               `json:"pid"`
 	TID   int               `json:"tid"`
 	Args  map[string]string `json:"args,omitempty"`
-}
-
-// FindSpans returns every span in the forest whose name equals name,
-// in depth-first start order (a test/report convenience).
-func (t *Tracer) FindSpans(name string) []*Span {
-	var out []*Span
-	var walk func(sp *Span)
-	walk = func(sp *Span) {
-		if sp.Name == name {
-			out = append(out, sp)
-		}
-		for _, child := range sp.Children {
-			walk(child)
-		}
-	}
-	for _, root := range t.Roots() {
-		walk(root)
-	}
-	return out
 }
 
 // Attr returns the value of the span attribute with the given key and

@@ -7,13 +7,14 @@ import (
 	"repro/internal/num"
 )
 
-// CheckAssumption samples the library's minimum-cost point-to-point
-// implementation costs on a grid of (distance, bandwidth) requirements
-// and verifies the monotonicity direction of Assumption 2.1: whenever
-// d ≤ d' and b ≤ b', the minimum implementation costs satisfy
-// C(P(a)) ≤ C(P(a')). (The assumption as stated is an equivalence; for
-// scalar costs the reverse direction can only be checked meaningfully on
-// comparable requirement pairs, which is exactly what the grid covers.)
+// CheckAssumption is the test oracle for Assumption 2.1. It samples the
+// library's minimum-cost point-to-point implementation costs on a grid
+// of (distance, bandwidth) requirements and verifies the monotonicity
+// direction of the assumption: whenever d ≤ d' and b ≤ b', the minimum
+// implementation costs satisfy C(P(a)) ≤ C(P(a')). (The assumption as
+// stated is an equivalence; for scalar costs the reverse direction can
+// only be checked meaningfully on comparable requirement pairs, which is
+// exactly what the grid covers.)
 //
 // It also verifies that every sampled requirement has strictly positive
 // cost, the assumption's other clause. distances and bandwidths give the

@@ -305,12 +305,3 @@ func Synthesize(cg *model.ConstraintGraph, lib *library.Library) (*impl.Graph, [
 	}
 	return ig, plans, nil
 }
-
-// TotalCost sums the plan costs, the right-hand side of Lemma 2.1.
-func TotalCost(plans []Plan) float64 {
-	var sum float64
-	for _, p := range plans {
-		sum += p.Cost
-	}
-	return sum
-}

@@ -307,3 +307,12 @@ func TestCheckAssumptionDetectsViolation(t *testing.T) {
 		t.Error("expected positivity violation to be detected")
 	}
 }
+
+// TotalCost sums the plan costs, the right-hand side of Lemma 2.1.
+func TotalCost(plans []Plan) float64 {
+	var sum float64
+	for _, p := range plans {
+		sum += p.Cost
+	}
+	return sum
+}

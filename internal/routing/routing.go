@@ -21,19 +21,8 @@ import (
 	"repro/internal/impl"
 )
 
-// Options tunes the router.
-type Options struct {
-	// GridCells is the congestion-grid resolution per axis; zero
-	// means 32.
-	GridCells int
-}
-
-func (o Options) gridCells() int {
-	if o.GridCells <= 0 {
-		return 32
-	}
-	return o.GridCells
-}
+// gridCells is the congestion-grid resolution per axis.
+const gridCells = 32
 
 // Route is one link instance's embedded wire.
 type Route struct {
@@ -68,13 +57,13 @@ type Result struct {
 // implementation graph. Links are processed in ID order; for each, the
 // elbow (HV vs VH) with the lower current congestion is chosen, then
 // the route is committed to the congestion grid.
-func RouteImplementation(ig *impl.Graph, opt Options) (*Result, error) {
+func RouteImplementation(ig *impl.Graph) (*Result, error) {
 	cg := ig.ConstraintGraph()
 	if cg.Norm().Name() != "manhattan" {
 		return nil, fmt.Errorf("routing: rectilinear routing requires the Manhattan norm, got %s", cg.Norm().Name())
 	}
 	n := ig.NumLinks()
-	res := &Result{GridCells: opt.gridCells()}
+	res := &Result{GridCells: gridCells}
 	if n == 0 {
 		return res, nil
 	}

@@ -58,7 +58,7 @@ func TestLPathShapes(t *testing.T) {
 
 func TestRouteSingleLink(t *testing.T) {
 	ig := simpleChip(t, geom.Pt(0, 0), geom.Pt(3, 4))
-	res, err := RouteImplementation(ig, Options{})
+	res, err := RouteImplementation(ig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRouteRequiresManhattan(t *testing.T) {
 	cg := model.NewConstraintGraph(geom.Euclidean)
 	cg.MustAddPort(model.Port{Name: "u", Position: geom.Pt(0, 0)})
 	ig := impl.New(cg)
-	if _, err := RouteImplementation(ig, Options{}); err == nil {
+	if _, err := RouteImplementation(ig); err == nil {
 		t.Error("Euclidean graphs should be rejected")
 	}
 }
@@ -95,7 +95,7 @@ func TestRouteEmptyGraph(t *testing.T) {
 	cg := model.NewConstraintGraph(geom.Manhattan)
 	cg.MustAddPort(model.Port{Name: "u", Position: geom.Pt(0, 0)})
 	ig := impl.New(cg)
-	res, err := RouteImplementation(ig, Options{})
+	res, err := RouteImplementation(ig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCongestionSpreading(t *testing.T) {
 			Arcs:     []graph.ArcID{a},
 		}})
 	}
-	res, err := RouteImplementation(ig, Options{GridCells: 16})
+	res, err := RouteImplementation(ig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRouteMPEG4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RouteImplementation(ig, Options{})
+	res, err := RouteImplementation(ig)
 	if err != nil {
 		t.Fatal(err)
 	}

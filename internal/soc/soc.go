@@ -8,7 +8,6 @@
 package soc
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/library"
@@ -34,21 +33,6 @@ type Technology struct {
 // l_crit = 0.6 mm.
 func Tech180nm() Technology {
 	return Technology{Name: "0.18um", LCrit: 0.6, WireBandwidth: 100}
-}
-
-// FromParasitics derives the critical length from first-order
-// parasitics: a wire of resistance r and capacitance c per unit length
-// driven through repeaters of output resistance rd and input
-// capacitance cg has optimal spacing l_crit = sqrt(2·rd·cg / (r·c)).
-func FromParasitics(name string, rd, cg, r, c, wireBandwidth float64) (Technology, error) {
-	if rd <= 0 || cg <= 0 || r <= 0 || c <= 0 {
-		return Technology{}, fmt.Errorf("soc: parasitics must be positive (rd=%g cg=%g r=%g c=%g)", rd, cg, r, c)
-	}
-	return Technology{
-		Name:          name,
-		LCrit:         math.Sqrt(2 * rd * cg / (r * c)),
-		WireBandwidth: wireBandwidth,
-	}, nil
 }
 
 // RepeaterCount is the paper's on-chip cost function for one channel:

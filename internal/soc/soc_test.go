@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -17,6 +18,21 @@ func TestTech180nm(t *testing.T) {
 	if tech.Name != "0.18um" {
 		t.Errorf("Name = %q", tech.Name)
 	}
+}
+
+// FromParasitics derives the critical length from first-order
+// parasitics: a wire of resistance r and capacitance c per unit length
+// driven through repeaters of output resistance rd and input
+// capacitance cg has optimal spacing l_crit = sqrt(2·rd·cg / (r·c)).
+func FromParasitics(name string, rd, cg, r, c, wireBandwidth float64) (Technology, error) {
+	if rd <= 0 || cg <= 0 || r <= 0 || c <= 0 {
+		return Technology{}, fmt.Errorf("soc: parasitics must be positive (rd=%g cg=%g r=%g c=%g)", rd, cg, r, c)
+	}
+	return Technology{
+		Name:          name,
+		LCrit:         math.Sqrt(2 * rd * cg / (r * c)),
+		WireBandwidth: wireBandwidth,
+	}, nil
 }
 
 func TestFromParasitics(t *testing.T) {

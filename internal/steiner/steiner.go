@@ -112,32 +112,17 @@ func mstLength(pts []geom.Point) float64 {
 	return total
 }
 
-// Options tunes the Steiner heuristic.
-type Options struct {
-	// MaxSteinerPoints caps how many Hanan points may be added; zero
-	// means len(terminals) − 2 (the theoretical maximum useful count).
-	MaxSteinerPoints int
-	// MinGain is the smallest absolute length improvement worth adding
-	// a point for; zero means 1e-9.
-	MinGain float64
-}
+// minGain is the smallest absolute length improvement worth adding a
+// Steiner point for.
+const minGain = 1e-9
 
-// SteinerTree runs iterated 1-Steiner over the terminals.
-func SteinerTree(terminals []geom.Point, opt Options) (*Tree, error) {
+// SteinerTree runs iterated 1-Steiner over the terminals, adding at most
+// len(terminals) − 2 Hanan points (the theoretical maximum useful count).
+func SteinerTree(terminals []geom.Point) (*Tree, error) {
 	if len(terminals) == 0 {
 		return nil, fmt.Errorf("steiner: no terminals")
 	}
-	maxAdd := opt.MaxSteinerPoints
-	if maxAdd <= 0 {
-		maxAdd = len(terminals) - 2
-		if maxAdd < 0 {
-			maxAdd = 0
-		}
-	}
-	minGain := opt.MinGain
-	if minGain <= 0 {
-		minGain = 1e-9
-	}
+	maxAdd := max(len(terminals)-2, 0)
 
 	pts := append([]geom.Point(nil), terminals...)
 	current := mstLength(pts)

@@ -40,7 +40,7 @@ func TestSteinerImprovesClassicInstance(t *testing.T) {
 	if math.Abs(mst.Length-5) > 1e-12 {
 		t.Fatalf("RMST = %v, want 5", mst.Length)
 	}
-	st, err := SteinerTree(pts, Options{})
+	st, err := SteinerTree(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSteinerCross(t *testing.T) {
 	// Four arms of a cross: RMST 3·2=... terminals (±1,0),(0,±1):
 	// RMST = 2+2+2 = 6; a center Steiner point gives 4.
 	pts := []geom.Point{geom.Pt(1, 0), geom.Pt(-1, 0), geom.Pt(0, 1), geom.Pt(0, -1)}
-	st, err := SteinerTree(pts, Options{})
+	st, err := SteinerTree(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSteinerSandwichProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := SteinerTree(pts, Options{})
+		st, err := SteinerTree(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +122,11 @@ func TestSteinerMonotoneInTerminals(t *testing.T) {
 		for i := range pts {
 			pts[i] = geom.Pt(float64(r.Intn(15)), float64(r.Intn(15)))
 		}
-		small, err := SteinerTree(pts[:n], Options{})
+		small, err := SteinerTree(pts[:n])
 		if err != nil {
 			t.Fatal(err)
 		}
-		big, err := SteinerTree(pts, Options{})
+		big, err := SteinerTree(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func BenchmarkSteinerTree8(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SteinerTree(pts, Options{}); err != nil {
+		if _, err := SteinerTree(pts); err != nil {
 			b.Fatal(err)
 		}
 	}

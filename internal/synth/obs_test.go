@@ -3,6 +3,7 @@ package synth
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"slices"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func TestObservabilityDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace, err = sink.Tracer().JSON()
+		trace, err = json.Marshal(sink.Tracer().Roots())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestObservabilitySpanAndCounterContents(t *testing.T) {
 		"synth/run", "p2p/plan", "merging/enumerate",
 		"synth/price", "synth/solve", "ucp/solve", "synth/materialize",
 	} {
-		if len(sink.Tracer().FindSpans(name)) == 0 {
+		if len(findSpans(sink.Tracer(), name)) == 0 {
 			t.Errorf("no %q span in trace", name)
 		}
 	}
@@ -97,7 +98,7 @@ func TestObservabilitySpanAndCounterContents(t *testing.T) {
 	if len(roots) != 1 {
 		t.Fatalf("want one root span, got %d", len(roots))
 	}
-	if price := sink.Tracer().FindSpans("synth/price"); len(price) == 1 &&
+	if price := findSpans(sink.Tracer(), "synth/price"); len(price) == 1 &&
 		!slices.Contains(price[0].Attrs, obs.Int("bounded", rep.SkippedByBound)) {
 		t.Errorf("synth/price attrs %+v lack bounded=%d", price[0].Attrs, rep.SkippedByBound)
 	}
@@ -181,4 +182,23 @@ func sliceIndex(t *testing.T, snap obs.Snapshot, name string) int {
 	}
 	t.Fatalf("gauge %q not in snapshot", name)
 	return -1
+}
+
+// findSpans returns every span of tr's forest named name, in
+// depth-first start order.
+func findSpans(tr *obs.Tracer, name string) []*obs.Span {
+	var out []*obs.Span
+	var walk func(sp *obs.Span)
+	walk = func(sp *obs.Span) {
+		if sp.Name == name {
+			out = append(out, sp)
+		}
+		for _, child := range sp.Children {
+			walk(child)
+		}
+	}
+	for _, root := range tr.Roots() {
+		walk(root)
+	}
+	return out
 }

@@ -43,7 +43,7 @@ func TestAnytimeProperties(t *testing.T) {
 		m := randomInstance(rng)
 
 		if !m.Feasible() {
-			if _, err := m.Solve(); !errors.Is(err, ErrInfeasible) {
+			if _, err := m.SolveContext(context.Background()); !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("seed %d: infeasible instance: Solve err = %v, want ErrInfeasible", seed, err)
 			}
 			if _, err := m.SolveGreedy(); !errors.Is(err, ErrInfeasible) {
@@ -56,7 +56,7 @@ func TestAnytimeProperties(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: greedy: %v", seed, err)
 		}
-		exact, err := m.Solve()
+		exact, err := m.SolveContext(context.Background())
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}
@@ -180,7 +180,7 @@ func TestSolveDecomposedInterrupted(t *testing.T) {
 	}
 
 	// Uninterrupted decomposed solve on the same instance is optimal.
-	opt, err := m.SolveDecomposed()
+	opt, err := m.SolveDecomposedContext(context.Background())
 	if err != nil {
 		t.Fatalf("SolveDecomposed: %v", err)
 	}
@@ -201,16 +201,16 @@ func TestInfeasibleSentinel(t *testing.T) {
 	m := NewMatrix(2)
 	m.MustAddColumn(Column{Rows: []int{0}, Weight: 1}) // row 1 uncoverable
 
-	if _, err := m.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := m.SolveContext(context.Background()); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("Solve: err = %v, want ErrInfeasible", err)
 	}
 	if _, err := m.SolveGreedy(); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("SolveGreedy: err = %v, want ErrInfeasible", err)
 	}
-	if _, err := m.SolveExhaustive(); !errors.Is(err, ErrInfeasible) {
+	if _, err := m.SolveExhaustiveContext(context.Background()); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("SolveExhaustive: err = %v, want ErrInfeasible", err)
 	}
-	if _, err := m.SolveDecomposed(); !errors.Is(err, ErrInfeasible) {
+	if _, err := m.SolveDecomposedContext(context.Background()); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("SolveDecomposed: err = %v, want ErrInfeasible", err)
 	}
 }

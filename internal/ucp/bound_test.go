@@ -1,6 +1,7 @@
 package ucp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -45,7 +46,7 @@ func TestDualAscentTighterThanMISOnOverlap(t *testing.T) {
 		t.Errorf("expected dual ascent (%v) ≥ MIS (%v) here", da, mis)
 	}
 	// Optimum is 8 (two columns); both bounds must stay below.
-	opt, err := m.SolveExhaustive()
+	opt, err := m.SolveExhaustiveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestBoundsAdmissibleProperty(t *testing.T) {
 		if !m.Feasible() {
 			continue
 		}
-		opt, err := m.SolveExhaustive()
+		opt, err := m.SolveExhaustiveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,11 +118,11 @@ func TestRowDominancePreservesOptimumProperty(t *testing.T) {
 		if !m.Feasible() {
 			continue
 		}
-		want, err := m.SolveExhaustive()
+		want, err := m.SolveExhaustiveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.Solve()
+		got, err := m.SolveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,20 +64,14 @@ func (m *Matrix) components() (blocks [][2][]int) {
 	return blocks
 }
 
-// SolveDecomposed splits the instance into independent blocks, solves
-// each with the branch-and-bound, and concatenates the solutions. For a
-// single-block instance it is identical to Solve. The combined solution
-// is optimal because no column spans two blocks.
-func (m *Matrix) SolveDecomposed() (Solution, error) {
-	return m.SolveDecomposedContext(context.Background())
-}
-
-// SolveDecomposedContext is SolveDecomposed under cooperative
-// cancellation. Blocks solved before the deadline are exact; blocks
-// interrupted mid-search contribute their best incumbent (see
-// SolveContext), so the combined solution is always a valid cover. The
-// summed LowerBound remains admissible for the whole instance because
-// no column spans two blocks.
+// SolveDecomposedContext splits the instance into independent blocks,
+// solves each with the branch-and-bound, and concatenates the solutions.
+// For a single-block instance it is identical to SolveContext. Blocks
+// solved before the deadline are exact; blocks interrupted mid-search
+// contribute their best incumbent (see SolveContext), so the combined
+// solution is always a valid cover. Because no column spans two blocks,
+// the combined solution is optimal when every block is, and the summed
+// LowerBound is admissible for the whole instance.
 func (m *Matrix) SolveDecomposedContext(ctx context.Context) (Solution, error) {
 	if !m.Feasible() {
 		return Solution{}, ErrInfeasible

@@ -1,6 +1,7 @@
 package ucp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,11 +29,11 @@ func TestSolveDecomposedSingleBlock(t *testing.T) {
 	m.MustAddColumn(Column{Rows: []int{0, 1}, Weight: 2})
 	m.MustAddColumn(Column{Rows: []int{0}, Weight: 1.5})
 	m.MustAddColumn(Column{Rows: []int{1}, Weight: 1.5})
-	direct, err := m.Solve()
+	direct, err := m.SolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := m.SolveDecomposed()
+	dec, err := m.SolveDecomposedContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestSolveDecomposedSingleBlock(t *testing.T) {
 func TestSolveDecomposedInfeasible(t *testing.T) {
 	m := NewMatrix(2)
 	m.MustAddColumn(Column{Rows: []int{0}, Weight: 1})
-	if _, err := m.SolveDecomposed(); err == nil {
+	if _, err := m.SolveDecomposedContext(context.Background()); err == nil {
 		t.Error("infeasible instance should error")
 	}
 }
@@ -80,11 +81,11 @@ func TestSolveDecomposedMatchesExhaustiveProperty(t *testing.T) {
 			}
 			m.MustAddColumn(Column{Rows: all, Weight: 4 + r.Float64()*4})
 		}
-		want, err := m.SolveExhaustive()
+		want, err := m.SolveExhaustiveContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d exhaustive: %v", trial, err)
 		}
-		got, err := m.SolveDecomposed()
+		got, err := m.SolveDecomposedContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d decomposed: %v", trial, err)
 		}
@@ -129,14 +130,14 @@ func BenchmarkSolveDecomposedVsDirect(b *testing.B) {
 	}
 	b.Run("decomposed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := m.SolveDecomposed(); err != nil {
+			if _, err := m.SolveDecomposedContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Solve(); err != nil {
+			if _, err := m.SolveContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

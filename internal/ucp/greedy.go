@@ -82,62 +82,3 @@ func (m *Matrix) SolveGreedyContext(ctx context.Context) (Solution, error) {
 	sort.Ints(chosen)
 	return Solution{Columns: chosen, Cost: cost, Optimal: false}, nil
 }
-
-// SolveExhaustive enumerates all 2^n column subsets and returns the true
-// optimum. It exists to cross-check the branch-and-bound solver in tests
-// and refuses instances with more than 24 columns.
-func (m *Matrix) SolveExhaustive() (Solution, error) {
-	return m.SolveExhaustiveContext(context.Background())
-}
-
-// SolveExhaustiveContext is SolveExhaustive under cooperative
-// cancellation, polling the context every cancelCheckInterval subset
-// masks; a 24-column instance walks 16M subsets, long enough to need a
-// way out. A cancellation mid-run returns the context's error wrapped.
-func (m *Matrix) SolveExhaustiveContext(ctx context.Context) (Solution, error) {
-	n := len(m.cols)
-	if n > 24 {
-		return Solution{}, fmt.Errorf("ucp: exhaustive solver limited to 24 columns, got %d", n)
-	}
-	if !m.Feasible() {
-		return Solution{}, ErrInfeasible
-	}
-	done := ctx.Done()
-	bestCost := math.Inf(1)
-	var best []int
-	for mask := 0; mask < 1<<n; mask++ {
-		if done != nil && mask&(cancelCheckInterval-1) == 0 {
-			select {
-			case <-done:
-				return Solution{}, fmt.Errorf("ucp: exhaustive interrupted: %w", ctx.Err())
-			default:
-			}
-		}
-		var cost float64
-		covered := make([]bool, m.numRows)
-		count := 0
-		for j := 0; j < n; j++ {
-			if mask&(1<<j) == 0 {
-				continue
-			}
-			cost += m.cols[j].Weight
-			for _, r := range m.cols[j].Rows {
-				if !covered[r] {
-					covered[r] = true
-					count++
-				}
-			}
-		}
-		if count != m.numRows || num.NoBetter(cost, bestCost) {
-			continue
-		}
-		bestCost = cost
-		best = best[:0]
-		for j := 0; j < n; j++ {
-			if mask&(1<<j) != 0 {
-				best = append(best, j)
-			}
-		}
-	}
-	return Solution{Columns: append([]int(nil), best...), Cost: bestCost, Optimal: true, LowerBound: bestCost}, nil
-}

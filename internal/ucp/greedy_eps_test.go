@@ -61,16 +61,12 @@ func TestGreedyAndExhaustiveContext(t *testing.T) {
 		t.Errorf("SolveGreedyContext cost %v != SolveGreedy cost %v", got.Cost, want.Cost)
 	}
 
-	exWant, err := m.SolveExhaustive()
-	if err != nil {
-		t.Fatalf("SolveExhaustive: %v", err)
-	}
 	exGot, err := m.SolveExhaustiveContext(context.Background())
 	if err != nil {
 		t.Fatalf("SolveExhaustiveContext(background): %v", err)
 	}
-	if exGot.Cost != exWant.Cost {
-		t.Errorf("SolveExhaustiveContext cost %v != SolveExhaustive cost %v", exGot.Cost, exWant.Cost)
+	if exGot.Cost != 2 {
+		t.Errorf("SolveExhaustiveContext cost %v, want the optimum 2", exGot.Cost)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

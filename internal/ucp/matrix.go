@@ -59,15 +59,6 @@ func NewMatrix(numRows int) *Matrix {
 	return m
 }
 
-// NumRows returns the number of rows to cover.
-func (m *Matrix) NumRows() int { return m.numRows }
-
-// NumColumns returns the number of candidate columns.
-func (m *Matrix) NumColumns() int { return len(m.cols) }
-
-// Column returns column j.
-func (m *Matrix) Column(j int) Column { return m.cols[j] }
-
 // AddColumn adds a candidate column and returns its index. Row indices
 // are deduplicated and sorted; out-of-range rows, empty covers, and
 // invalid weights are rejected.
@@ -188,29 +179,4 @@ type Stats struct {
 	// its incumbent solution (the greedy seed does not count; a solve
 	// whose seed is already optimal reports zero).
 	Incumbents int
-}
-
-// CostOf returns the summed weight of a column set.
-func (m *Matrix) CostOf(columns []int) float64 {
-	var sum float64
-	for _, j := range columns {
-		sum += m.cols[j].Weight
-	}
-	return sum
-}
-
-// Covers reports whether the column set covers every row.
-func (m *Matrix) Covers(columns []int) bool {
-	covered := make([]bool, m.numRows)
-	for _, j := range columns {
-		for _, r := range m.cols[j].Rows {
-			covered[r] = true
-		}
-	}
-	for _, ok := range covered {
-		if !ok {
-			return false
-		}
-	}
-	return true
 }

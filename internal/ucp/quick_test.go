@@ -1,6 +1,7 @@
 package ucp
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -51,11 +52,11 @@ func TestQuickSolveMatchesExhaustive(t *testing.T) {
 		if m == nil || !m.Feasible() {
 			return true
 		}
-		want, err := m.SolveExhaustive()
+		want, err := m.SolveExhaustiveContext(context.Background())
 		if err != nil {
 			return false
 		}
-		got, err := m.Solve()
+		got, err := m.SolveContext(context.Background())
 		if err != nil {
 			return false
 		}
@@ -76,11 +77,11 @@ func TestQuickDecomposedAgrees(t *testing.T) {
 		if m == nil || !m.Feasible() {
 			return true
 		}
-		direct, err := m.Solve()
+		direct, err := m.SolveContext(context.Background())
 		if err != nil {
 			return false
 		}
-		dec, err := m.SolveDecomposed()
+		dec, err := m.SolveDecomposedContext(context.Background())
 		if err != nil {
 			return false
 		}
@@ -98,7 +99,7 @@ func TestQuickGreedyAdmissible(t *testing.T) {
 		if m == nil || !m.Feasible() {
 			return true
 		}
-		opt, err := m.Solve()
+		opt, err := m.SolveContext(context.Background())
 		if err != nil {
 			return false
 		}

@@ -17,16 +17,11 @@ import (
 // two node interval (masked, not divided, in the hot loop).
 const cancelCheckInterval = 256
 
-// Solve finds a provably minimum-weight cover by branch-and-bound with
-// classical reductions. It returns ErrInfeasible when the instance is
-// infeasible (some row has no covering column).
-func (m *Matrix) Solve() (Solution, error) {
-	return m.SolveContext(context.Background())
-}
-
-// SolveContext is Solve under cooperative cancellation: when ctx is
-// canceled or its deadline passes mid-search, the solver stops at the
-// next node-count checkpoint and returns its best incumbent — seeded
+// SolveContext finds a provably minimum-weight cover by branch-and-bound
+// with classical reductions. It returns ErrInfeasible when the instance
+// is infeasible (some row has no covering column). When ctx is canceled
+// or its deadline passes mid-search, the solver stops at the next
+// node-count checkpoint and returns its best incumbent — seeded
 // from the greedy cover, so once the instance is feasible a valid cover
 // always exists — with Optimal=false and Interrupted=true instead of an
 // error. Solution.LowerBound then bounds how far the incumbent can be

@@ -1,6 +1,7 @@
 package ucp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,7 +25,7 @@ func TestAddColumnValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddColumn: %v", err)
 	}
-	got := m.Column(j).Rows
+	got := m.cols[j].Rows
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("rows not deduped/sorted: %v", got)
 	}
@@ -36,13 +37,13 @@ func TestFeasibility(t *testing.T) {
 	if m.Feasible() {
 		t.Error("row 1 uncovered; should be infeasible")
 	}
-	if _, err := m.Solve(); err == nil {
+	if _, err := m.SolveContext(context.Background()); err == nil {
 		t.Error("Solve should reject infeasible instance")
 	}
 	if _, err := m.SolveGreedy(); err == nil {
 		t.Error("SolveGreedy should reject infeasible instance")
 	}
-	if _, err := m.SolveExhaustive(); err == nil {
+	if _, err := m.SolveExhaustiveContext(context.Background()); err == nil {
 		t.Error("SolveExhaustive should reject infeasible instance")
 	}
 }
@@ -52,7 +53,7 @@ func TestSolveTrivial(t *testing.T) {
 	m.MustAddColumn(Column{Rows: []int{0, 1}, Weight: 3, Label: "both"})
 	m.MustAddColumn(Column{Rows: []int{0}, Weight: 1, Label: "r0"})
 	m.MustAddColumn(Column{Rows: []int{1}, Weight: 1, Label: "r1"})
-	sol, err := m.Solve()
+	sol, err := m.SolveContext(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -70,7 +71,7 @@ func TestSolvePrefersBundleWhenCheaper(t *testing.T) {
 	m.MustAddColumn(Column{Rows: []int{0}, Weight: 1})
 	m.MustAddColumn(Column{Rows: []int{1}, Weight: 1})
 	m.MustAddColumn(Column{Rows: []int{2}, Weight: 1})
-	sol, err := m.Solve()
+	sol, err := m.SolveContext(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestSolveEssentialColumn(t *testing.T) {
 	only := m.MustAddColumn(Column{Rows: []int{0}, Weight: 5}) // the only cover of row 0
 	m.MustAddColumn(Column{Rows: []int{1}, Weight: 1})
 	m.MustAddColumn(Column{Rows: []int{1}, Weight: 2})
-	sol, err := m.Solve()
+	sol, err := m.SolveContext(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -107,7 +108,7 @@ func TestSolveEqualColumnsNotBothErased(t *testing.T) {
 	m := NewMatrix(1)
 	m.MustAddColumn(Column{Rows: []int{0}, Weight: 2})
 	m.MustAddColumn(Column{Rows: []int{0}, Weight: 2})
-	sol, err := m.Solve()
+	sol, err := m.SolveContext(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -131,7 +132,7 @@ func TestGreedyFeasibleButMaybeSuboptimal(t *testing.T) {
 	if !m.Covers(g.Columns) {
 		t.Error("greedy solution does not cover")
 	}
-	e, err := m.Solve()
+	e, err := m.SolveContext(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -148,7 +149,7 @@ func TestExhaustiveLimit(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		m.MustAddColumn(Column{Rows: []int{0}, Weight: 1})
 	}
-	if _, err := m.SolveExhaustive(); err == nil {
+	if _, err := m.SolveExhaustiveContext(context.Background()); err == nil {
 		t.Error("exhaustive should refuse > 24 columns")
 	}
 }
@@ -188,11 +189,11 @@ func TestSolveMatchesExhaustiveProperty(t *testing.T) {
 		if !m.Feasible() {
 			continue
 		}
-		want, err := m.SolveExhaustive()
+		want, err := m.SolveExhaustiveContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d exhaustive: %v", trial, err)
 		}
-		got, err := m.Solve()
+		got, err := m.SolveContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d solve: %v", trial, err)
 		}
@@ -219,7 +220,7 @@ func TestSolveZeroWeightColumns(t *testing.T) {
 	m.MustAddColumn(Column{Rows: []int{0}, Weight: 0})
 	m.MustAddColumn(Column{Rows: []int{1}, Weight: 4})
 	m.MustAddColumn(Column{Rows: []int{0, 1}, Weight: 5})
-	sol, err := m.Solve()
+	sol, err := m.SolveContext(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -248,7 +249,7 @@ func BenchmarkSolveRandom20x40(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(); err != nil {
+		if _, err := m.SolveContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

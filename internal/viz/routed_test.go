@@ -18,7 +18,7 @@ func TestRoutedImplementationSVG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := routing.RouteImplementation(ig, routing.Options{})
+	routed, err := routing.RouteImplementation(ig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestRoutedImplementationByteStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := routing.RouteImplementation(ig, routing.Options{})
+	routed, err := routing.RouteImplementation(ig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,30 +71,5 @@ func TestRoutedImplementationByteStable(t *testing.T) {
 		if got := RoutedImplementation(ig, backward, Options{ShowLabels: true}); got != ref {
 			t.Fatalf("run %d: SVG differs across insertion orders", i)
 		}
-	}
-}
-
-func TestCongestionHeatmap(t *testing.T) {
-	cg := workloads.MPEG4()
-	lib := workloads.MPEG4Technology().Library()
-	ig, _, err := p2p.Synthesize(cg, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed, err := routing.RouteImplementation(ig, routing.Options{GridCells: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svg := CongestionHeatmap(routed.Congestion, routed.Bounds, Options{})
-	if !strings.HasPrefix(svg, "<svg") || !strings.Contains(svg, "max overlap:") {
-		t.Fatalf("heatmap malformed:\n%.200s", svg)
-	}
-	if !strings.Contains(svg, "fill-opacity") {
-		t.Error("no heat cells rendered")
-	}
-	// Empty grid degenerates gracefully.
-	empty := CongestionHeatmap(nil, routed.Bounds, Options{})
-	if !strings.Contains(empty, "<svg") {
-		t.Error("empty heatmap malformed")
 	}
 }
