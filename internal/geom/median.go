@@ -66,8 +66,7 @@ func WeightedMedianL2(sites []Point, weights []float64, opt MedianOptions) Point
 	// Weighted centroid as the starting iterate.
 	x := weightedCentroid(sites, weights)
 	b := Bounds(sites)
-	diag := math.Hypot(b.Width(), b.Height())
-	tol := stopTol(diag)
+	tol := stopTol(b.Max.Sub(b.Min).L2())
 
 	for iter := 0; iter < opt.maxIter(); iter++ {
 		var num Point

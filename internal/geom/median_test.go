@@ -190,21 +190,3 @@ func TestRandomInBoxStaysInside(t *testing.T) {
 		}
 	}
 }
-
-func TestRandomClusters(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	clusters := RandomClusters(r, BoundingBox{Min: Pt(0, 0), Max: Pt(100, 100)}, 3, 5, 1.0)
-	if len(clusters) != 3 {
-		t.Fatalf("got %d clusters, want 3", len(clusters))
-	}
-	for i, c := range clusters {
-		if len(c) != 5 {
-			t.Errorf("cluster %d has %d points, want 5", i, len(c))
-		}
-		// Points of one cluster should be mutually close relative to the box.
-		b := Bounds(c)
-		if b.Width() > 20 || b.Height() > 20 {
-			t.Errorf("cluster %d implausibly spread: %+v", i, b)
-		}
-	}
-}

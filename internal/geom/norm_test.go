@@ -70,18 +70,6 @@ func TestSumOfDistancesMismatchPanics(t *testing.T) {
 	SumOfDistances(Euclidean, Pt(0, 0), []Point{Pt(1, 1)}, []float64{1, 2})
 }
 
-func TestSnap(t *testing.T) {
-	if got := Snap(10.376, 2); got != 10.38 {
-		t.Errorf("Snap(10.376, 2) = %v, want 10.38", got)
-	}
-	if got := Snap(-1.005, 1); got != -1.0 {
-		t.Errorf("Snap(-1.005, 1) = %v, want -1.0", got)
-	}
-	if got := Snap(3.14159, 0); got != 3 {
-		t.Errorf("Snap(3.14159, 0) = %v, want 3", got)
-	}
-}
-
 // normAxioms checks symmetry, identity and the triangle inequality for a
 // norm-induced metric on bounded random points.
 func normAxioms(t *testing.T, n Norm) {

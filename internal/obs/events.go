@@ -77,6 +77,12 @@ const (
 // creates, and of every job stream the serving daemon creates.
 const DefaultEventBuffer = 1024
 
+// firstEventSlots is a ring's first allocation: a serving job's ~15
+// events fit in it and a synthesis run's 17–25 regrow it once. The
+// daemon keeps finished jobs' rings, so it is sized to a job, not the
+// cap.
+const firstEventSlots = 16
+
 // closedWake is the wake channel Since hands out once a stream is
 // closed (or nil): a reader's select on it returns at once.
 var closedWake = func() chan struct{} {
@@ -125,8 +131,8 @@ func (e *Events) SetTrace(traceID, spanID string) {
 
 // NewEvents returns a stream retaining the last bufCap events for
 // replay (<=0 means DefaultEventBuffer) under the given clock (nil
-// means time.Now). The ring's storage grows with the events published,
-// not with bufCap.
+// means time.Now). The ring is allocated for 16 events at the first
+// publish and grows with the events published, not with bufCap.
 func NewEvents(bufCap int, now func() time.Time) *Events {
 	if bufCap <= 0 {
 		bufCap = DefaultEventBuffer
@@ -165,6 +171,9 @@ func (e *Events) Publish(ev Event) {
 		ev.SpanID = e.spanID
 	}
 	if len(e.buf) < e.cap {
+		if e.buf == nil {
+			e.buf = make([]Event, 0, min(firstEventSlots, e.cap))
+		}
 		e.buf = append(e.buf, ev)
 	} else {
 		e.buf[e.start] = ev

@@ -101,6 +101,23 @@ func TestEventsRingGrowsOnDemand(t *testing.T) {
 	}
 }
 
+// TestEventsRingAllocations: the first publish allocates 16 slots, so
+// a 15-event stream costs itself and one ring, and a 25-event stream
+// one regrowth more.
+func TestEventsRingAllocations(t *testing.T) {
+	for _, c := range []struct {
+		events int
+		allocs float64
+	}{{15, 2}, {25, 3}} {
+		got := testing.AllocsPerRun(100, func() {
+			publishN(NewEvents(DefaultEventBuffer, nil), c.events)
+		})
+		if got > c.allocs {
+			t.Errorf("a fresh stream of %d events costs %.0f allocations, want <= %.0f", c.events, got, c.allocs)
+		}
+	}
+}
+
 // TestEventsLaggingReaderWithinRingLosesNothing: a reader 600 events
 // behind gets all 600, contiguous (a 256-event per-reader queue would
 // have dropped 344 of them).
