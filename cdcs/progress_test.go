@@ -12,7 +12,9 @@ import (
 // TestProgressCallback drives the public Options.Progress surface: the
 // callback must receive the whole event stream — run bracket, every
 // phase, at least one incumbent — in publication order, all delivered
-// before Synthesize returns.
+// before Synthesize returns. Incumbents describe the whole covering
+// instance: each brackets the run's cost between its lower bound and
+// its cost, and the last one is the run's cost.
 func TestProgressCallback(t *testing.T) {
 	var mu sync.Mutex
 	var got []Event
@@ -49,11 +51,21 @@ func TestProgressCallback(t *testing.T) {
 		t.Errorf("last event = %+v, want optimal run_end", last)
 	}
 	counts := map[string]int{}
+	var last Event
 	for _, ev := range got {
 		counts[ev.Type]++
+		if ev.Type != obs.EventIncumbent {
+			continue
+		}
+		if ev.LowerBound > rep.Cost || rep.Cost > ev.Cost {
+			t.Errorf("incumbent %+v does not bracket the run's cost %v", ev, rep.Cost)
+		}
+		last = ev
 	}
 	if counts[obs.EventIncumbent] == 0 {
 		t.Error("no incumbent events")
+	} else if last.Cost != rep.Cost {
+		t.Errorf("last incumbent costs %v, run costs %v", last.Cost, rep.Cost)
 	}
 	if counts[obs.EventPhaseStart] != 5 || counts[obs.EventPhaseEnd] != 5 {
 		t.Errorf("phase events = %d start / %d end, want 5/5", counts[obs.EventPhaseStart], counts[obs.EventPhaseEnd])

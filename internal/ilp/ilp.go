@@ -104,7 +104,7 @@ func (p *Problem) Solve() (Solution, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return num.Stronger(p.costs[order[a]], p.costs[order[b]]) })
+	sort.Slice(order, func(a, b int) bool { return num.Below(p.costs[order[b]], p.costs[order[a]]) })
 
 	s := &solver{
 		p:        p,

@@ -122,7 +122,9 @@ func TestILPMatchesUCPProperty(t *testing.T) {
 			w := 0.5 + r.Float64()*9
 			costs[j] = w
 			covers[j] = cover
-			m.MustAddColumn(ucp.Column{Rows: cover, Weight: w})
+			if _, err := m.AddColumn(ucp.Column{Rows: cover, Weight: w}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if !m.Feasible() {
 			continue

@@ -129,29 +129,6 @@ func TestNodeCost(t *testing.T) {
 	}
 }
 
-// LinksWithBandwidth returns all links whose bandwidth is at least b.
-func (lib *Library) LinksWithBandwidth(b float64) []Link {
-	var out []Link
-	for _, l := range lib.Links {
-		if l.Bandwidth >= b {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-func TestLinksWithBandwidth(t *testing.T) {
-	lib := validLibrary()
-	fast := lib.LinksWithBandwidth(30)
-	if len(fast) != 1 || fast[0].Name != "optical" {
-		t.Errorf("LinksWithBandwidth(30) = %+v", fast)
-	}
-	all := lib.LinksWithBandwidth(0)
-	if len(all) != 3 {
-		t.Errorf("LinksWithBandwidth(0) returned %d links", len(all))
-	}
-}
-
 func TestNodeKindString(t *testing.T) {
 	if Repeater.String() != "repeater" || Mux.String() != "mux" || Demux.String() != "demux" {
 		t.Error("kind names wrong")

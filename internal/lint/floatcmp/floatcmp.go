@@ -8,8 +8,8 @@
 // The approved alternative is repro/internal/num, which splits every
 // comparison into a reviewed family: the epsilon helpers (Eq, Less,
 // LessEq, Greater, GreaterEq, IsZero) where a noise-split tie must
-// stay a tie, and the exact helpers (Improves, NoBetter, Stronger,
-// Below, AtMost) where the audit concluded tolerance is unsound —
+// stay a tie, and the exact helpers (Improves, NoBetter, Below,
+// AtMost) where the audit concluded tolerance is unsound —
 // pruning against an incumbent must never discard a genuinely better
 // subtree, and the bench gate pins the search counters exactly.
 // Routing a comparison through a named helper is the audit trail.

@@ -96,11 +96,6 @@ func Improves(a, b float64) bool { return a < b }
 // soundness argument above.
 func NoBetter(a, b float64) bool { return a >= b }
 
-// Stronger reports a > b exactly: keep the tighter of two valid lower
-// bounds. Either choice is sound, so exactness here is purely for
-// counter reproducibility.
-func Stronger(a, b float64) bool { return a > b }
-
 // Below reports a < b exactly: threshold and feasibility tests
 // (capacity vs demand, slack vs raise) where the model's semantics
 // are a hard cutoff, plus ordering comparators that feed sorts.

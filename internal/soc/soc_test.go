@@ -1,8 +1,6 @@
 package soc
 
 import (
-	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -17,39 +15,6 @@ func TestTech180nm(t *testing.T) {
 	}
 	if tech.Name != "0.18um" {
 		t.Errorf("Name = %q", tech.Name)
-	}
-}
-
-// FromParasitics derives the critical length from first-order
-// parasitics: a wire of resistance r and capacitance c per unit length
-// driven through repeaters of output resistance rd and input
-// capacitance cg has optimal spacing l_crit = sqrt(2·rd·cg / (r·c)).
-func FromParasitics(name string, rd, cg, r, c, wireBandwidth float64) (Technology, error) {
-	if rd <= 0 || cg <= 0 || r <= 0 || c <= 0 {
-		return Technology{}, fmt.Errorf("soc: parasitics must be positive (rd=%g cg=%g r=%g c=%g)", rd, cg, r, c)
-	}
-	return Technology{
-		Name:          name,
-		LCrit:         math.Sqrt(2 * rd * cg / (r * c)),
-		WireBandwidth: wireBandwidth,
-	}, nil
-}
-
-func TestFromParasitics(t *testing.T) {
-	// l_crit = sqrt(2·rd·cg/(r·c)); pick values giving exactly 2.
-	tech, err := FromParasitics("test", 100, 2e-3, 0.05, 2e-3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Sqrt(2 * 100 * 2e-3 / (0.05 * 2e-3))
-	if math.Abs(tech.LCrit-want) > 1e-12 {
-		t.Errorf("LCrit = %v, want %v", tech.LCrit, want)
-	}
-	if _, err := FromParasitics("bad", -1, 1, 1, 1, 1); err == nil {
-		t.Error("negative parasitics should be rejected")
-	}
-	if _, err := FromParasitics("bad", 1, 1, 0, 1, 1); err == nil {
-		t.Error("zero wire resistance should be rejected")
 	}
 }
 

@@ -50,8 +50,9 @@ type Degradation struct {
 	// branch-and-bound; the solution is its best incumbent.
 	SolverInterrupted bool
 	// CoverLowerBound is an admissible lower bound on the optimal cost
-	// of the covering instance that was actually solved, from the
-	// solver's root relaxation (internal/ucp/bound.go). GapBound =
+	// of the covering instance that was actually solved: the optimum of
+	// every block the solver finished, plus the root dual-ascent bound
+	// of every other block (ucp.Solution.LowerBound). GapBound =
 	// Report.Cost − CoverLowerBound bounds the optimality gap of the
 	// returned architecture relative to that instance. When enumeration
 	// or pricing was also cut short, the bound is relative to the

@@ -323,19 +323,9 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 	// --- Step 2: weighted unate covering. ---
 	phase = time.Now()
 	events.Publish(obs.Event{Type: obs.EventPhaseStart, Phase: "solve"})
-	m := ucp.NewMatrix(n)
-	for idx, c := range report.Candidates {
-		rows := make([]int, len(c.Channels))
-		for i, ch := range c.Channels {
-			rows[i] = int(ch)
-		}
-		if _, err := m.AddColumn(ucp.Column{
-			Rows:   rows,
-			Weight: c.Cost,
-			Label:  fmt.Sprintf("cand%d", idx),
-		}); err != nil {
-			return nil, nil, err
-		}
+	m, err := coverMatrix(n, report.Candidates)
+	if err != nil {
+		return nil, nil, err
 	}
 	solveCtx, endSolve := obs.Trace(ctx, "synth/solve",
 		obs.Int("rows", n), obs.Int("cols", len(report.Candidates)))
@@ -345,12 +335,12 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 		sol, err = m.SolveGreedy()
 	default:
 		// Independent blocks (channel groups sharing no candidate) are
-		// solved separately — exponentially cheaper, same optimum. On
-		// deadline the branch-and-bound returns its greedy-seeded best
-		// incumbent rather than erroring (anytime solving). The ucp
-		// layer opens its own "ucp/solve" spans under solveCtx and
-		// publishes the node/prune/incumbent counters.
-		sol, err = m.SolveDecomposedContext(solveCtx)
+		// searched one after another — exponentially cheaper, same
+		// optimum. On deadline the branch-and-bound returns its
+		// greedy-seeded best incumbent rather than erroring (anytime
+		// solving). The ucp layer opens its own "ucp/solve" spans under
+		// solveCtx and publishes the node/prune/incumbent counters.
+		sol, err = m.SolveContext(solveCtx)
 	}
 	if err != nil {
 		endSolve()
@@ -390,6 +380,22 @@ func SynthesizeContext(ctx context.Context, cg *model.ConstraintGraph, lib *libr
 	report.Elapsed = time.Since(start)
 	publishRun(ctx, report)
 	return ig, report, nil
+}
+
+// coverMatrix is a run's covering instance: a row per channel and a
+// column per candidate, weighted by its cost.
+func coverMatrix(n int, cands []Candidate) (*ucp.Matrix, error) {
+	m := ucp.NewMatrix(n)
+	for _, c := range cands {
+		rows := make([]int, len(c.Channels))
+		for i, ch := range c.Channels {
+			rows[i] = int(ch)
+		}
+		if _, err := m.AddColumn(ucp.Column{Rows: rows, Weight: c.Cost}); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
 }
 
 // publishRun adds the run's summary counters to the registry carried

@@ -184,7 +184,7 @@ func TestKeepDominatedGrowsInstanceNotCost(t *testing.T) {
 			t.Fatalf("%s: %d priced mergings unmatched, %d dominated placed, report counts %d dominated",
 				c.name, len(priced), dominated, rep.DominatedMergings)
 		}
-		sol, err := m.SolveDecomposedContext(context.Background())
+		sol, err := m.SolveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

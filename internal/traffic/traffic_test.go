@@ -118,45 +118,6 @@ func TestTraceStatisticsMatchModel(t *testing.T) {
 	}
 }
 
-func TestEstimateBandwidth(t *testing.T) {
-	s := burstySource()
-	r := rand.New(rand.NewSource(17))
-	trace, err := s.Trace(r, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := EstimateBandwidth(trace, 50, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The empirical requirement sits between mean and peak, and below
-	// the analytic effective bandwidth for a comparable buffer (c·B/w).
-	if est < s.MeanRate() || est > s.Peak {
-		t.Errorf("estimate %v outside [mean %v, peak %v]", est, s.MeanRate(), s.Peak)
-	}
-	// Quantile 0 (epsilon→1-ish) degenerates towards the minimum window.
-	lo, err := EstimateBandwidth(trace, 50, 0.999999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > est {
-		t.Errorf("low quantile %v above high quantile %v", lo, est)
-	}
-}
-
-func TestEstimateBandwidthErrors(t *testing.T) {
-	trace := []float64{1, 2, 3}
-	if _, err := EstimateBandwidth(trace, 0, 0.1); err == nil {
-		t.Error("zero window should fail")
-	}
-	if _, err := EstimateBandwidth(trace, 4, 0.1); err == nil {
-		t.Error("window larger than trace should fail")
-	}
-	if _, err := EstimateBandwidth(trace, 2, 1); err == nil {
-		t.Error("epsilon 1 should fail")
-	}
-}
-
 // Property: the analytic effective bandwidth is a safe provisioning
 // level — a channel served at that rate drops (almost) nothing in
 // simulation with the corresponding buffer.

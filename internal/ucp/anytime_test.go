@@ -151,7 +151,7 @@ func TestSolveContextMidSearchDeadline(t *testing.T) {
 	}
 }
 
-// TestSolveDecomposedInterrupted checks that block-decomposed solving
+// TestSolveDecomposedInterrupted checks that a solve of several blocks
 // propagates interruption and accumulates per-block lower bounds.
 func TestSolveDecomposedInterrupted(t *testing.T) {
 	// Two independent 2-row blocks.
@@ -165,9 +165,9 @@ func TestSolveDecomposedInterrupted(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sol, err := m.SolveDecomposedContext(ctx)
+	sol, err := m.SolveContext(ctx)
 	if err != nil {
-		t.Fatalf("SolveDecomposedContext: %v", err)
+		t.Fatalf("SolveContext: %v", err)
 	}
 	if sol.Optimal || !sol.Interrupted {
 		t.Fatalf("Optimal=%v Interrupted=%v, want false/true", sol.Optimal, sol.Interrupted)
@@ -180,9 +180,9 @@ func TestSolveDecomposedInterrupted(t *testing.T) {
 	}
 
 	// Uninterrupted decomposed solve on the same instance is optimal.
-	opt, err := m.SolveDecomposedContext(context.Background())
+	opt, err := m.SolveContext(context.Background())
 	if err != nil {
-		t.Fatalf("SolveDecomposed: %v", err)
+		t.Fatalf("SolveContext: %v", err)
 	}
 	if !opt.Optimal || opt.Interrupted {
 		t.Fatalf("uninterrupted: Optimal=%v Interrupted=%v", opt.Optimal, opt.Interrupted)
@@ -209,8 +209,5 @@ func TestInfeasibleSentinel(t *testing.T) {
 	}
 	if _, err := m.SolveExhaustiveContext(context.Background()); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("SolveExhaustive: err = %v, want ErrInfeasible", err)
-	}
-	if _, err := m.SolveDecomposedContext(context.Background()); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("SolveDecomposed: err = %v, want ErrInfeasible", err)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // polls ctx every cancelCheckInterval subset masks; a cancellation
 // mid-run returns the context's error wrapped.
 func (m *Matrix) SolveExhaustiveContext(ctx context.Context) (Solution, error) {
-	n := len(m.cols)
+	n := len(m.weight)
 	if n > 24 {
 		return Solution{}, fmt.Errorf("ucp: exhaustive solver limited to 24 columns, got %d", n)
 	}
@@ -32,56 +32,35 @@ func (m *Matrix) SolveExhaustiveContext(ctx context.Context) (Solution, error) {
 			default:
 			}
 		}
-		var cost float64
-		covered := make([]bool, m.numRows)
-		count := 0
-		for j := 0; j < n; j++ {
-			if mask&(1<<j) == 0 {
-				continue
-			}
-			cost += m.cols[j].Weight
-			for _, r := range m.cols[j].Rows {
-				if !covered[r] {
-					covered[r] = true
-					count++
-				}
-			}
-		}
-		if count != m.numRows || num.NoBetter(cost, bestCost) {
-			continue
-		}
-		bestCost = cost
-		best = best[:0]
+		var cols []int
 		for j := 0; j < n; j++ {
 			if mask&(1<<j) != 0 {
-				best = append(best, j)
+				cols = append(cols, j)
 			}
 		}
+		if cost := m.CostOf(cols); m.Covers(cols) && num.Improves(cost, bestCost) {
+			bestCost, best = cost, cols
+		}
 	}
-	return Solution{Columns: append([]int(nil), best...), Cost: bestCost, Optimal: true, LowerBound: bestCost}, nil
+	return Solution{Columns: best, Cost: bestCost, Optimal: true, LowerBound: bestCost}, nil
 }
 
 // CostOf returns the summed weight of a column set.
 func (m *Matrix) CostOf(columns []int) float64 {
 	var sum float64
 	for _, j := range columns {
-		sum += m.cols[j].Weight
+		sum += m.weight[j]
 	}
 	return sum
 }
 
 // Covers reports whether the column set covers every row.
 func (m *Matrix) Covers(columns []int) bool {
-	covered := make([]bool, m.numRows)
+	uncovered := m.whole().rows
 	for _, j := range columns {
-		for _, r := range m.cols[j].Rows {
-			covered[r] = true
+		for wi, w := range m.colMask[j] {
+			uncovered[wi] &^= w
 		}
 	}
-	for _, ok := range covered {
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return onesCount(uncovered) == 0
 }

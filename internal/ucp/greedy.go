@@ -11,7 +11,7 @@ import (
 
 // SolveGreedy returns a feasible (not necessarily optimal) cover using
 // the classical weight-per-newly-covered-row heuristic. It serves as a
-// baseline for the exact solver and as its initial incumbent.
+// baseline for the exact solver, whose blocks it seeds.
 func (m *Matrix) SolveGreedy() (Solution, error) {
 	return m.SolveGreedyContext(context.Background())
 }
@@ -29,33 +29,38 @@ func (m *Matrix) SolveGreedyContext(ctx context.Context) (Solution, error) {
 	if !m.Feasible() {
 		return Solution{}, ErrInfeasible
 	}
-	done := ctx.Done()
-	covered := make([]bool, m.numRows)
-	remaining := m.numRows
-	var chosen []int
-	var cost float64
-	for remaining > 0 {
+	chosen, cost, ok := m.greedy(ctx.Done(), m.whole())
+	if !ok {
+		return Solution{}, fmt.Errorf("ucp: greedy interrupted: %w", ctx.Err())
+	}
+	sort.Ints(chosen)
+	return Solution{Columns: chosen, Cost: cost}, nil
+}
+
+// greedy covers b's rows with b's columns, in the order chosen, and
+// reports false if done closed first (a nil done never does). The
+// callers have checked feasibility, so some column always covers a row
+// still uncovered.
+func (m *Matrix) greedy(done <-chan struct{}, b block) (chosen []int, cost float64, ok bool) {
+	uncovered := append([]uint64(nil), b.rows...)
+	cols := appendOnes(nil, b.cols)
+	for remaining := onesCount(uncovered); remaining > 0; {
 		if done != nil {
 			select {
 			case <-done:
-				return Solution{}, fmt.Errorf("ucp: greedy interrupted: %w", ctx.Err())
+				return nil, 0, false
 			default:
 			}
 		}
 		bestJ := -1
 		bestRatio := math.Inf(1)
 		bestNew := 0
-		for j, c := range m.cols {
-			newRows := 0
-			for _, r := range c.Rows {
-				if !covered[r] {
-					newRows++
-				}
-			}
+		for _, j := range cols {
+			newRows := popcountAnd(m.colMask[j], uncovered)
 			if newRows == 0 {
 				continue
 			}
-			ratio := c.Weight / float64(newRows)
+			ratio := m.weight[j] / float64(newRows)
 			switch {
 			case bestJ < 0:
 				bestJ, bestRatio, bestNew = j, ratio, newRows
@@ -67,18 +72,12 @@ func (m *Matrix) SolveGreedyContext(ctx context.Context) (Solution, error) {
 				bestJ, bestRatio, bestNew = j, ratio, newRows
 			}
 		}
-		if bestJ < 0 {
-			return Solution{}, fmt.Errorf("ucp: greedy stalled with %d rows uncovered", remaining)
-		}
 		chosen = append(chosen, bestJ)
-		cost += m.cols[bestJ].Weight
-		for _, r := range m.cols[bestJ].Rows {
-			if !covered[r] {
-				covered[r] = true
-				remaining--
-			}
+		cost += m.weight[bestJ]
+		remaining -= bestNew
+		for wi, w := range m.colMask[bestJ] {
+			uncovered[wi] &^= w
 		}
 	}
-	sort.Ints(chosen)
-	return Solution{Columns: chosen, Cost: cost, Optimal: false}, nil
+	return chosen, cost, true
 }

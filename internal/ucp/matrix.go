@@ -7,14 +7,14 @@
 // The exact solver is a branch-and-bound in the classical
 // Espresso/Scherzo style (the paper defers to such solvers, refs [4, 8]):
 // essential-column extraction, row and column dominance reductions, and
-// a maximal-independent-set lower bound. A greedy heuristic and an
-// exhaustive solver are provided as baselines and cross-checks.
+// a dual-ascent lower bound on the LP relaxation (ref [8]). A greedy
+// heuristic seeds the search and serves as a baseline.
 package ucp
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // Column is one candidate: the set of rows it covers and its weight.
@@ -24,24 +24,20 @@ type Column struct {
 	Rows []int
 	// Weight is the column's cost; must be non-negative and finite.
 	Weight float64
-	// Label is an optional human-readable identifier carried through to
-	// solutions.
-	Label string
 }
 
 // Matrix is a weighted unate covering instance with rows 0..NumRows-1.
 //
-// Beside the column list it maintains two flat bitmask views of the
-// coverage relation, built incrementally by AddColumn and consumed by
-// the solver's hot loops: colMask[j] holds the rows column j covers
-// (one bit per row), rowMask[r] holds the columns covering row r (one
-// bit per column). Membership, cover-count and subset tests — the
-// innermost operations of essential extraction, dominance reduction and
-// both lower bounds — become single-word AND/popcount operations
-// instead of binary searches over sorted row slices.
+// The coverage relation is held as two flat bitmask views built by
+// AddColumn: colMask[j] holds the rows column j covers (one bit per
+// row), rowMask[r] holds the columns covering row r (one bit per
+// column). A subproblem of the search is a pair of masks of the same
+// shapes (uncovered rows, choosable columns), so membership,
+// cover-count and subset tests are word AND/popcount operations.
 type Matrix struct {
 	numRows int
-	cols    []Column
+	// weight[j] is column j's weight.
+	weight []float64
 	// rowWords is the word length of every colMask (fixed by numRows);
 	// colWords is the current word length of every rowMask (grows as
 	// columns are added, all rows kept at equal length so mask pairs
@@ -59,81 +55,74 @@ func NewMatrix(numRows int) *Matrix {
 	return m
 }
 
-// AddColumn adds a candidate column and returns its index. Row indices
-// are deduplicated and sorted; out-of-range rows, empty covers, and
-// invalid weights are rejected.
+// AddColumn adds a candidate column and returns its index. Out-of-range
+// rows, empty covers, and invalid weights are rejected.
 func (m *Matrix) AddColumn(c Column) (int, error) {
+	j := len(m.weight)
 	if len(c.Rows) == 0 {
-		return 0, fmt.Errorf("ucp: column %q covers no rows", c.Label)
+		return 0, fmt.Errorf("ucp: column %d covers no rows", j)
 	}
 	if c.Weight < 0 || math.IsNaN(c.Weight) || math.IsInf(c.Weight, 0) {
-		return 0, fmt.Errorf("ucp: column %q has invalid weight %g", c.Label, c.Weight)
+		return 0, fmt.Errorf("ucp: column %d has invalid weight %g", j, c.Weight)
 	}
-	rows := append([]int(nil), c.Rows...)
-	sort.Ints(rows)
-	dedup := rows[:0]
-	for _, r := range rows {
-		if r < 0 || r >= m.numRows {
-			return 0, fmt.Errorf("ucp: column %q covers out-of-range row %d", c.Label, r)
-		}
-		if len(dedup) > 0 && dedup[len(dedup)-1] == r {
-			continue
-		}
-		dedup = append(dedup, r)
-	}
-	c.Rows = dedup
-	m.cols = append(m.cols, c)
-	j := len(m.cols) - 1
-
-	// Extend the bitmask views. Column masks are fixed-width (rows are
-	// known up front); row masks grow a word whenever the column count
-	// crosses a 64-boundary, and every row is kept at the same width so
-	// subset tests can walk mask pairs word-by-word.
 	cm := make([]uint64, m.rowWords)
-	for _, r := range dedup {
-		cm[r>>6] |= 1 << (uint(r) & 63)
+	for _, r := range c.Rows {
+		if r < 0 || r >= m.numRows {
+			return 0, fmt.Errorf("ucp: column %d covers out-of-range row %d", j, r)
+		}
+		setBit(cm, r)
 	}
+	m.weight = append(m.weight, c.Weight)
 	m.colMask = append(m.colMask, cm)
+
+	// Row masks grow a word whenever the column count crosses a
+	// 64-boundary, and every row is kept at the same width so subset
+	// tests can walk mask pairs word-by-word.
 	if w := j>>6 + 1; w > m.colWords {
 		m.colWords = w
 		for r := range m.rowMask {
 			m.rowMask[r] = append(m.rowMask[r], 0)
 		}
 	}
-	for _, r := range dedup {
-		m.rowMask[r][j>>6] |= 1 << (uint(j) & 63)
+	for _, r := range c.Rows {
+		setBit(m.rowMask[r], j)
 	}
 	return j, nil
 }
 
-// covers reports whether column j covers row r (a single bit test).
-func (m *Matrix) covers(j, r int) bool {
-	return m.colMask[j][r>>6]&(1<<(uint(r)&63)) != 0
-}
-
-// MustAddColumn is AddColumn that panics on error.
-func (m *Matrix) MustAddColumn(c Column) int {
-	j, err := m.AddColumn(c)
-	if err != nil {
-		panic(err)
-	}
-	return j
-}
-
 // Feasible reports whether every row is covered by at least one column.
 func (m *Matrix) Feasible() bool {
-	covered := make([]bool, m.numRows)
-	for _, c := range m.cols {
-		for _, r := range c.Rows {
-			covered[r] = true
-		}
-	}
-	for _, ok := range covered {
-		if !ok {
+	for _, cols := range m.rowMask {
+		if onesCount(cols) == 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// appendOnes appends the indices of mask's set bits to dst, ascending.
+func appendOnes(dst []int, mask []uint64) []int {
+	for wi, w := range mask {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, wi<<6|bits.TrailingZeros64(w))
+		}
+	}
+	return dst
+}
+
+// setBit sets bit i of mask.
+func setBit(mask []uint64, i int) { mask[i>>6] |= 1 << (uint(i) & 63) }
+
+// clearBit clears bit i of mask.
+func clearBit(mask []uint64, i int) { mask[i>>6] &^= 1 << (uint(i) & 63) }
+
+// onesCount returns the number of set bits in mask.
+func onesCount(mask []uint64) int {
+	n := 0
+	for _, w := range mask {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // Solution is a set of selected columns covering all rows.
@@ -150,10 +139,12 @@ type Solution struct {
 	// with) and Optimal is false.
 	Interrupted bool
 	// LowerBound is an admissible lower bound on the optimal cost of
-	// this instance: equal to Cost when Optimal, and otherwise the root
-	// relaxation bound (the stronger of the independent-set and
-	// dual-ascent bounds), so Cost − LowerBound bounds the optimality
-	// gap of an interrupted solve. The greedy solver leaves it zero.
+	// this instance: equal to Cost when Optimal, and otherwise the sum,
+	// over the instance's independent blocks, of each block's optimum
+	// where its search finished and of its root dual-ascent bound,
+	// capped at its incumbent, where it did not. Cost − LowerBound
+	// bounds the optimality gap of an interrupted solve. The greedy
+	// solver leaves it zero.
 	LowerBound float64
 	// Stats carries solver counters.
 	Stats Stats
@@ -179,4 +170,24 @@ type Stats struct {
 	// its incumbent solution (the greedy seed does not count; a solve
 	// whose seed is already optimal reports zero).
 	Incumbents int
+}
+
+// popcountAnd returns |a ∩ b| for equal-length masks.
+func popcountAnd(a, b []uint64) int {
+	n := 0
+	for i, w := range a {
+		n += bits.OnesCount64(w & b[i])
+	}
+	return n
+}
+
+// maskSubsetUnder reports whether a∩ctx ⊆ b (ctx restricts both sides:
+// x∩ctx ⊆ y∩ctx ⟺ x∩ctx ⊆ y).
+func maskSubsetUnder(a, b, ctx []uint64) bool {
+	for i, w := range a {
+		if w&ctx[i]&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
 }

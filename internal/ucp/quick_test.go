@@ -70,22 +70,20 @@ func TestQuickSolveMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// Property: decomposed solving agrees with direct solving.
+// Property: solving the blocks in place agrees bit for bit, in cost
+// and counters, with solving each block as a matrix of its own.
 func TestQuickDecomposedAgrees(t *testing.T) {
 	f := func(recipe []byte) bool {
 		m := matrixFromRecipe(recipe)
 		if m == nil || !m.Feasible() {
 			return true
 		}
-		direct, err := m.SolveContext(context.Background())
+		sol, err := m.SolveContext(context.Background())
 		if err != nil {
 			return false
 		}
-		dec, err := m.SolveDecomposedContext(context.Background())
-		if err != nil {
-			return false
-		}
-		return math.Abs(direct.Cost-dec.Cost) < 1e-9
+		cost, st := solveBlocksApart(t, m)
+		return cost == sol.Cost && st == sol.Stats
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

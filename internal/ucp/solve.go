@@ -18,96 +18,94 @@ import (
 const cancelCheckInterval = 256
 
 // SolveContext finds a provably minimum-weight cover by branch-and-bound
-// with classical reductions. It returns ErrInfeasible when the instance
+// with classical reductions, searching the instance's independent
+// blocks one after another. It returns ErrInfeasible when the instance
 // is infeasible (some row has no covering column). When ctx is canceled
 // or its deadline passes mid-search, the solver stops at the next
-// node-count checkpoint and returns its best incumbent — seeded
-// from the greedy cover, so once the instance is feasible a valid cover
-// always exists — with Optimal=false and Interrupted=true instead of an
-// error. Solution.LowerBound then bounds how far the incumbent can be
-// from the true optimum.
+// node-count checkpoint and returns its best incumbent — every block is
+// seeded with its greedy cover, so once the instance is feasible a
+// valid cover always exists — with Optimal=false and Interrupted=true
+// instead of an error. Solution.LowerBound then bounds how far the
+// incumbent can be from the true optimum.
 func (m *Matrix) SolveContext(ctx context.Context) (Solution, error) {
 	if !m.Feasible() {
 		return Solution{}, ErrInfeasible
 	}
-	ctx, endSpan := obs.Trace(ctx, "ucp/solve",
-		obs.Int("rows", m.numRows), obs.Int("cols", len(m.cols)))
-	s := &bbState{
-		m:        m,
-		bestCost: math.Inf(1),
-		done:     ctx.Done(),
-		events:   obs.EventsFromContext(ctx),
-		actMask:  make([]uint64, m.rowWords),
-		avMask:   make([]uint64, m.colWords),
+	blocks := m.blocks()
+	// Each block opens its own "ucp/solve" span and publishes its own
+	// counters; several blocks are framed by one more span that records
+	// the decomposition width.
+	endSpan := func(...obs.Attr) {}
+	if len(blocks) > 1 {
+		ctx, endSpan = obs.Trace(ctx, "ucp/solve-decomposed",
+			obs.Int("rows", m.numRows), obs.Int("cols", len(m.weight)), obs.Int("blocks", len(blocks)))
 	}
-	// Seed the incumbent with the greedy solution so pruning bites early
-	// and an interrupted solve always has a feasible answer.
-	if greedy, err := m.SolveGreedy(); err == nil {
-		s.bestCost = greedy.Cost
-		s.bestCols = append([]int(nil), greedy.Columns...)
+	s := &search{
+		m:      m,
+		done:   ctx.Done(),
+		events: obs.EventsFromContext(ctx),
+		best:   make([]float64, len(blocks)),
+		bound:  make([]float64, len(blocks)),
+		counts: make([]int, m.numRows),
+		slack:  make([]float64, len(m.weight)),
 	}
-	active := make([]bool, m.numRows)
-	for r := range active {
-		active[r] = true
-	}
-	avail := make([]bool, len(m.cols))
-	for j := range avail {
-		avail[j] = true
-	}
-	// The root lower bound is computed before branching: it stays valid
-	// for the whole instance no matter where the search is interrupted.
-	rootBound := s.combinedBound(active, avail)
-	s.rootBound = rootBound
-	// The greedy seed is the search's first incumbent, so the stream
-	// reports it like any later improvement (with Nodes=0). It is not
+	// Every block's greedy seed and root bound come first, so the first
+	// incumbent reported covers the whole instance, and the bound stays
+	// valid however early the search is interrupted. The seed is not
 	// counted in Stats.Incumbents, which tallies improvements found by
 	// branching — the deterministic counter the benchmark gate pins.
-	if s.events != nil && s.bestCols != nil {
-		gap := s.bestCost - rootBound
-		if gap < 0 {
-			gap = 0
+	seeds := make([][]int, len(blocks))
+	for i, b := range blocks {
+		seeds[i], s.best[i], _ = m.greedy(nil, b)
+		s.bound[i] = s.dualAscentBound(b.rows, b.cols)
+	}
+	s.publish()
+
+	var sol Solution
+	for i, b := range blocks {
+		blockCtx, endBlock := obs.Trace(ctx, "ucp/solve",
+			obs.Int("rows", onesCount(b.rows)), obs.Int("cols", onesCount(b.cols)))
+		s.block, s.stats, s.bestCols = i, Stats{}, seeds[i]
+		// An unconditional root check makes an already-dead context
+		// deterministic for any instance size (the in-search checks are
+		// amortized and may never trigger on small trees).
+		select {
+		case <-s.done:
+			s.interrupted = true
+		default:
+			rows, cols := s.frame(0)
+			copy(rows, b.rows)
+			copy(cols, b.cols)
+			s.chosen = s.chosen[:0]
+			s.branch(0, 0)
 		}
-		s.events.Publish(obs.Event{
-			Type:       obs.EventIncumbent,
-			Cost:       s.bestCost,
-			LowerBound: rootBound,
-			Gap:        gap,
-		})
+		if !s.interrupted {
+			s.bound[i] = s.best[i]
+		}
+		s.nodes += s.stats.Nodes
+		sol.Columns = append(sol.Columns, s.bestCols...)
+		sol.Stats.Nodes += s.stats.Nodes
+		sol.Stats.Prunes += s.stats.Prunes
+		sol.Stats.Reductions += s.stats.Reductions
+		sol.Stats.Infeasible += s.stats.Infeasible
+		sol.Stats.Incumbents += s.stats.Incumbents
+		publishSolve(blockCtx, s.stats)
+		endBlock(
+			obs.Int("nodes", s.stats.Nodes),
+			obs.Int("prunes", s.stats.Prunes),
+			obs.Int("reductions", s.stats.Reductions),
+			obs.Int("incumbents", s.stats.Incumbents),
+			obs.Bool("interrupted", s.interrupted),
+		)
 	}
-	// An unconditional root check makes an already-dead context
-	// deterministic for any instance size (the in-search checks are
-	// amortized and may never trigger on small trees).
-	select {
-	case <-s.done:
-		s.interrupted = true
-	default:
-		s.branch(active, avail, nil, 0)
-	}
-	sort.Ints(s.bestCols)
-	sol := Solution{
-		Columns:     s.bestCols,
-		Cost:        s.bestCost,
-		Optimal:     !s.interrupted,
-		Interrupted: s.interrupted,
-		Stats:       s.stats,
-	}
-	if sol.Optimal {
-		sol.LowerBound = sol.Cost
-	} else {
-		sol.LowerBound = math.Min(rootBound, sol.Cost)
-	}
-	publishSolve(ctx, sol.Stats)
-	endSpan(
-		obs.Int("nodes", sol.Stats.Nodes),
-		obs.Int("prunes", sol.Stats.Prunes),
-		obs.Int("reductions", sol.Stats.Reductions),
-		obs.Int("incumbents", sol.Stats.Incumbents),
-		obs.Bool("interrupted", sol.Interrupted),
-	)
+	sort.Ints(sol.Columns)
+	sol.Cost, sol.LowerBound = s.totals()
+	sol.Optimal, sol.Interrupted = !s.interrupted, s.interrupted
+	endSpan(obs.Int("nodes", sol.Stats.Nodes), obs.Bool("interrupted", sol.Interrupted))
 	return sol, nil
 }
 
-// publishSolve adds one solve's counters to the registry carried by
+// publishSolve adds one block's counters to the registry carried by
 // ctx (no-op without one). The branch-and-bound accumulates its Stats
 // in plain struct fields — the search loop never touches an
 // instrument — and the totals are published here in one batch.
@@ -124,72 +122,86 @@ func publishSolve(ctx context.Context, st Stats) {
 	m.Counter("ucp/incumbents").Add(int64(st.Incumbents))
 }
 
-type bbState struct {
-	m        *Matrix
-	bestCost float64
-	bestCols []int
-	stats    Stats
+// search is the branch-and-bound state of one solve. Its blocks are
+// searched one after another and each search is single-threaded, so one
+// set of frames and scratch serves the whole solve.
+type search struct {
+	m *Matrix
 	// done is the context's cancellation channel (nil for a background
 	// context, in which case no checks are performed at all).
 	done <-chan struct{}
 	// interrupted latches once cancellation is observed; every frame on
-	// the recursion stack unwinds immediately after.
+	// the recursion stack unwinds immediately after, and every later
+	// block keeps its seed.
 	interrupted bool
-	// events receives an EventIncumbent on every incumbent improvement
-	// (nil — a no-op publisher — without a stream on the context). The
-	// publish sits inside the improvement branch, never on the per-node
-	// path, so a disabled stream costs one nil comparison per
-	// improvement.
+	// block is the index of the block being searched; stats and
+	// bestCols are its counters and its incumbent cover.
+	block    int
+	stats    Stats
+	bestCols []int
+	// best[i] is block i's incumbent cost (its greedy seed until its
+	// search improves on it). bound[i] is its root bound, replaced by
+	// its optimum once its search finishes.
+	best, bound []float64
+	// nodes counts the nodes of the blocks already searched.
+	nodes int
+	// events receives an EventIncumbent for the seed and for every
+	// improvement (nil — a no-op publisher — without a stream on the
+	// context).
 	events *obs.Events
-	// rootBound is the instance's root relaxation, giving each
-	// incumbent event an optimality-gap bound.
-	rootBound float64
-	// actMask/avMask are scratch words for the reduction scans: the
-	// active-row and available-column sets rendered as bitmasks so
-	// essential extraction and both dominance passes run on word AND /
-	// popcount operations against the matrix's coverage masks. The
-	// search is single-threaded and each reduce call finishes with the
-	// scratch before recursing, so one buffer per dimension suffices
-	// for the whole solve.
-	actMask []uint64
-	avMask  []uint64
+	// chosen lists the columns chosen on the path to the current node.
+	chosen []int
+	// frames[d] holds the masks of the node at depth d: its uncovered
+	// rows, then its choosable columns.
+	frames [][]uint64
+	// Reduction and bound scratch, never live across a recursion:
+	// counts[r] is row r's number of choosable covers.
+	counts []int
+	order  []rowCount
+	slack  []float64
 }
 
-// maskFromBools renders a bool set as a bitmask into dst (zeroed first).
-func maskFromBools(dst []uint64, set []bool) []uint64 {
-	for i := range dst {
-		dst[i] = 0
+// rowCount is a row and its number of choosable covering columns.
+type rowCount struct{ r, n int }
+
+// totals returns the block-ordered sums of every block's incumbent
+// cost and of its bound, capped at that cost. They are the solution's
+// Cost and LowerBound once every block has been searched.
+func (s *search) totals() (cost, lb float64) {
+	for i, c := range s.best {
+		cost += c
+		lb += math.Min(s.bound[i], c)
 	}
-	for i, ok := range set {
-		if ok {
-			dst[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-	return dst
+	return cost, lb
 }
 
-// popcountAnd returns |a ∩ b| for equal-length masks.
-func popcountAnd(a, b []uint64) int {
-	n := 0
-	for i, w := range a {
-		n += bits.OnesCount64(w & b[i])
+// publish reports the whole instance's incumbent, its lower bound and
+// the nodes explored so far.
+func (s *search) publish() {
+	if s.events == nil {
+		return
 	}
-	return n
+	cost, lb := s.totals()
+	s.events.Publish(obs.Event{
+		Type:       obs.EventIncumbent,
+		Cost:       cost,
+		LowerBound: lb,
+		Gap:        cost - lb,
+		Nodes:      s.nodes + s.stats.Nodes,
+	})
 }
 
-// maskSubsetUnder reports whether a∩ctx ⊆ b (ctx restricts both sides:
-// x∩ctx ⊆ y∩ctx ⟺ x∩ctx ⊆ y).
-func maskSubsetUnder(a, b, ctx []uint64) bool {
-	for i, w := range a {
-		if w&ctx[i]&^b[i] != 0 {
-			return false
-		}
+// frame returns the masks of the node at depth d, allocated on first
+// use.
+func (s *search) frame(d int) (rows, cols []uint64) {
+	if d == len(s.frames) {
+		s.frames = append(s.frames, make([]uint64, s.m.rowWords+s.m.colWords))
 	}
-	return true
+	return s.frames[d][:s.m.rowWords], s.frames[d][s.m.rowWords:]
 }
 
 // checkCancel polls the context every cancelCheckInterval nodes.
-func (s *bbState) checkCancel() bool {
+func (s *search) checkCancel() bool {
 	if s.interrupted {
 		return true
 	}
@@ -203,28 +215,28 @@ func (s *bbState) checkCancel() bool {
 	return s.interrupted
 }
 
-// branch explores the subproblem where `active` rows remain uncovered
-// and `avail` columns may still be chosen; `chosen` columns cost `cost`.
-func (s *bbState) branch(active, avail []bool, chosen []int, cost float64) {
+// branch explores the node at depth, whose frame holds its uncovered
+// rows and choosable columns; the columns chosen on the path to it cost
+// cost.
+func (s *search) branch(depth int, cost float64) {
 	s.stats.Nodes++
 	if s.checkCancel() {
 		return
 	}
+	rows, cols := s.frame(depth)
 
-	// Apply reductions until a fixed point. Reductions mutate copies.
-	active = append([]bool(nil), active...)
-	avail = append([]bool(nil), avail...)
-	chosen = append([]int(nil), chosen...)
-
+	// Apply reductions until a fixed point.
 	for {
-		changed, feasible, extraCost, extraCols := s.reduce(active, avail)
+		changed, feasible, j := s.reduce(rows, cols)
 		if !feasible {
 			s.stats.Infeasible++
 			return
 		}
-		cost += extraCost
-		chosen = append(chosen, extraCols...)
-		if num.NoBetter(cost, s.bestCost) {
+		if j >= 0 {
+			cost += s.m.weight[j]
+			s.chosen = append(s.chosen, j)
+		}
+		if num.NoBetter(cost, s.best[s.block]) {
 			s.stats.Prunes++
 			return
 		}
@@ -233,283 +245,218 @@ func (s *bbState) branch(active, avail []bool, chosen []int, cost float64) {
 		}
 	}
 
-	// All rows covered?
-	remaining := 0
-	for _, on := range active {
-		if on {
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		if num.Improves(cost, s.bestCost) {
-			s.bestCost = cost
-			s.bestCols = append([]int(nil), chosen...)
+	if onesCount(rows) == 0 {
+		if num.Improves(cost, s.best[s.block]) {
+			s.best[s.block] = cost
+			s.bestCols = append([]int(nil), s.chosen...)
 			s.stats.Incumbents++
-			if s.events != nil {
-				gap := cost - s.rootBound
-				if gap < 0 {
-					gap = 0
-				}
-				s.events.Publish(obs.Event{
-					Type:       obs.EventIncumbent,
-					Cost:       cost,
-					LowerBound: s.rootBound,
-					Gap:        gap,
-					Nodes:      s.stats.Nodes,
-				})
-			}
+			s.publish()
 		}
 		return
 	}
 
-	// Lower bound: the stronger of the independent-set and dual-ascent
-	// bounds.
-	if num.NoBetter(cost+s.combinedBound(active, avail), s.bestCost) {
+	if num.NoBetter(cost+s.dualAscentBound(rows, cols), s.best[s.block]) {
 		s.stats.Prunes++
 		return
 	}
 
-	// Branch on the hardest row: fewest available covering columns.
-	row := s.hardestRow(active, avail)
-	if row < 0 {
-		// Unreachable after a feasible reduction fixed point (every
-		// active row has a cover), but counted rather than silently
-		// dropped so a logic regression shows up in the stats.
-		s.stats.Infeasible++
-		return
-	}
+	// Branch on the hardest row, the first the bound visited: fewest
+	// choosable covering columns (at least two after the reductions),
+	// lowest index on ties.
 	var covering []int
-	for j, ok := range avail {
-		if !ok {
-			continue
-		}
-		if s.m.covers(j, row) {
-			covering = append(covering, j)
+	for wi, w := range s.m.rowMask[s.order[0].r] {
+		for w &= cols[wi]; w != 0; w &= w - 1 {
+			covering = append(covering, wi<<6|bits.TrailingZeros64(w))
 		}
 	}
 	// Try cheapest-first for better incumbents early.
 	sort.Slice(covering, func(a, b int) bool {
-		return num.Below(s.m.cols[covering[a]].Weight, s.m.cols[covering[b]].Weight)
+		return num.Below(s.m.weight[covering[a]], s.m.weight[covering[b]])
 	})
+	n := len(s.chosen)
+	childRows, childCols := s.frame(depth + 1)
 	for i, j := range covering {
 		if s.interrupted {
 			return
 		}
-		childActive := append([]bool(nil), active...)
-		childAvail := append([]bool(nil), avail...)
-		for _, r := range s.m.cols[j].Rows {
-			childActive[r] = false
+		for wi, w := range s.m.colMask[j] {
+			childRows[wi] = rows[wi] &^ w
 		}
-		childAvail[j] = false
+		copy(childCols, cols)
 		// Columns earlier in the branching list are excluded in later
 		// branches (they were already fully explored with this row).
-		for _, prev := range covering[:i] {
-			childAvail[prev] = false
+		for _, k := range covering[:i+1] {
+			clearBit(childCols, k)
 		}
-		s.branch(childActive, childAvail, append(chosen, j), cost+s.m.cols[j].Weight)
+		s.chosen = append(s.chosen[:n], j)
+		s.branch(depth+1, cost+s.m.weight[j])
 	}
 }
 
 // reduce applies one round of essential-column extraction and column
-// dominance to the subproblem in place. It reports whether anything
-// changed, whether the subproblem remains feasible, and any columns
-// forced into the solution (with their total weight).
-func (s *bbState) reduce(active, avail []bool) (changed, feasible bool, extraCost float64, extraCols []int) {
+// and row dominance to a node's masks in place. It reports whether
+// anything changed, whether the subproblem remains feasible, and the
+// essential column it chose (-1 for none).
+func (s *search) reduce(rows, cols []uint64) (changed, feasible bool, essential int) {
 	m := s.m
-	// Render the entry sets as bitmasks once. Neither set changes before
-	// an early return, so the masks stay valid through essential
-	// extraction and column dominance (which only reads active via
-	// actMask and snapshots its covers up front, exactly like the
-	// pre-flattening slice snapshots did).
-	avMask := maskFromBools(s.avMask, avail)
-	actMask := maskFromBools(s.actMask, active)
-
-	// Count covering columns per active row; find essentials. The count
-	// is a popcount of rowMask[r] ∩ avail; when it is exactly one, the
-	// essential column is the lone surviving bit.
-	for r := 0; r < m.numRows; r++ {
-		if !active[r] {
-			continue
-		}
-		count := popcountAnd(m.rowMask[r], avMask)
-		if count == 0 {
-			return false, false, 0, nil
-		}
-		if count == 1 {
-			// Essential column: must be chosen.
-			j := -1
-			for wi, w := range m.rowMask[r] {
-				if w &= avMask[wi]; w != 0 {
-					j = wi<<6 + bits.TrailingZeros64(w)
-					break
+	// A row with a single choosable cover makes that column essential;
+	// a row with none ends the subproblem.
+	for wi, w := range rows {
+		for ; w != 0; w &= w - 1 {
+			r := wi<<6 | bits.TrailingZeros64(w)
+			switch popcountAnd(m.rowMask[r], cols) {
+			case 0:
+				return false, false, -1
+			case 1:
+				j := -1
+				for ci, c := range m.rowMask[r] {
+					if c &= cols[ci]; c != 0 {
+						j = ci<<6 | bits.TrailingZeros64(c)
+						break
+					}
 				}
-			}
-			s.stats.Reductions++
-			extraCols = append(extraCols, j)
-			extraCost += m.cols[j].Weight
-			for _, rr := range m.cols[j].Rows {
-				active[rr] = false
-			}
-			avail[j] = false
-			return true, true, extraCost, extraCols
-		}
-	}
-
-	// Column dominance: drop columns whose active cover is a subset of
-	// another no-heavier column's. The active covers are never
-	// materialized — colMask[j] ∩ actMask is compared word-wise — and
-	// actMask stays a faithful snapshot throughout since this pass only
-	// flips avail bits.
-	type colInfo struct {
-		j int
-		w float64
-	}
-	var infos []colInfo
-	for j, ok := range avail {
-		if !ok {
-			continue
-		}
-		if popcountAnd(m.colMask[j], actMask) == 0 {
-			// Useless column in this subproblem.
-			avail[j] = false
-			s.stats.Reductions++
-			changed = true
-			continue
-		}
-		infos = append(infos, colInfo{j: j, w: m.cols[j].Weight})
-	}
-	for _, a := range infos {
-		if !avail[a.j] {
-			continue
-		}
-		for _, b := range infos {
-			if a.j == b.j || !avail[b.j] || !avail[a.j] {
-				continue
-			}
-			// a dominated by b: cover(a) ⊆ cover(b), weight(a) ≥ weight(b).
-			// Weights that differ only by float noise are a tie, broken by
-			// index so equal columns do not erase each other.
-			if num.Greater(a.w, b.w) || (num.Eq(a.w, b.w) && a.j > b.j) {
-				if maskSubsetUnder(m.colMask[a.j], m.colMask[b.j], actMask) {
-					avail[a.j] = false
-					s.stats.Reductions++
-					changed = true
-					break
+				s.stats.Reductions++
+				for ri, c := range m.colMask[j] {
+					rows[ri] &^= c
 				}
+				clearBit(cols, j)
+				return true, true, j
 			}
 		}
 	}
 
-	// Row dominance: if every available column covering row r2 also
-	// covers row r1 (r1's covering set ⊇ r2's), any cover of r2 covers
-	// r1 for free, so r1 can be deactivated. The cover sets are
-	// rowMask[r] ∩ avail, snapshotted here (after the column-dominance
-	// drops) by re-rendering avMask; like the pre-flattening version the
-	// snapshot is deliberately not refreshed as rows deactivate.
-	avMask = maskFromBools(s.avMask, avail)
-	var activeRows []int
-	coverCount := make([]int, m.numRows)
-	for r := 0; r < m.numRows; r++ {
-		if active[r] {
-			activeRows = append(activeRows, r)
-			coverCount[r] = popcountAnd(m.rowMask[r], avMask)
-		}
-	}
-	for _, r1 := range activeRows {
-		if !active[r1] {
-			continue
-		}
-		for _, r2 := range activeRows {
-			if r1 == r2 || !active[r1] || !active[r2] {
-				continue
-			}
-			// Drop r1 when covers(r2) ⊆ covers(r1); tie-break by index
-			// so mutually dominating rows do not erase each other.
-			if coverCount[r2] < coverCount[r1] ||
-				(coverCount[r2] == coverCount[r1] && r2 < r1) {
-				if maskSubsetUnder(m.rowMask[r2], m.rowMask[r1], avMask) {
-					active[r1] = false
-					s.stats.Reductions++
-					changed = true
-					break
-				}
+	// Column dominance: drop every column that covers no uncovered row,
+	// then every column another choosable column dominates. A pass
+	// drops only the column it visits, so each visits the columns
+	// choosable when it began.
+	for wi, w := range cols {
+		for ; w != 0; w &= w - 1 {
+			if j := wi<<6 | bits.TrailingZeros64(w); popcountAnd(m.colMask[j], rows) == 0 {
+				clearBit(cols, j)
+				s.stats.Reductions++
+				changed = true
 			}
 		}
 	}
-	return changed, true, extraCost, extraCols
+	for wi, w := range cols {
+		for ; w != 0; w &= w - 1 {
+			if j := wi<<6 | bits.TrailingZeros64(w); m.columnDominated(j, rows, cols) {
+				clearBit(cols, j)
+				s.stats.Reductions++
+				changed = true
+			}
+		}
+	}
+
+	// Row dominance: drop every row another uncovered row dominates. The
+	// cover counts are taken once, after the column drops, and not
+	// refreshed as rows drop.
+	for wi, w := range rows {
+		for ; w != 0; w &= w - 1 {
+			r := wi<<6 | bits.TrailingZeros64(w)
+			s.counts[r] = popcountAnd(m.rowMask[r], cols)
+		}
+	}
+	for wi, w := range rows {
+		for ; w != 0; w &= w - 1 {
+			if r := wi<<6 | bits.TrailingZeros64(w); m.rowDominated(r, s.counts, rows, cols) {
+				clearBit(rows, r)
+				s.stats.Reductions++
+				changed = true
+			}
+		}
+	}
+	return changed, true, -1
 }
 
-// lowerBound computes an admissible bound for the remaining subproblem:
-// greedily pick pairwise independent active rows (no available column
-// covers two of them) and sum, for each, the cheapest covering column.
-func (s *bbState) lowerBound(active, avail []bool) float64 {
+// columnDominated reports whether another choosable column b makes
+// column a redundant: b covers every uncovered row a covers and weighs
+// no more. Weights that differ only by float noise are a tie, broken by
+// index so equal columns do not erase each other.
+func (m *Matrix) columnDominated(a int, rows, cols []uint64) bool {
+	wa := m.weight[a]
+	for wi, w := range cols {
+		for ; w != 0; w &= w - 1 {
+			b := wi<<6 | bits.TrailingZeros64(w)
+			if b != a && (num.Greater(wa, m.weight[b]) || num.Eq(wa, m.weight[b]) && a > b) &&
+				maskSubsetUnder(m.colMask[a], m.colMask[b], rows) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// rowDominated reports whether another uncovered row r2 makes row r
+// redundant: every choosable column covering r2 also covers r, so any
+// cover of r2 covers r for free. counts holds each row's number of
+// choosable covers; rows covered by as many columns are a tie, broken
+// by index so mutually dominating rows do not erase each other.
+func (m *Matrix) rowDominated(r int, counts []int, rows, cols []uint64) bool {
+	for wi, w := range rows {
+		for ; w != 0; w &= w - 1 {
+			r2 := wi<<6 | bits.TrailingZeros64(w)
+			if r2 != r && (counts[r2] < counts[r] || counts[r2] == counts[r] && r2 < r) &&
+				maskSubsetUnder(m.rowMask[r2], m.rowMask[r], cols) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// dualAscentBound returns an admissible bound on the cost of covering
+// rows with cols, in the spirit of the LPR-based lower bounds of the
+// paper's reference [8] (Liao & Devadas): row duals u_r are raised
+// until some covering column becomes tight; Σ u_r is dual feasible,
+// hence a valid lower bound. Rows are visited hardest first (fewest
+// choosable covers, index order on ties), the usual order that tends
+// to tighten the bound, and s.order keeps that order.
+func (s *search) dualAscentBound(rows, cols []uint64) float64 {
 	m := s.m
-	blocked := make([]bool, m.numRows)
+	s.order = s.order[:0]
+	for wi, w := range rows {
+		for ; w != 0; w &= w - 1 {
+			r := wi<<6 | bits.TrailingZeros64(w)
+			s.order = append(s.order, rowCount{r, popcountAnd(m.rowMask[r], cols)})
+		}
+	}
+	// Insertion sort: stable, allocation-free, and row counts are small.
+	order := s.order
+	for i := 1; i < len(order); i++ {
+		for k := i; k > 0 && order[k].n < order[k-1].n; k-- {
+			order[k], order[k-1] = order[k-1], order[k]
+		}
+	}
+	slack := s.slack
+	for wi, w := range cols {
+		for ; w != 0; w &= w - 1 {
+			j := wi<<6 | bits.TrailingZeros64(w)
+			slack[j] = m.weight[j]
+		}
+	}
 	var bound float64
-	// Visit rows in order of increasing cheapest-cover weight descending
-	// — picking expensive rows first strengthens the bound.
-	type rowInfo struct {
-		r    int
-		minW float64
-	}
-	var rows []rowInfo
-	for r := 0; r < m.numRows; r++ {
-		if !active[r] {
-			continue
-		}
-		minW := math.Inf(1)
-		for j, ok := range avail {
-			if !ok {
-				continue
-			}
-			if m.covers(j, r) && num.Below(m.cols[j].Weight, minW) {
-				minW = m.cols[j].Weight
-			}
-		}
-		rows = append(rows, rowInfo{r: r, minW: minW})
-	}
-	sort.Slice(rows, func(a, b int) bool { return num.Stronger(rows[a].minW, rows[b].minW) })
-	for _, ri := range rows {
-		if blocked[ri.r] {
-			continue
-		}
-		bound += ri.minW
-		// Block every row sharing a column with ri.r.
-		for j, ok := range avail {
-			if !ok {
-				continue
-			}
-			if !m.covers(j, ri.r) {
-				continue
-			}
-			for _, rr := range m.cols[j].Rows {
-				if active[rr] {
-					blocked[rr] = true
+	for _, rc := range order {
+		// Raise u_r by the minimum remaining slack among columns
+		// covering r.
+		raise := -1.0
+		for wi, w := range m.rowMask[rc.r] {
+			for w &= cols[wi]; w != 0; w &= w - 1 {
+				j := wi<<6 | bits.TrailingZeros64(w)
+				if raise < 0 || num.Below(slack[j], raise) {
+					raise = slack[j]
 				}
+			}
+		}
+		if raise <= 0 {
+			continue
+		}
+		bound += raise
+		for wi, w := range m.rowMask[rc.r] {
+			for w &= cols[wi]; w != 0; w &= w - 1 {
+				slack[wi<<6|bits.TrailingZeros64(w)] -= raise
 			}
 		}
 	}
 	return bound
-}
-
-// hardestRow returns the active row with the fewest available covering
-// columns, or -1 if no active row exists.
-func (s *bbState) hardestRow(active, avail []bool) int {
-	best := -1
-	bestCount := math.MaxInt32
-	for r := 0; r < s.m.numRows; r++ {
-		if !active[r] {
-			continue
-		}
-		count := 0
-		for j, ok := range avail {
-			if ok && s.m.covers(j, r) {
-				count++
-			}
-		}
-		if count > 0 && count < bestCount {
-			best, bestCount = r, count
-		}
-	}
-	return best
 }

@@ -25,9 +25,8 @@ func TestAddColumnValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddColumn: %v", err)
 	}
-	got := m.cols[j].Rows
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Errorf("rows not deduped/sorted: %v", got)
+	if got := m.colMask[j][0]; got != 0b111 {
+		t.Errorf("cover mask = %b, want rows 0, 1 and 2", got)
 	}
 }
 
@@ -50,9 +49,9 @@ func TestFeasibility(t *testing.T) {
 
 func TestSolveTrivial(t *testing.T) {
 	m := NewMatrix(2)
-	m.MustAddColumn(Column{Rows: []int{0, 1}, Weight: 3, Label: "both"})
-	m.MustAddColumn(Column{Rows: []int{0}, Weight: 1, Label: "r0"})
-	m.MustAddColumn(Column{Rows: []int{1}, Weight: 1, Label: "r1"})
+	m.MustAddColumn(Column{Rows: []int{0, 1}, Weight: 3})
+	m.MustAddColumn(Column{Rows: []int{0}, Weight: 1})
+	m.MustAddColumn(Column{Rows: []int{1}, Weight: 1})
 	sol, err := m.SolveContext(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
