@@ -67,9 +67,9 @@ serve-smoke:
 trace-smoke:
 	sh scripts/trace-smoke.sh
 
-# Fleet smoke test: 3 cdcsd replicas wired via -self/-peers, a steady
-# and an overload cdcs-load phase, jq assertions on the JSON reports
-# (errors, balance, p99, shed, forwards). See scripts/fleet-smoke.sh.
+# Fleet smoke test: 3 independent cdcsd replicas, a steady and an
+# overload cdcs-load phase spread across them, jq assertions on the
+# JSON reports (errors, balance, p99, shed). See scripts/fleet-smoke.sh.
 fleet-smoke:
 	sh scripts/fleet-smoke.sh fleet
 

@@ -1,27 +1,28 @@
 // cdcs-load is an open-loop traffic generator for cdcsd: it offers a
 // mixed synthesis workload at a fixed target QPS against one daemon
-// or a whole fleet, waits each accepted job to a terminal state under
-// a per-request deadline, and emits a machine-readable JSON report —
-// latency percentiles, achieved throughput, shed/degrade/error rates,
-// and per-replica balance.
+// or several replicas, waits each accepted job to a terminal state
+// under a per-request deadline, and emits a machine-readable JSON
+// report — latency percentiles, achieved throughput,
+// shed/degrade/error rates, and per-replica balance.
 //
 // Usage:
 //
 //	cdcs-load -targets http://a:8080,http://b:8080 [-qps 50]
 //	          [-duration 10s] [-deadline 30s] [-mix wan=2,lan=2,mcm=1]
-//	          [-workload-keys 16] [-retries 1] [-report out.json]
-//	          [-trace-seed N] [-no-trace] [-log-level warn] [-version]
+//	          [-retries 1] [-report out.json] [-trace-seed N]
+//	          [-no-trace] [-log-level warn] [-version]
 //
 // Arrivals are open-loop: the generator keeps offering work at the
 // target rate whether or not earlier requests finished, so overload
 // behavior (tiered degrade, shed, Retry-After) is actually reachable
-// and measured instead of self-throttled away. Each arrival carries a
-// rotating workload label, which a fleet's rendezvous router uses to
-// spread jobs; the report attributes every completed job to the
-// replica it ran on. Unless -no-trace is set, every arrival also
-// roots a fresh distributed trace (traceparent header), and the
-// report names the p99-slowest trace IDs as exemplars — feed one to
-// `cdcs -server ... -trace out.json` to pull the stitched trace.
+// and measured instead of self-throttled away. Arrivals round-robin
+// across the targets, and with -retries above 1 a shed arrival retries
+// on the next target; the report attributes every completed job to the
+// replica that accepted it, which is the one that ran it. Unless
+// -no-trace is set, every arrival also roots a fresh distributed trace
+// (traceparent header), and the report names the p99-slowest trace IDs
+// as exemplars, each with the replica that ran it — fetch its spans
+// with `curl <server>/v1/traces/<trace_id>`.
 //
 // The exit status is 0 whenever the run itself completes — overload
 // outcomes are data, not failures. CI asserts on the report with jq.
@@ -46,14 +47,14 @@ import (
 	"repro/internal/serve"
 )
 
-// exampleBodies maps mix entry names to submission body templates;
-// the %s is the per-arrival workload label.
+// exampleBodies maps mix entry names to submission bodies; the daemon
+// labels each job with its example's name.
 var exampleBodies = map[string]string{
-	"wan":   `{"example":"wan","workload":"%s","options":{"workers":1}}`,
-	"lan":   `{"example":"lan","workload":"%s","options":{"workers":1}}`,
-	"mcm":   `{"example":"mcm","workload":"%s","options":{"workers":1}}`,
-	"noc":   `{"example":"noc","workload":"%s","options":{"workers":1}}`,
-	"mpeg4": `{"example":"mpeg4","workload":"%s","options":{"workers":1}}`,
+	"wan":   `{"example":"wan","options":{"workers":1}}`,
+	"lan":   `{"example":"lan","options":{"workers":1}}`,
+	"mcm":   `{"example":"mcm","options":{"workers":1}}`,
+	"noc":   `{"example":"noc","options":{"workers":1}}`,
+	"mpeg4": `{"example":"mpeg4","options":{"workers":1}}`,
 }
 
 func main() {
@@ -62,9 +63,8 @@ func main() {
 	duration := flag.Duration("duration", 10*time.Second, "how long to offer arrivals; the run then drains in-flight requests")
 	deadline := flag.Duration("deadline", 30*time.Second, "per-request end-to-end deadline (submit through terminal state)")
 	mix := flag.String("mix", "wan=2,lan=2,mcm=1", "weighted workload mix as name=weight entries (names: wan, lan, mcm, noc, mpeg4)")
-	workloadKeys := flag.Int("workload-keys", 16, "distinct workload labels each mix entry rotates through (fleet routing spreads by label)")
-	retries := flag.Int("retries", 1, "submission attempts per arrival; 1 counts shed responses instead of retrying them")
-	traceSeed := flag.Uint64("trace-seed", 0, "seed for per-arrival distributed-trace IDs; 0 seeds randomly. The report's exemplars name the p99-slowest trace IDs, retrievable with cdcs -trace")
+	retries := flag.Int("retries", 1, "submission attempts per arrival, rotating through the targets; 1 counts shed responses instead of retrying them")
+	traceSeed := flag.Uint64("trace-seed", 0, "seed for per-arrival distributed-trace IDs; 0 seeds randomly. The report's exemplars name the p99-slowest trace IDs and the server that ran each, whose GET /v1/traces/{trace_id} returns its spans")
 	noTrace := flag.Bool("no-trace", false, "disable per-arrival traceparent stamping and report exemplars")
 	reportPath := flag.String("report", "", "write the JSON report to this file instead of stdout")
 	logLevel := flag.String("log-level", "warn", "log level: debug, info, warn, error")
@@ -103,7 +103,7 @@ func main() {
 
 	// Tracing is on by default: every arrival roots a fresh trace, and
 	// the report's exemplars point at the slowest ones for follow-up
-	// with `cdcs -server ... -trace`.
+	// with GET <server>/v1/traces/<trace_id>.
 	var ids *obs.IDSource
 	if !*noTrace {
 		ids = obs.NewIDSource(*traceSeed)
@@ -112,16 +112,15 @@ func main() {
 	log.Info("cdcs-load starting",
 		"targets", *targets, "qps", *qps, "duration", duration.String(), "mix", *mix)
 	rep, err := load.Run(ctx, load.Config{
-		Targets:      targetList,
-		QPS:          *qps,
-		Duration:     *duration,
-		Deadline:     *deadline,
-		Mix:          specs,
-		WorkloadKeys: *workloadKeys,
-		Attempts:     *retries,
-		Registry:     obs.NewRegistry(),
-		Logger:       log,
-		TraceIDs:     ids,
+		Targets:  targetList,
+		QPS:      *qps,
+		Duration: *duration,
+		Deadline: *deadline,
+		Mix:      specs,
+		Attempts: *retries,
+		Registry: obs.NewRegistry(),
+		Logger:   log,
+		TraceIDs: ids,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdcs-load:", err)

@@ -37,10 +37,10 @@
 // Retry-After hint — up to -retry attempts, polls the job to
 // completion, and prints the daemon's result (also written by -report
 // verbatim). -trace with -server roots a distributed trace on the
-// submission and, once the job finishes, collects its spans from every
-// replica and writes one stitched Perfetto file. Local-only outputs
-// (-dot, -svg, -json, -metrics, -progress, -simulate) cannot be
-// combined with -server.
+// submission and, once the job finishes, fetches its spans from the
+// replica that accepted it and writes them as one Perfetto file.
+// Local-only outputs (-dot, -svg, -json, -metrics, -progress,
+// -simulate) cannot be combined with -server.
 //
 // The graph JSON schema matches model.ConstraintGraph's MarshalJSON:
 //
@@ -99,11 +99,11 @@ func main() {
 	simulate := flag.Bool("simulate", false, "validate the result with the flow simulator")
 	workers := flag.Int("workers", 0, "candidate-pricing worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "overall synthesis deadline (0 = none); on expiry the run degrades to the best feasible architecture instead of failing")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the synthesis phases to this file; with -server, the stitched distributed trace collected from every replica")
+	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the synthesis phases to this file; with -server, the job's distributed trace fetched from the replica that accepted it")
 	metrics := flag.Bool("metrics", false, "print the algorithm-counter snapshot after the run")
 	reportPath := flag.String("report", "", "write a machine-readable JSON run summary (cost, optimality, degradation) to this file")
 	progress := flag.Bool("progress", false, "stream synthesis progress events (phase boundaries, enumeration levels, incumbents) as NDJSON on stdout")
-	server := flag.String("server", "", "submit to a cdcsd daemon instead of synthesizing locally; comma-separate fleet replica base URLs (e.g. http://a:8080,http://b:8080) to spread retries across them")
+	server := flag.String("server", "", "submit to a cdcsd daemon instead of synthesizing locally; comma-separate several replicas' base URLs (e.g. http://a:8080,http://b:8080) to spread retries across them; the replica that accepts the job runs it")
 	retry := flag.Int("retry", 5, "with -server: attempts per request when the daemon sheds load (429/503; rotates through replicas, exponential backoff, Retry-After honored)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()

@@ -26,10 +26,10 @@ type remoteFlags struct {
 	workers   int
 	timeout   time.Duration
 	report    string
-	// trace is the stitched distributed-trace output path: the
-	// submission roots a trace, and after the job finishes the client
-	// fans GET /v1/traces/{traceID} out to every replica and writes
-	// one Perfetto-loadable file.
+	// trace is the distributed-trace output path: the submission roots
+	// a trace, and after the job finishes the client fetches GET
+	// /v1/traces/{traceID} from the replica that accepted the job and
+	// writes one Perfetto-loadable file.
 	trace string
 
 	// local-only flags, rejected when set
@@ -74,7 +74,7 @@ func runRemote(f remoteFlags) {
 	ctx := context.Background()
 	// With -trace the submission roots a distributed trace: the client
 	// stamps the context as a traceparent header, so the daemon's spans
-	// (and any forward hops) join a trace we can collect afterwards.
+	// join a trace we can collect afterwards.
 	var root obs.SpanContext
 	if f.trace != "" {
 		root = obs.NewIDSource(0).NewRoot()
@@ -85,11 +85,7 @@ func runRemote(f remoteFlags) {
 		fmt.Fprintln(os.Stderr, "cdcs: submit:", err)
 		os.Exit(1)
 	}
-	owner := f.server
-	if job.Server != "" {
-		owner = job.Server
-	}
-	status.Info("job submitted", "server", owner, "job_id", job.ID, "workload", job.Workload)
+	status.Info("job submitted", "server", job.Server, "job_id", job.ID, "workload", job.Workload)
 	fin, err := c.Wait(ctx, job.ID, 100*time.Millisecond)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdcs: wait:", err)
@@ -116,9 +112,9 @@ func runRemote(f remoteFlags) {
 }
 
 // writeRemoteTrace pulls the finished job's distributed trace from
-// every fleet replica and writes the stitched Perfetto file. A trace
-// fetch failure is a warning, not a run failure: the result already
-// printed.
+// the replica that accepted it and writes it as a Perfetto file. A
+// trace fetch failure is a warning, not a run failure: the result
+// already printed.
 func writeRemoteTrace(ctx context.Context, c *client.Client, fin *client.Job, root obs.SpanContext, path string) {
 	traceID := fin.TraceID
 	if traceID == "" {
@@ -135,7 +131,7 @@ func writeRemoteTrace(ctx context.Context, c *client.Client, fin *client.Job, ro
 		fmt.Fprintln(os.Stderr, "cdcs: write trace:", err)
 		os.Exit(1)
 	}
-	status.Info("stitched trace written",
+	status.Info("trace written",
 		"path", path, "trace_id", traceID, "viewer", "chrome://tracing or ui.perfetto.dev")
 }
 

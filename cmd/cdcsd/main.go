@@ -9,8 +9,8 @@
 //	cdcsd [-addr :8080] [-max-jobs 2] [-retain 64]
 //	      [-data-dir DIR] [-snapshot-every 1024]
 //	      [-shed-watermarks degrade:shed] [-degraded-timeout 2s]
-//	      [-trace-ring 256] [-self URL -peers URL,URL,...]
-//	      [-drain-timeout 10s] [-pprof] [-log-level info] [-version]
+//	      [-trace-ring 256] [-drain-timeout 10s] [-pprof]
+//	      [-log-level info] [-version]
 //
 // A job walkthrough:
 //
@@ -56,13 +56,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/durable"
-	"repro/internal/fleet"
 	"repro/internal/serve"
 )
 
@@ -76,8 +74,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable job-table directory (WAL + snapshots); a restart replays it — finished jobs restored, interrupted jobs re-queued. Empty = in-memory only")
 	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records between snapshot compactions")
 	shedWatermarks := flag.String("shed-watermarks", "", "tiered admission watermarks as degrade:shed unfinished-job loads (default 2*max-jobs:4*max-jobs)")
-	self := flag.String("self", "", "this replica's base URL as peers see it (e.g. http://10.0.0.1:8080); required with -peers")
-	peers := flag.String("peers", "", "comma-separated base URLs of all fleet replicas (self included or not); enables rendezvous job routing and peer forwarding")
 	degradedTimeout := flag.Duration("degraded-timeout", 2*time.Second, "per-job budget cap applied in the degraded admission tier")
 	traceRing := flag.Int("trace-ring", 0, "finished distributed traces retained for GET /v1/traces/{traceID} (oldest evicted first); 0 = default")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -104,19 +100,6 @@ func main() {
 	}
 	shed.DegradedTimeout = *degradedTimeout
 
-	var router *fleet.Router
-	if *peers != "" {
-		if *self == "" {
-			fmt.Fprintln(os.Stderr, "cdcsd: -peers requires -self (this replica's base URL)")
-			os.Exit(2)
-		}
-		var err error
-		if router, err = fleet.New(*self, strings.Split(*peers, ",")); err != nil {
-			fmt.Fprintf(os.Stderr, "cdcsd: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	version := buildinfo.Version()
 	srv, err := serve.New(serve.Config{
 		MaxConcurrent: *maxJobs,
@@ -127,7 +110,6 @@ func main() {
 		DataDir:       *dataDir,
 		Durable:       durable.Options{SnapshotEvery: *snapshotEvery},
 		Shed:          shed,
-		Fleet:         router,
 		TraceRing:     *traceRing,
 	})
 	if err != nil {
@@ -154,7 +136,6 @@ func main() {
 		"retain", *retain,
 		"data_dir", *dataDir,
 		"pprof", *enablePprof,
-		"fleet", *peers != "",
 	)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

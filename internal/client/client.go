@@ -1,5 +1,5 @@
-// Package client is the cdcs-side HTTP client for a cdcsd daemon or
-// fleet: submit a synthesis job, poll it to completion, and retry
+// Package client is the cdcs-side HTTP client for one or more cdcsd
+// daemons: submit a synthesis job, poll it to completion, and retry
 // overload responses the way the daemon asks. The retry loop treats
 // 429 and 503 — the shed and drain tiers — plus transport errors as
 // retryable: it honors an explicit Retry-After hint when the server
@@ -7,16 +7,16 @@
 // up to a capped attempt count.
 //
 // With multiple endpoints configured the client spreads retries
-// across the fleet: a transport error (replica down, connection
+// across the replicas: a transport error (replica down, connection
 // refused) rotates to the next endpoint immediately instead of
 // sleeping through a backoff the dead replica will never honor, and a
 // shed/drain response rotates too — Retry-After is a per-replica
 // promise, so trying a different replica right away still honors it.
 // Only once every endpoint has refused in a row does the client
 // sleep (the largest Retry-After seen on the ring, or the backoff).
-// A submission answered by a fleet replica names the replica the job
-// lives on (the envelope's server field); the client pins itself
-// there so Get/Wait poll the right member after a peer forward.
+// The replica that accepts a submission runs the job and holds its
+// trace, and the client stays on it, so Get, Wait and CollectTrace
+// ask that replica.
 //
 // Everything time-shaped (sleeper, jitter) is injectable so the
 // backoff schedule is unit-testable without wall-clock waits.
@@ -42,8 +42,8 @@ import (
 )
 
 // userAgent identifies this client build on every request
-// ("cdcs-client/<version>") so fleet operators can tell client
-// populations apart in the daemon's request logs.
+// ("cdcs-client/<version>") so operators can tell client populations
+// apart in the daemon's request logs.
 var userAgent = "cdcs-client/" + buildinfo.Version()
 
 // Config tunes the client. The zero value (plus a BaseURL) retries 5
@@ -51,10 +51,10 @@ var userAgent = "cdcs-client/" + buildinfo.Version()
 type Config struct {
 	// BaseURL is the daemon root, e.g. "http://localhost:8080".
 	BaseURL string
-	// BaseURLs lists every replica of a cdcsd fleet; retries rotate
-	// through them in order before any backoff sleep. BaseURL, when
-	// also set, is tried first. Duplicates collapse after
-	// normalization (whitespace and trailing slash stripped).
+	// BaseURLs lists every cdcsd replica; retries rotate through them
+	// in order before any backoff sleep. BaseURL, when also set, is
+	// tried first. Duplicates collapse after normalization
+	// (whitespace and trailing slash stripped).
 	BaseURLs []string
 	// MaxAttempts bounds tries per request (first attempt included);
 	// <=0 means 5.
@@ -76,10 +76,10 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Client talks to one cdcsd daemon or a fleet of replicas.
+// Client talks to one cdcsd daemon or a ring of replicas.
 type Client struct {
-	mu          sync.Mutex // guards bases and cur
-	bases       []string
+	mu          sync.Mutex // guards cur
+	bases       []string   // fixed by New
 	cur         int
 	maxAttempts int
 	baseBackoff time.Duration
@@ -150,13 +150,6 @@ func (c *Client) base() string {
 	return c.bases[c.cur]
 }
 
-// ringSize is the number of distinct endpoints in the rotation.
-func (c *Client) ringSize() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.bases)
-}
-
 // rotate advances to the next endpoint in the ring.
 func (c *Client) rotate() {
 	c.mu.Lock()
@@ -164,27 +157,6 @@ func (c *Client) rotate() {
 	if len(c.bases) > 1 {
 		c.cur = (c.cur + 1) % len(c.bases)
 	}
-}
-
-// pin parks the client on the replica that owns a just-accepted job —
-// a fleet daemon may have forwarded the submission to its rendezvous
-// owner, and polling any other replica would 404. Unknown owners are
-// added to the ring.
-func (c *Client) pin(job *Job) {
-	target := strings.TrimSuffix(job.Server, "/")
-	if target == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, b := range c.bases {
-		if b == target {
-			c.cur = i
-			return
-		}
-	}
-	c.bases = append(c.bases, target)
-	c.cur = len(c.bases) - 1
 }
 
 // Job is the daemon's job envelope — the subset of GET /v1/jobs/{id}
@@ -196,10 +168,13 @@ type Job struct {
 	State     string          `json:"state"`
 	Restarted bool            `json:"restarted,omitempty"`
 	Admission string          `json:"admission,omitempty"`
-	Server    string          `json:"server,omitempty"`
 	TraceID   string          `json:"traceId,omitempty"`
 	Error     string          `json:"error,omitempty"`
 	Result    json.RawMessage `json:"result,omitempty"`
+	// Server is the endpoint that accepted the submission, where the
+	// job runs and its trace lives. Submit sets it; the daemon does
+	// not send it.
+	Server string `json:"-"`
 }
 
 // Terminal reports whether the job reached done or failed.
@@ -246,7 +221,7 @@ func (c *Client) Submit(ctx context.Context, spec []byte) (*Job, error) {
 		req.Header.Set("Content-Type", "application/json")
 		job, retryAfter, err := c.do(req, http.StatusAccepted)
 		if err == nil {
-			c.pin(job)
+			job.Server = base
 			return job, nil
 		}
 		lastErr = err
@@ -262,7 +237,7 @@ func (c *Client) Submit(ctx context.Context, spec []byte) (*Job, error) {
 			ringHint = retryAfter
 		}
 		c.rotate()
-		if ringFails < c.ringSize() {
+		if ringFails < len(c.bases) {
 			// Another replica is untried this pass: move on without
 			// sleeping. The Retry-After (if any) binds only the
 			// replica that sent it, and a refused connection deserves
@@ -287,7 +262,8 @@ func (c *Client) Submit(ctx context.Context, spec []byte) (*Job, error) {
 	return nil, fmt.Errorf("submit failed after %d attempts: %w", c.maxAttempts, lastErr)
 }
 
-// Get fetches a job's current state from the pinned endpoint.
+// Get fetches a job's current state from the current endpoint: after
+// Submit, the replica that accepted the job.
 func (c *Client) Get(ctx context.Context, id string) (*Job, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base()+"/v1/jobs/"+id, nil)
 	if err != nil {

@@ -275,51 +275,6 @@ func TestRingExhaustedSleepsLargestHint(t *testing.T) {
 	}
 }
 
-// TestSubmitPinsOwnerReplica: a fleet daemon names the replica a
-// forwarded job lives on; Get/Wait must poll that owner, not whichever
-// endpoint happened to take the submission.
-func TestSubmitPinsOwnerReplica(t *testing.T) {
-	var ownerGets int32
-	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		atomic.AddInt32(&ownerGets, 1)
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"id":"j-000007","state":"done","result":{"cost":1.5}}`))
-	}))
-	defer owner.Close()
-	var frontGets int32
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			atomic.AddInt32(&frontGets, 1)
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		_, _ = w.Write([]byte(`{"id":"j-000007","state":"queued","server":"` + owner.URL + `"}`))
-	}))
-	defer front.Close()
-	sl := &fakeSleeper{}
-	c := New(Config{BaseURL: front.URL, Sleep: sl.sleep})
-	job, err := c.Submit(context.Background(), []byte(`{"example":"wan"}`))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if job.Server != owner.URL {
-		t.Fatalf("job server = %q, want %q", job.Server, owner.URL)
-	}
-	fin, err := c.Wait(context.Background(), job.ID, time.Millisecond)
-	if err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	if fin.State != "done" {
-		t.Errorf("state = %q", fin.State)
-	}
-	if atomic.LoadInt32(&frontGets) != 0 || atomic.LoadInt32(&ownerGets) == 0 {
-		t.Errorf("polls front=%d owner=%d, want all polls on the pinned owner",
-			atomic.LoadInt32(&frontGets), atomic.LoadInt32(&ownerGets))
-	}
-}
-
 // TestNormalizeBases pins dedup, trimming, and the empty fallback.
 func TestNormalizeBases(t *testing.T) {
 	got := normalizeBases("http://a:1/", []string{" http://b:2 ", "http://a:1", "", "http://b:2/"})

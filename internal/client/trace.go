@@ -10,58 +10,17 @@ import (
 	"repro/internal/obs"
 )
 
-// replicaTrace is one replica's GET /v1/traces/{traceID} answer.
-type replicaTrace struct {
-	TraceID string      `json:"traceId"`
-	Server  string      `json:"server,omitempty"`
-	Spans   []*obs.Span `json:"spans"`
-}
-
-// CollectTrace fans a GET /v1/traces/{traceID} out to every endpoint
-// on the client's ring and stitches the partial span forests into one
-// Perfetto-loadable Chrome trace_event file: each replica that holds
-// spans becomes its own pid row (labeled with the replica's fleet
-// address), overlapping spans within a replica spread across tid
-// lanes. Replicas that never saw the trace (404) or are unreachable
-// are skipped; an error is returned only when no replica held any
-// spans. Ring order makes the output deterministic for a fixed fleet.
+// CollectTrace fetches GET /v1/traces/{traceID} from the client's
+// current endpoint — after Submit, the replica that accepted the job
+// and so the only one holding its spans — and renders them as a
+// Perfetto-loadable Chrome trace_event file whose process row is
+// labeled with that endpoint's base URL. A replica that holds no spans
+// for the trace answers 404, which is returned as a StatusError.
 func (c *Client) CollectTrace(ctx context.Context, traceID string) ([]byte, error) {
 	if traceID == "" {
 		return nil, fmt.Errorf("collect trace: empty trace ID")
 	}
-	c.mu.Lock()
-	bases := append([]string(nil), c.bases...)
-	c.mu.Unlock()
-
-	var sources []obs.TraceSource
-	var lastErr error
-	for _, base := range bases {
-		rt, err := c.fetchTrace(ctx, base, traceID)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if rt == nil || len(rt.Spans) == 0 {
-			continue
-		}
-		name := rt.Server
-		if name == "" {
-			name = base
-		}
-		sources = append(sources, obs.TraceSource{Name: name, Spans: rt.Spans})
-	}
-	if len(sources) == 0 {
-		if lastErr != nil {
-			return nil, fmt.Errorf("collect trace %s: no replica answered (last error: %w)", traceID, lastErr)
-		}
-		return nil, fmt.Errorf("collect trace %s: no replica holds spans for it", traceID)
-	}
-	return obs.ChromeExport(sources)
-}
-
-// fetchTrace asks one replica for its local spans of a trace; a 404
-// (replica never touched the trace) returns nil without error.
-func (c *Client) fetchTrace(ctx context.Context, base, traceID string) (*replicaTrace, error) {
+	base := c.base()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		base+"/v1/traces/"+traceID, nil)
 	if err != nil {
@@ -77,15 +36,15 @@ func (c *Client) fetchTrace(ctx context.Context, base, traceID string) (*replica
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, &StatusError{Code: resp.StatusCode, Body: string(body)}
+		return nil, fmt.Errorf("collect trace %s from %s: %w",
+			traceID, base, &StatusError{Code: resp.StatusCode, Body: string(body)})
 	}
-	var rt replicaTrace
+	var rt struct {
+		Spans []*obs.Span `json:"spans"`
+	}
 	if err := json.Unmarshal(body, &rt); err != nil {
 		return nil, fmt.Errorf("decode trace from %s: %w", base, err)
 	}
-	return &rt, nil
+	return obs.ChromeExport(base, rt.Spans)
 }

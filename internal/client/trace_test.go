@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/buildinfo"
@@ -53,60 +54,82 @@ func TestRequestStamping(t *testing.T) {
 	}
 }
 
-// traceReplica fakes one replica's GET /v1/traces/{id} endpoint.
-func traceReplica(t *testing.T, name, body string) *httptest.Server {
+// traceReplica fakes one replica: it sheds every submission with 429
+// when shed is set and accepts it otherwise, and answers GET
+// /v1/traces/{id} with body (404 when empty), counting those calls.
+func traceReplica(t *testing.T, shed bool, body string) (*httptest.Server, *int32) {
 	t.Helper()
+	var traceCalls int32
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/traces/") {
-			http.NotFound(w, r)
+		if r.Method == http.MethodPost {
+			if shed {
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, `{"error":"overloaded"}`, http.StatusTooManyRequests)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusAccepted)
+			_, _ = w.Write([]byte(`{"id":"j-000001","state":"queued","traceId":"t1"}`))
 			return
 		}
-		if body == "" {
+		atomic.AddInt32(&traceCalls, 1)
+		if !strings.HasPrefix(r.URL.Path, "/v1/traces/") || body == "" {
 			http.Error(w, `{"error":"no local spans"}`, http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write([]byte(body))
-	}))
+	})), &traceCalls
 }
 
-// TestCollectTraceStitchesReplicas: partial forests from two replicas
-// merge into one Chrome export with one pid row per replica; replicas
-// that never saw the trace (404) are skipped.
-func TestCollectTraceStitchesReplicas(t *testing.T) {
-	a := traceReplica(t, "a", `{"traceId":"t1","server":"replica-a","spans":[
-		{"name":"serve/forward","startUs":0,"durUs":10}]}`)
-	defer a.Close()
-	b := traceReplica(t, "b", `{"traceId":"t1","server":"replica-b","spans":[
+// TestCollectTraceReadsAcceptingReplica: after a submission rotates
+// past a shedding replica, the trace comes from the replica that
+// accepted the job alone, and its process row is labeled with that
+// replica's base URL; the shedding replica is never asked.
+func TestCollectTraceReadsAcceptingReplica(t *testing.T) {
+	busy, busyCalls := traceReplica(t, true, `{"traceId":"t1","spans":[
+		{"name":"elsewhere","startUs":0,"durUs":1}]}`)
+	defer busy.Close()
+	idle, idleCalls := traceReplica(t, false, `{"traceId":"t1","spans":[
 		{"name":"serve/job","startUs":2,"durUs":6}]}`)
-	defer b.Close()
-	empty := traceReplica(t, "c", "")
-	defer empty.Close()
+	defer idle.Close()
 
-	c := New(Config{BaseURLs: []string{a.URL, empty.URL, b.URL}})
-	data, err := c.CollectTrace(context.Background(), "t1")
+	c := New(Config{BaseURLs: []string{busy.URL, idle.URL}})
+	job, err := c.Submit(context.Background(), []byte(`{"example":"wan"}`))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if job.Server != idle.URL {
+		t.Fatalf("job server = %q, want the accepting replica %q", job.Server, idle.URL)
+	}
+	data, err := c.CollectTrace(context.Background(), job.TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"name":"replica-a"`, `"name":"replica-b"`,
-		`"name":"serve/forward","ph":"X","ts":0,"dur":10,"pid":1`,
-		`"name":"serve/job","ph":"X","ts":2,"dur":6,"pid":2`,
+		`"name":"process_name","ph":"M"`, `"args":{"name":"` + idle.URL + `"}`,
+		`"name":"serve/job","ph":"X","ts":2,"dur":6,"pid":1`,
 	} {
 		if !bytes.Contains(data, []byte(want)) {
-			t.Errorf("stitched trace missing %s:\n%s", want, data)
+			t.Errorf("trace missing %s:\n%s", want, data)
 		}
+	}
+	if bytes.Contains(data, []byte("elsewhere")) {
+		t.Errorf("trace holds the shedding replica's spans:\n%s", data)
+	}
+	if bc, ic := atomic.LoadInt32(busyCalls), atomic.LoadInt32(idleCalls); bc != 0 || ic != 1 {
+		t.Errorf("trace fetches busy=%d idle=%d, want 0/1", bc, ic)
 	}
 }
 
-// TestCollectTraceNoSpans: when no replica holds the trace the client
-// reports it rather than writing an empty file.
+// TestCollectTraceNoSpans: when the replica holds no spans for the
+// trace the client reports it rather than writing an empty file.
 func TestCollectTraceNoSpans(t *testing.T) {
-	a := traceReplica(t, "a", "")
+	a, _ := traceReplica(t, false, "")
 	defer a.Close()
 	c := New(Config{BaseURL: a.URL})
 	if _, err := c.CollectTrace(context.Background(), "deadbeef"); err == nil {
-		t.Fatal("CollectTrace with no spans anywhere must error")
+		t.Fatal("CollectTrace with no spans must error")
 	}
 	if _, err := c.CollectTrace(context.Background(), ""); err == nil {
 		t.Fatal("CollectTrace with an empty ID must error")

@@ -1,15 +1,11 @@
 package graph
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Graph algorithms no production code calls: construction shorthands,
-// cloning, path enumeration, traversal and shortest paths. They live
-// here, with the tests that exercise them, so the production build no
-// longer carries them.
+// cloning, path enumeration and traversal. They live here, with the
+// tests that exercise them, so the production build no longer carries
+// them.
 
 // NewDigraph returns a graph pre-sized for n vertices (all isolated).
 func NewDigraph(n int) *Digraph {
@@ -253,114 +249,4 @@ func (g *Digraph) TopoSort() ([]VertexID, error) {
 func (g *Digraph) HasCycle() bool {
 	_, err := g.TopoSort()
 	return err != nil
-}
-
-// WeightFunc assigns a non-negative traversal cost to an arc. Returning
-// +Inf makes the arc impassable, which callers use to mask arcs whose
-// library link cannot satisfy a bandwidth requirement.
-type WeightFunc func(ArcID) float64
-
-// ShortestPath runs Dijkstra's algorithm from src to dst under w and
-// returns the minimum-cost path. The boolean result is false when dst is
-// unreachable. It panics if w returns a negative weight, because
-// Dijkstra's invariants do not hold then and a silent wrong answer would
-// be worse than a crash.
-func (g *Digraph) ShortestPath(src, dst VertexID, w WeightFunc) (Path, float64, bool) {
-	dist, prevArc, ok := g.dijkstra(src, dst, w)
-	if !ok {
-		return Path{}, math.Inf(1), false
-	}
-	// Reconstruct backwards.
-	var rvert []VertexID
-	var rarcs []ArcID
-	at := dst
-	rvert = append(rvert, at)
-	for at != src {
-		id := prevArc[at]
-		rarcs = append(rarcs, id)
-		at = g.Arc(id).From
-		rvert = append(rvert, at)
-	}
-	// Reverse.
-	for i, j := 0, len(rvert)-1; i < j; i, j = i+1, j-1 {
-		rvert[i], rvert[j] = rvert[j], rvert[i]
-	}
-	for i, j := 0, len(rarcs)-1; i < j; i, j = i+1, j-1 {
-		rarcs[i], rarcs[j] = rarcs[j], rarcs[i]
-	}
-	return Path{Vertices: rvert, Arcs: rarcs}, dist[dst], true
-}
-
-// Distances returns the Dijkstra distance from src to every vertex
-// (+Inf where unreachable).
-func (g *Digraph) Distances(src VertexID, w WeightFunc) []float64 {
-	dist, _, _ := g.dijkstra(src, -1, w)
-	return dist
-}
-
-func (g *Digraph) dijkstra(src, dst VertexID, w WeightFunc) (dist []float64, prevArc []ArcID, reached bool) {
-	n := g.NumVertices()
-	dist = make([]float64, n)
-	prevArc = make([]ArcID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prevArc[i] = -1
-	}
-	if !g.HasVertex(src) {
-		return dist, prevArc, false
-	}
-	dist[src] = 0
-	pq := &vertexHeap{items: []heapItem{{v: src, d: 0}}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		v := it.v
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		if v == dst {
-			return dist, prevArc, true
-		}
-		for _, id := range g.Out(v) {
-			weight := w(id)
-			if weight < 0 {
-				panic(fmt.Sprintf("graph: negative arc weight %g on arc %d", weight, id))
-			}
-			if math.IsInf(weight, 1) {
-				continue
-			}
-			to := g.Arc(id).To
-			if nd := dist[v] + weight; nd < dist[to] {
-				dist[to] = nd
-				prevArc[to] = id
-				heap.Push(pq, heapItem{v: to, d: nd})
-			}
-		}
-	}
-	if dst < 0 {
-		return dist, prevArc, true
-	}
-	return dist, prevArc, done[dst]
-}
-
-type heapItem struct {
-	v VertexID
-	d float64
-}
-
-type vertexHeap struct {
-	items []heapItem
-}
-
-func (h *vertexHeap) Len() int           { return len(h.items) }
-func (h *vertexHeap) Less(i, j int) bool { return h.items[i].d < h.items[j].d }
-func (h *vertexHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *vertexHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *vertexHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

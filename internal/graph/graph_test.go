@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func buildDiamond(t *testing.T) (*Digraph, []ArcID) {
 	// 0 -> 1 -> 3, 0 -> 2 -> 3
@@ -184,124 +180,3 @@ func TestTopoSortCycle(t *testing.T) {
 		t.Error("HasCycle should report true")
 	}
 }
-
-func TestShortestPath(t *testing.T) {
-	g := NewDigraph(4)
-	a01 := g.MustAddArc(0, 1)
-	a13 := g.MustAddArc(1, 3)
-	a03 := g.MustAddArc(0, 3)
-	weights := map[ArcID]float64{a01: 1, a13: 1, a03: 5}
-	w := func(id ArcID) float64 { return weights[id] }
-
-	p, cost, ok := g.ShortestPath(0, 3, w)
-	if !ok {
-		t.Fatal("path should exist")
-	}
-	if cost != 2 {
-		t.Errorf("cost = %v, want 2", cost)
-	}
-	if err := p.Validate(g); err != nil {
-		t.Errorf("returned path invalid: %v", err)
-	}
-	if p.Len() != 2 || p.Source() != 0 || p.Target() != 3 {
-		t.Errorf("path = %v", p)
-	}
-}
-
-func TestShortestPathUnreachable(t *testing.T) {
-	g := NewDigraph(3)
-	g.MustAddArc(0, 1)
-	if _, _, ok := g.ShortestPath(0, 2, func(ArcID) float64 { return 1 }); ok {
-		t.Error("vertex 2 should be unreachable")
-	}
-}
-
-func TestShortestPathInfiniteWeightMasks(t *testing.T) {
-	g := NewDigraph(3)
-	blocked := g.MustAddArc(0, 2)
-	g.MustAddArc(0, 1)
-	g.MustAddArc(1, 2)
-	w := func(id ArcID) float64 {
-		if id == blocked {
-			return inf()
-		}
-		return 1
-	}
-	p, cost, ok := g.ShortestPath(0, 2, w)
-	if !ok || cost != 2 || p.Len() != 2 {
-		t.Errorf("masked path = %v cost=%v ok=%v; want 2-arc detour", p, cost, ok)
-	}
-}
-
-func TestShortestPathNegativePanics(t *testing.T) {
-	g := NewDigraph(2)
-	g.MustAddArc(0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("negative weight should panic")
-		}
-	}()
-	g.ShortestPath(0, 1, func(ArcID) float64 { return -1 })
-}
-
-func TestDistances(t *testing.T) {
-	g := NewDigraph(3)
-	g.MustAddArc(0, 1)
-	g.MustAddArc(1, 2)
-	d := g.Distances(0, func(ArcID) float64 { return 2 })
-	if d[0] != 0 || d[1] != 2 || d[2] != 4 {
-		t.Errorf("Distances = %v", d)
-	}
-}
-
-// Property-style test: Dijkstra distance matches BFS hop count on random
-// graphs when all weights are 1.
-func TestDijkstraMatchesBFSHops(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + r.Intn(15)
-		g := NewDigraph(n)
-		for e := 0; e < n*2; e++ {
-			u := VertexID(r.Intn(n))
-			v := VertexID(r.Intn(n))
-			if u != v {
-				g.MustAddArc(u, v)
-			}
-		}
-		src := VertexID(r.Intn(n))
-		dist := g.Distances(src, func(ArcID) float64 { return 1 })
-		// BFS hop counts.
-		hops := make([]int, n)
-		for i := range hops {
-			hops[i] = -1
-		}
-		hops[src] = 0
-		queue := []VertexID{src}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, id := range g.Out(v) {
-				w := g.Arc(id).To
-				if hops[w] < 0 {
-					hops[w] = hops[v] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if hops[v] < 0 {
-				if !isInf(dist[v]) {
-					t.Fatalf("trial %d: vertex %d unreachable by BFS but dist=%v", trial, v, dist[v])
-				}
-				continue
-			}
-			if dist[v] != float64(hops[v]) {
-				t.Fatalf("trial %d: vertex %d dist=%v hops=%d", trial, v, dist[v], hops[v])
-			}
-		}
-	}
-}
-
-func inf() float64 { return math.Inf(1) }
-
-func isInf(v float64) bool { return math.IsInf(v, 1) }

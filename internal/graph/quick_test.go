@@ -123,51 +123,3 @@ func TestSimplePathsValidProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: Dijkstra distances satisfy the triangle property along
-// arcs: dist(to) ≤ dist(from) + w(arc).
-func TestDijkstraRelaxationProperty(t *testing.T) {
-	f := func(seed int64, n, m uint8) bool {
-		g := buildRandom(seed, n, m)
-		r := rand.New(rand.NewSource(seed ^ 0x5a5a))
-		w := make([]float64, g.NumArcs())
-		for i := range w {
-			w[i] = r.Float64() * 10
-		}
-		dist := g.Distances(0, func(id ArcID) float64 { return w[id] })
-		for id := 0; id < g.NumArcs(); id++ {
-			a := g.Arc(ArcID(id))
-			if dist[a.From]+w[id] < dist[a.To]-1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkDijkstraGrid(b *testing.B) {
-	// 30×30 grid graph.
-	const side = 30
-	g := NewDigraph(side * side)
-	at := func(r, c int) VertexID { return VertexID(r*side + c) }
-	for r := 0; r < side; r++ {
-		for c := 0; c < side; c++ {
-			if c+1 < side {
-				g.MustAddArc(at(r, c), at(r, c+1))
-			}
-			if r+1 < side {
-				g.MustAddArc(at(r, c), at(r+1, c))
-			}
-		}
-	}
-	w := func(ArcID) float64 { return 1 }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := g.ShortestPath(0, VertexID(side*side-1), w); !ok {
-			b.Fatal("unreachable")
-		}
-	}
-}

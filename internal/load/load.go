@@ -1,22 +1,21 @@
-// Package load is an open-loop traffic generator for a cdcsd daemon
-// or fleet: it offers synthesis submissions at a fixed target QPS —
-// arrivals keep coming whether or not earlier requests have finished,
-// which is what makes overload measurable — waits on each accepted
-// job with a per-request deadline, and distills the run into a
-// machine-readable Report (latency percentiles, throughput, shed /
+// Package load is an open-loop traffic generator for one or more
+// cdcsd replicas: it offers synthesis submissions at a fixed target
+// QPS — arrivals keep coming whether or not earlier requests have
+// finished, which is what makes overload measurable — waits on each
+// accepted job with a per-request deadline, and distills the run into
+// a machine-readable Report (latency percentiles, throughput, shed /
 // degrade / error rates, per-replica balance).
 //
-// Each arrival carries a workload label drawn from a rotating pool so
-// a fleet's rendezvous router spreads jobs across replicas; the
-// replica a job actually lands on (after any peer forward) is read
-// back from the job envelope's server field, so the balance section
-// reflects where work ran, not where it was submitted.
+// Arrivals round-robin across the targets. Each completion is credited
+// to the replica that accepted the submission, which is the one that
+// ran the job, so the balance section reflects where work ran.
 //
 // The generator deliberately does not retry shed responses by
 // default: a 429 is a measurement, not a failure. Retries can be
-// turned on (Attempts > 1) to measure the fleet as a client with
-// replica rotation would see it. Counters are published under load/*
-// on the injected obs registry.
+// turned on (Attempts > 1) to measure the replicas as a client with
+// replica rotation would see them: a shed arrival retries on the next
+// target. Counters are published under load/* on the injected obs
+// registry.
 package load
 
 import (
@@ -26,7 +25,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,8 +36,7 @@ import (
 type Spec struct {
 	// Name labels the entry in the report (usually the example name).
 	Name string `json:"name"`
-	// Body is the POST /v1/synthesize JSON body. A "%s" verb, when
-	// present via BodyFor, is the per-arrival workload label.
+	// Body is the POST /v1/synthesize JSON body.
 	Body string `json:"-"`
 	// Weight is the entry's relative share of arrivals; <=0 means 1.
 	Weight int `json:"weight"`
@@ -48,7 +45,8 @@ type Spec struct {
 // Config tunes one generator run.
 type Config struct {
 	// Targets are the daemon base URLs. Arrivals round-robin across
-	// them; at least one is required.
+	// them, and a retried arrival rotates through them; at least one
+	// is required.
 	Targets []string
 	// QPS is the open-loop arrival rate; must be > 0.
 	QPS float64
@@ -61,10 +59,6 @@ type Config struct {
 	// Mix is the weighted workload mix; empty means the default
 	// wan/lan/mcm blend.
 	Mix []Spec
-	// WorkloadKeys is how many distinct workload labels each mix
-	// entry rotates through (fleet routing spreads by label); <=0
-	// means 16.
-	WorkloadKeys int
 	// Attempts is the client's MaxAttempts per submission; <=0 means
 	// 1 — shed responses are counted, not retried.
 	Attempts int
@@ -86,9 +80,9 @@ type Config struct {
 // graph shapes that all finish quickly enough to sustain high QPS.
 func DefaultMix() []Spec {
 	return []Spec{
-		{Name: "wan", Body: `{"example":"wan","workload":"%s","options":{"workers":1}}`, Weight: 2},
-		{Name: "lan", Body: `{"example":"lan","workload":"%s","options":{"workers":1}}`, Weight: 2},
-		{Name: "mcm", Body: `{"example":"mcm","workload":"%s","options":{"workers":1}}`, Weight: 1},
+		{Name: "wan", Body: `{"example":"wan","options":{"workers":1}}`, Weight: 2},
+		{Name: "lan", Body: `{"example":"lan","options":{"workers":1}}`, Weight: 2},
+		{Name: "mcm", Body: `{"example":"mcm","options":{"workers":1}}`, Weight: 1},
 	}
 }
 
@@ -102,8 +96,9 @@ type Latency struct {
 }
 
 // Exemplar names one of the slowest completed requests by its
-// distributed-trace ID, so a tail-latency investigation starts from
-// `cdcs -server ... -trace` instead of from log spelunking.
+// distributed-trace ID and the replica that ran it, so a tail-latency
+// investigation starts from GET <server>/v1/traces/<trace_id> instead
+// of from log spelunking.
 type Exemplar struct {
 	TraceID   string  `json:"trace_id"`
 	LatencyMs float64 `json:"latency_ms"`
@@ -192,10 +187,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if deadline <= 0 {
 		deadline = 30 * time.Second
 	}
-	keys := cfg.WorkloadKeys
-	if keys <= 0 {
-		keys = 16
-	}
 	attempts := cfg.Attempts
 	if attempts <= 0 {
 		attempts = 1
@@ -246,14 +237,14 @@ arrivals:
 			offeredC.Add(1)
 			spec := schedule[int(seq)%len(schedule)]
 			target := cfg.Targets[int(seq)%len(cfg.Targets)]
-			wl := fmt.Sprintf("%s-%d", spec.Name, int(seq)%keys)
-			// A fresh client per arrival: clients pin themselves to
-			// the replica a forwarded job lands on, and that pin must
-			// not leak into other in-flight arrivals. Targets still
-			// round-robin, so submission pressure stays even and any
-			// imbalance in the report is the fleet's routing, not ours.
+			// A fresh client per arrival, starting at its round-robin
+			// target with every target on its ring, so a retry rotates
+			// to the next replica. Clients are not shared: a client's
+			// ring position moves with its retries and then stays on
+			// the replica that accepted its job.
 			c := client.New(client.Config{
 				BaseURL:     target,
+				BaseURLs:    cfg.Targets,
 				MaxAttempts: attempts,
 				HTTP:        cfg.HTTP,
 			})
@@ -267,7 +258,7 @@ arrivals:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				runOne(ctx, c, spec, wl, target, sc, deadline, col, cfg.Logger,
+				runOne(ctx, c, spec, target, sc, deadline, col, cfg.Logger,
 					completedC, degradedC, shedC, errorsC, missedC)
 			}()
 		}
@@ -298,17 +289,13 @@ func expandMix(mix []Spec) []Spec {
 // runOne submits one arrival and waits it to a terminal state within
 // the per-request deadline, classifying the outcome.
 func runOne(ctx context.Context, c *client.Client, spec Spec,
-	workload, target string, sc obs.SpanContext, deadline time.Duration, col *collector, log *slog.Logger,
+	target string, sc obs.SpanContext, deadline time.Duration, col *collector, log *slog.Logger,
 	completedC, degradedC, shedC, errorsC, missedC *obs.CounterHandle) {
 	reqCtx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
 	reqCtx = obs.ContextWithSpanContext(reqCtx, sc)
-	body := spec.Body
-	if strings.Contains(body, "%s") {
-		body = fmt.Sprintf(body, workload)
-	}
 	start := time.Now()
-	job, err := c.Submit(reqCtx, []byte(body))
+	job, err := c.Submit(reqCtx, []byte(spec.Body))
 	if err != nil {
 		col.mu.Lock()
 		defer col.mu.Unlock()
@@ -326,13 +313,12 @@ func runOne(ctx context.Context, c *client.Client, spec Spec,
 		col.errors++
 		errorsC.Add(1)
 		if log != nil {
-			log.Warn("submit failed", "target", target, "workload", workload, "error", err.Error())
+			log.Warn("submit failed", "target", target, "workload", spec.Name, "error", err.Error())
 		}
 		return
 	}
-	// The client pinned itself to the replica the job lives on (a
-	// fleet daemon may have forwarded the submission to its
-	// rendezvous owner), so Wait polls the right place.
+	// The client stays on the replica that accepted the job, so Wait
+	// polls the replica that runs it.
 	fin, err := c.Wait(reqCtx, job.ID, 20*time.Millisecond)
 	elapsed := time.Since(start)
 	col.mu.Lock()
@@ -346,7 +332,7 @@ func runOne(ctx context.Context, c *client.Client, spec Spec,
 		col.errors++
 		errorsC.Add(1)
 		if log != nil {
-			log.Warn("wait failed", "target", target, "job_id", job.ID, "error", err.Error())
+			log.Warn("wait failed", "server", job.Server, "job_id", job.ID, "error", err.Error())
 		}
 		return
 	}
@@ -354,21 +340,14 @@ func runOne(ctx context.Context, c *client.Client, spec Spec,
 		col.errors++
 		errorsC.Add(1)
 		if log != nil {
-			log.Warn("job failed", "target", target, "job_id", job.ID, "error", fin.Error)
+			log.Warn("job failed", "server", job.Server, "job_id", job.ID, "error", fin.Error)
 		}
 		return
 	}
 	col.completed++
 	completedC.Add(1)
 	col.latencies = append(col.latencies, elapsed)
-	server := fin.Server
-	if server == "" {
-		server = job.Server
-	}
-	if server == "" {
-		server = target
-	}
-	col.perReplica[server]++
+	col.perReplica[job.Server]++
 	col.byWorkload[spec.Name]++
 	if sc.Valid() {
 		// Prefer the trace ID the daemon reports (the authoritative
@@ -382,7 +361,7 @@ func runOne(ctx context.Context, c *client.Client, spec Spec,
 			tid = sc.TraceID.String()
 		}
 		col.samples = append(col.samples, sample{
-			latency: elapsed, traceID: tid, workload: workload, server: server,
+			latency: elapsed, traceID: tid, workload: spec.Name, server: job.Server,
 		})
 	}
 	if fin.Admission == "degraded" || job.Admission == "degraded" {

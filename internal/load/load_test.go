@@ -16,9 +16,8 @@ import (
 )
 
 // fakeDaemon is a minimal in-memory cdcsd stand-in: it accepts
-// submissions (optionally shedding every shedEvery-th one), reports
-// each job done after one poll, and stamps envelopes with its own URL
-// so per-replica attribution is observable.
+// submissions (optionally shedding every shedEvery-th one) and reports
+// each job done after one poll.
 type fakeDaemon struct {
 	ts        *httptest.Server
 	submits   atomic.Int64
@@ -43,13 +42,13 @@ func newFakeDaemon(t *testing.T, shedEvery int64, admission string) *fakeDaemon 
 		_ = json.NewDecoder(r.Body).Decode(&req)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprintf(w, `{"id":"j-%06d","workload":%q,"state":"queued","admission":%q,"server":%q}`,
-			n, req.Workload, d.admission, d.ts.URL)
+		fmt.Fprintf(w, `{"id":"j-%06d","workload":%q,"state":"queued","admission":%q}`,
+			n, req.Workload, d.admission)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"id":%q,"state":"done","admission":%q,"server":%q,"result":{"cost":1}}`,
-			r.PathValue("id"), d.admission, d.ts.URL)
+		fmt.Fprintf(w, `{"id":%q,"state":"done","admission":%q,"result":{"cost":1}}`,
+			r.PathValue("id"), d.admission)
 	})
 	d.ts = httptest.NewServer(mux)
 	t.Cleanup(d.ts.Close)
@@ -141,6 +140,37 @@ func TestRunCountsShedAndDegrade(t *testing.T) {
 	}
 	if rep.Shed+rep.Completed != rep.Offered {
 		t.Errorf("shed %d + completed %d != offered %d", rep.Shed, rep.Completed, rep.Offered)
+	}
+}
+
+// TestRunRetriesRotateToIdleTarget: with two attempts, an arrival
+// that its round-robin target sheds retries on the other target at
+// once, and each completion is credited to the replica that accepted
+// it.
+func TestRunRetriesRotateToIdleTarget(t *testing.T) {
+	busy := newFakeDaemon(t, 1, "")
+	idle := newFakeDaemon(t, 0, "")
+	rep, err := Run(context.Background(), Config{
+		Targets:  []string{busy.ts.URL, idle.ts.URL},
+		QPS:      100,
+		Duration: 200 * time.Millisecond,
+		Deadline: 5 * time.Second,
+		Attempts: 2,
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if rep.Offered == 0 || rep.Shed != 0 || rep.Completed != rep.Offered {
+		t.Errorf("offered/completed/shed = %d/%d/%d, want every arrival completed and none shed",
+			rep.Offered, rep.Completed, rep.Shed)
+	}
+	if len(rep.Replicas) != 1 || rep.Replicas[0].Server != idle.ts.URL ||
+		rep.Replicas[0].Completed != rep.Completed {
+		t.Errorf("replicas = %+v, want all %d completions credited to %s",
+			rep.Replicas, rep.Completed, idle.ts.URL)
+	}
+	if got, want := busy.submits.Load(), (rep.Offered+1)/2; got != want {
+		t.Errorf("busy saw %d submissions, want %d: one per arrival that started there", got, want)
 	}
 }
 

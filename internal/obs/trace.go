@@ -207,36 +207,26 @@ func copySpan(sp *Span) *Span {
 // that overlap in time (parallel pricing workers under one parent) are
 // spread across lanes so each gets its own tid row.
 func (t *Tracer) ChromeTrace() ([]byte, error) {
-	return ChromeExport([]TraceSource{{Spans: t.Roots()}})
+	return ChromeExport("", t.Roots())
 }
 
-// TraceSource is one process's span forest for ChromeExport. Name
-// labels the Perfetto process row (empty = unnamed).
-type TraceSource struct {
-	Name  string
-	Spans []*Span
-}
-
-// ChromeExport renders one or more span forests as a single Chrome
-// trace_event JSON array. Each source becomes one pid (1-based, in
-// slice order, with a process_name metadata record when named); within
-// a source, spans are packed onto tid lanes greedily — a span shares
-// its parent's lane when it fits after the previous occupant, and
-// overlapping siblings spill onto fresh lanes — so parallel workers
-// render as parallel rows. The assignment is a pure function of the
-// span forest, keeping the bytes deterministic.
-func ChromeExport(sources []TraceSource) ([]byte, error) {
+// ChromeExport renders a span forest as a Chrome trace_event JSON
+// array. Every event carries pid 1, preceded by a process_name
+// metadata record when name is not empty. Spans are packed onto tid
+// lanes greedily — a span shares its parent's lane when it fits after
+// the previous occupant, and overlapping siblings spill onto fresh
+// lanes — so parallel workers render as parallel rows. The assignment
+// is a pure function of the span forest, keeping the bytes
+// deterministic.
+func ChromeExport(name string, spans []*Span) ([]byte, error) {
 	var events []chromeEvent
-	for i, src := range sources {
-		pid := i + 1
-		if src.Name != "" {
-			events = append(events, chromeEvent{
-				Name: "process_name", Phase: "M", PID: pid,
-				Args: map[string]string{"name": src.Name},
-			})
-		}
-		events = append(events, chromeEvents(src.Spans, pid)...)
+	if name != "" {
+		events = append(events, chromeEvent{
+			Name: "process_name", Phase: "M", PID: 1,
+			Args: map[string]string{"name": name},
+		})
 	}
+	events = append(events, chromeEvents(spans)...)
 	// Marshal each event with sorted args so the output is stable (the
 	// encoding/json map marshaling sorts keys, but we keep the array
 	// assembly explicit and deterministic regardless).
@@ -259,7 +249,7 @@ func ChromeExport(sources []TraceSource) ([]byte, error) {
 }
 
 // chromeEvents flattens one forest into complete events with lane tids.
-func chromeEvents(roots []*Span, pid int) []chromeEvent {
+func chromeEvents(roots []*Span) []chromeEvent {
 	var events []chromeEvent
 	nextLane := 1
 	// lane bookkeeping per sibling group: each entry is a lane number
@@ -277,7 +267,7 @@ func chromeEvents(roots []*Span, pid int) []chromeEvent {
 		events = append(events, chromeEvent{
 			Name: sp.Name, Phase: "X",
 			TsUs: sp.StartUs, DurUs: sp.DurUs,
-			PID: pid, TID: lane, Args: args,
+			PID: 1, TID: lane, Args: args,
 		})
 		// Children nest inside sp, so sp's own lane is free for them;
 		// siblings that overlap the previous occupant spill onto fresh

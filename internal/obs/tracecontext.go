@@ -107,8 +107,7 @@ func NewIDSource(seed uint64) *IDSource {
 	return &IDSource{state: seed}
 }
 
-// next advances the splitmix64 stream (same generator the fleet router
-// uses for rendezvous hashing), never returning zero.
+// next advances the splitmix64 stream, never returning zero.
 func (s *IDSource) next() uint64 {
 	for {
 		s.state += 0x9e3779b97f4a7c15

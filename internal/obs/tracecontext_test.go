@@ -196,7 +196,7 @@ func TestChromeExportLanes(t *testing.T) {
 		mkSpan("par", 10, 50),
 		mkSpan("seq2", 60, 20),
 	)
-	data, err := ChromeExport([]TraceSource{{Name: "replica-a", Spans: []*Span{root}}})
+	data, err := ChromeExport("replica-a", []*Span{root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,20 +212,16 @@ func TestChromeExportLanes(t *testing.T) {
 	}
 }
 
-func TestChromeExportMultiSourcePIDs(t *testing.T) {
-	a := []*Span{mkSpan("on-a", 0, 10)}
-	b := []*Span{mkSpan("on-b", 0, 10)}
-	data, err := ChromeExport([]TraceSource{{Name: "A", Spans: a}, {Name: "B", Spans: b}})
+func TestChromeExportDeterministic(t *testing.T) {
+	spans := []*Span{mkSpan("root", 0, 10, mkSpan("child", 2, 5))}
+	data, err := ChromeExport("A", spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(data, []byte(`"name":"on-a","ph":"X","ts":0,"dur":10,"pid":1`)) {
-		t.Errorf("source A not on pid 1:\n%s", data)
+	if !bytes.Contains(data, []byte(`"name":"child","ph":"X","ts":2,"dur":5,"pid":1`)) {
+		t.Errorf("child span not on pid 1:\n%s", data)
 	}
-	if !bytes.Contains(data, []byte(`"name":"on-b","ph":"X","ts":0,"dur":10,"pid":2`)) {
-		t.Errorf("source B not on pid 2:\n%s", data)
-	}
-	again, err := ChromeExport([]TraceSource{{Name: "A", Spans: a}, {Name: "B", Spans: b}})
+	again, err := ChromeExport("A", spans)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func (s *Server) batchJSONLocked(b *batch) batchJSON {
 		mj := batchMemberJSON{Name: m.name, Tier: m.tier, Error: m.err}
 		if m.jobID != "" {
 			if j := s.jobs[m.jobID]; j != nil {
-				jj := s.jobView(j)
+				jj := j.json()
 				mj.Job = &jj
 				if jj.State != StateDone && jj.State != StateFailed {
 					out.Done = false
@@ -316,7 +316,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, b *batch, e
 			line := struct {
 				Name string  `json:"name"`
 				Job  jobJSON `json:"job"`
-			}{Name: b.memberName(j.ID), Job: s.jobView(j)}
+			}{Name: b.memberName(j.ID), Job: j.json()}
 			if err := enc.Encode(line); err != nil {
 				return
 			}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -137,12 +136,8 @@ type jobJSON struct {
 	Restarted bool `json:"restarted,omitempty"`
 	// Admission reports a non-default admission tier ("degraded").
 	Admission string `json:"admission,omitempty"`
-	// Server names the fleet replica the job lives on (set only when
-	// fleet routing is configured): after a peer forward, the address
-	// the client must poll.
-	Server string `json:"server,omitempty"`
 	// TraceID is the job's distributed trace identifier (32 hex
-	// digits); clients collect the cross-replica trace with it.
+	// digits); clients fetch the job's trace with it.
 	TraceID string  `json:"traceId,omitempty"`
 	Error   string  `json:"error,omitempty"`
 	Result  *Result `json:"result,omitempty"`
@@ -252,15 +247,8 @@ func decodeInstance(req *SynthesizeRequest) (*cdcs.ConstraintGraph, *cdcs.Librar
 }
 
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	// Buffer the body: a fleet forward re-sends the same bytes to the
-	// workload's owner.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read request: %v", err)
-		return
-	}
 	var req SynthesizeRequest
-	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, 16<<20), &req); err != nil {
 		httpError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
@@ -271,9 +259,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Workload != "" {
 		workload = req.Workload
-	}
-	if s.maybeForward(w, r, body, workload) {
-		return
 	}
 	// The propagated upstream trace context, when the caller sent a
 	// well-formed traceparent; the zero value means "start a fresh
@@ -323,7 +308,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		"job_id", j.ID, "workload", j.Workload, "tier", tier, "load", load,
 		"trace_id", j.traceID, "queue_cap", s.cfg.MaxConcurrent)
 	s.startJob(j)
-	writeJSON(w, http.StatusAccepted, s.jobView(j))
+	writeJSON(w, http.StatusAccepted, j.json())
 }
 
 // newJobLocked creates and registers one admitted job. Caller holds
@@ -580,7 +565,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobView(j))
+	writeJSON(w, http.StatusOK, j.json())
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -588,7 +573,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	out := make([]jobJSON, 0, len(s.order))
 	for _, id := range s.order {
 		if j := s.jobs[id]; j != nil {
-			out = append(out, s.jobView(j))
+			out = append(out, j.json())
 		}
 	}
 	s.mu.Unlock()

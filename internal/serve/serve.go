@@ -19,9 +19,8 @@
 //	GET  /v1/jobs/{id}/events  SSE: replayed history, then live tail
 //	GET  /v1/jobs/{id}/trace   the job's span forest (deterministic
 //	                           JSON, or ?format=chrome for Perfetto)
-//	GET  /v1/traces/{traceID}  all local spans of a distributed trace
-//	                           from the bounded drop-oldest ring
-//	GET  /v1/fleet             replica membership, load and forwarding
+//	GET  /v1/traces/{traceID}  all spans of a distributed trace from
+//	                           the bounded drop-oldest ring
 //	GET  /metrics              Prometheus text format 0.0.4
 //	GET  /healthz              liveness + version
 //	GET  /readyz               readiness (503 while draining)
@@ -58,7 +57,6 @@ import (
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
@@ -92,11 +90,6 @@ type Config struct {
 	// Shed sets the tiered load-shedding watermarks; the zero value
 	// derives them from MaxConcurrent.
 	Shed ShedConfig
-	// Fleet, when set, makes this replica fleet-aware: submissions
-	// past the degrade watermark are forwarded to their rendezvous
-	// owner, and GET /v1/fleet reports membership and forwarding
-	// counters. Nil means standalone.
-	Fleet *fleet.Router
 	// TraceIDs supplies trace/span identifiers for the per-job
 	// tracers; nil means a randomly-seeded source. Tests inject a
 	// fixed-seed source for deterministic IDs.
@@ -120,11 +113,6 @@ type Server struct {
 	mux  *http.ServeMux
 	now  func() time.Time
 	shed ShedConfig
-
-	// fleet is the replica's routing view; nil when standalone.
-	// fleetClient carries peer forwards.
-	fleet       *fleet.Router
-	fleetClient *http.Client
 
 	// store persists the job table; nil without Config.DataDir.
 	store *durable.Store
@@ -194,15 +182,11 @@ func New(cfg Config) (*Server, error) {
 		cancelRun: cancel,
 		jobs:      make(map[string]*Job),
 		batches:   make(map[string]*batch),
-		fleet:     cfg.Fleet,
 		ids:       cfg.TraceIDs,
 		traces:    newTraceRing(cfg.TraceRing),
 	}
 	if s.ids == nil {
 		s.ids = obs.NewIDSource(0)
-	}
-	if s.fleet != nil {
-		s.fleetClient = &http.Client{Timeout: fleetHTTPTimeout}
 	}
 	s.sem = make(chan struct{}, cfg.MaxConcurrent)
 	// Register the admission and batch counters eagerly so /metrics
@@ -213,8 +197,6 @@ func New(cfg Config) (*Server, error) {
 	for _, name := range []string{"submitted", "members", "rejected"} {
 		s.reg.Counter("serve/batch/" + name)
 	}
-	s.reg.Counter("fleet/forwarded")
-	s.reg.Counter("fleet/forward_failed")
 	for _, name := range []string{
 		"spans_started", "spans_dropped", "ring_evictions",
 		"roots_propagated", "roots_new",
@@ -260,7 +242,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	s.mux.HandleFunc("GET /v1/traces/{traceID}", s.handleTraceGet)
-	s.mux.HandleFunc("GET /v1/fleet", s.handleFleet)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)

@@ -40,11 +40,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Drain(ctx)
+		drainServer(t, srv)
 	})
 	return srv, ts
+}
+
+func drainServer(t *testing.T, srv *Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_ = srv.Drain(ctx)
 }
 
 func submit(t *testing.T, ts *httptest.Server, body string) (jobJSON, int) {

@@ -89,20 +89,10 @@ func (s *Server) countRoot(propagated bool) {
 	}
 }
 
-// selfName is the replica's fleet address ("" standalone) — the
-// process label on exported traces.
-func (s *Server) selfName() string {
-	if s.fleet == nil {
-		return ""
-	}
-	return s.fleet.Self()
-}
-
 // jobTraceJSON is the GET /v1/jobs/{id}/trace shape.
 type jobTraceJSON struct {
 	ID      string      `json:"id"`
 	TraceID string      `json:"traceId,omitempty"`
-	Server  string      `json:"server,omitempty"`
 	Spans   []*obs.Span `json:"spans"`
 }
 
@@ -121,7 +111,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		spans = []*obs.Span{}
 	}
 	if r.URL.Query().Get("format") == "chrome" {
-		data, err := obs.ChromeExport([]obs.TraceSource{{Name: s.selfName(), Spans: spans}})
+		data, err := obs.ChromeExport("", spans)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "encode trace: %v", err)
 			return
@@ -131,17 +121,13 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(data)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobTraceJSON{
-		ID: j.ID, TraceID: j.traceID, Server: s.selfName(), Spans: spans,
-	})
+	writeJSON(w, http.StatusOK, jobTraceJSON{ID: j.ID, TraceID: j.traceID, Spans: spans})
 }
 
-// traceJSON is the GET /v1/traces/{traceID} shape: every span this
-// replica retained for the trace. A fleet client fans this call out to
-// all replicas and stitches the partial forests (client.CollectTrace).
+// traceJSON is the GET /v1/traces/{traceID} shape: every span the
+// server retained for the trace (client.CollectTrace reads it).
 type traceJSON struct {
 	TraceID string      `json:"traceId"`
-	Server  string      `json:"server,omitempty"`
 	Spans   []*obs.Span `json:"spans"`
 }
 
@@ -152,5 +138,5 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no local spans for trace %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, traceJSON{TraceID: id, Server: s.selfName(), Spans: spans})
+	writeJSON(w, http.StatusOK, traceJSON{TraceID: id, Spans: spans})
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -354,114 +353,6 @@ func TestTraceRingEvicts(t *testing.T) {
 	if _, env := getJobTrace(t, ts, j1.ID); findSpan(env.Spans, "serve/job") == nil {
 		t.Error("evicted ring entry must not affect the per-job trace")
 	}
-}
-
-// TestFleetForwardStitchedTrace is the cross-replica acceptance path:
-// a replica past its degrade watermark forwards a submission, and the
-// partial forests the two replicas retain stitch into one trace —
-// forward hop on A, admission + synth phases on B, the remote
-// serve/job span parented under A's serve/forward span.
-func TestFleetForwardStitchedTrace(t *testing.T) {
-	release := make(chan struct{})
-	var once sync.Once
-	defer once.Do(func() { close(release) })
-	// Park only the filler (workload "wan"); the forwarded probe job
-	// (workload wl-N) must run to completion on the owner.
-	setTestJobStartHook(func(j *Job) {
-		if j.Workload == "wan" {
-			<-release
-		}
-	})
-	defer setTestJobStartHook(nil)
-
-	members := newTestFleet(t, 2, Config{
-		MaxConcurrent: 1,
-		Shed:          ShedConfig{DegradeAt: 1, ShedAt: 99},
-		TraceIDs:      obs.NewIDSource(42),
-	})
-	a, b := members[0], members[1]
-
-	if _, code := submit(t, a.ts, `{"example":"wan","options":{"workers":1}}`); code != http.StatusAccepted {
-		t.Fatalf("filler status = %d", code)
-	}
-	wl := workloadOwnedBy(t, a.srv.fleet, b.ts.URL)
-	j, code := submit(t, a.ts, fmt.Sprintf(`{"example":"lan","workload":%q,"options":{"workers":1}}`, wl))
-	if code != http.StatusAccepted {
-		t.Fatalf("forwarded submit status = %d", code)
-	}
-	if j.Server != b.ts.URL {
-		t.Fatalf("job server = %q, want forward to %q", j.Server, b.ts.URL)
-	}
-	if j.TraceID == "" {
-		t.Fatal("forwarded job carries no traceId")
-	}
-	fin := waitJob(t, b.ts, j.ID)
-	if fin.State != StateDone {
-		t.Fatalf("forwarded job state = %q (error %q)", fin.State, fin.Error)
-	}
-
-	// Replica A holds the forward hop under the shared trace ID.
-	ringA, code := getRingTrace(t, a.ts, j.TraceID)
-	if code != http.StatusOK {
-		t.Fatalf("forwarder ring lookup status = %d", code)
-	}
-	hop := findSpan(ringA.Spans, "serve/forward")
-	if hop == nil {
-		t.Fatalf("forwarder retains no serve/forward span: %v", ringA.Spans)
-	}
-	if hop.TraceID != j.TraceID {
-		t.Errorf("forward span trace = %q, want %q", hop.TraceID, j.TraceID)
-	}
-	if peer, _ := hop.Attr("peer"); peer != b.ts.URL {
-		t.Errorf("forward span peer = %q, want %q", peer, b.ts.URL)
-	}
-
-	// Replica B holds the job, parented under A's hop, with the synth
-	// phases nested below.
-	ringB, code := getRingTrace(t, b.ts, j.TraceID)
-	if code != http.StatusOK {
-		t.Fatalf("owner ring lookup status = %d", code)
-	}
-	remote := findSpan(ringB.Spans, "serve/job")
-	if remote == nil {
-		t.Fatalf("owner retains no serve/job span: %v", ringB.Spans)
-	}
-	if remote.TraceID != j.TraceID || remote.ParentID != hop.SpanID {
-		t.Errorf("remote root = trace %q parent %q, want trace %q under hop %q",
-			remote.TraceID, remote.ParentID, j.TraceID, hop.SpanID)
-	}
-	if findSpan(remote.Children, "serve/admission") == nil || findSpan(remote.Children, "synth/run") == nil {
-		t.Errorf("remote forest lacks admission/synth spans: %+v", remote)
-	}
-	// The forwarder never saw the trace's job spans, the owner never
-	// saw the hop: the trace only exists stitched.
-	if findSpan(ringA.Spans, "serve/job") != nil {
-		t.Error("forwarder must not hold the remote job's spans")
-	}
-	if findSpan(ringB.Spans, "serve/forward") != nil {
-		t.Error("owner must not hold the forwarder's hop span")
-	}
-
-	// Stitch the two partial forests the way client.CollectTrace does:
-	// one pid row per replica.
-	stitched, err := obs.ChromeExport([]obs.TraceSource{
-		{Name: ringA.Server, Spans: ringA.Spans},
-		{Name: ringB.Server, Spans: ringB.Spans},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"pid":1`, `"pid":2`, `"name":"serve/forward"`, `"name":"synth/run"`} {
-		if !bytes.Contains(stitched, []byte(want)) {
-			t.Errorf("stitched trace missing %s:\n%s", want, stitched)
-		}
-	}
-
-	// Root accounting on the forwarder: the hop rooted a fresh trace.
-	if got := a.srv.Registry().Snapshot().CounterMap()["trace/roots_new"]; got < 2 {
-		t.Errorf("forwarder trace/roots_new = %d, want filler + hop", got)
-	}
-	once.Do(func() { close(release) })
 }
 
 // TestRestoreReplaysTraceIdentity: a daemon restart preserves trace

@@ -1,12 +1,12 @@
 #!/usr/bin/env sh
-# Smoke test of the distributed-tracing surface in isolation: start a
-# single cdcsd, run `cdcs -server ... -trace` so the CLI submits a
-# traced job and stitches the replica's partial span forest into a
-# Chrome trace file, then assert the file carries the serve/job
-# execution span, the synth phase tree, and per-replica process_name
-# metadata. The deeper propagation and fleet-stitching paths are
-# covered by serve-smoke.sh and fleet-smoke.sh; this leg pins the
-# user-facing collection workflow end to end.
+# Smoke test of the distributed-tracing surface: start a single cdcsd,
+# run `cdcs -server ... -trace` so the CLI submits a traced job and
+# writes the span forest of the replica that ran it as a Chrome trace
+# file, then assert the file carries the serve/job execution span, the
+# synth phase tree, and the replica's process_name metadata.
+# serve-smoke.sh checks the per-job trace endpoint and the serve
+# package's tests check propagation; this leg pins the user-facing
+# collection workflow end to end.
 # Used by `make trace-smoke`. Requires curl and jq.
 set -eu
 
