@@ -29,7 +29,9 @@
 // terminal result are WAL-logged as two fsynced records (and
 // periodically compacted into a snapshot), so a 202 means the
 // submission is on disk, and a restart — graceful or kill -9 —
-// replays it.
+// replays it. A job's SSE stream ends when it finishes, before its
+// result record is synced: a kill in that window re-runs the job on
+// restart, marked "restarted".
 // Finished jobs come back queryable with their exact results;
 // interrupted jobs are re-queued through the synth pipeline and
 // marked "restarted". Overload is handled in tiers: beyond the
@@ -42,8 +44,11 @@
 // best incumbent as an explicitly degraded result, then the listener
 // closes. The drain is bounded by -drain-timeout; jobs still
 // unfinished at the deadline are logged as abandoned (with -data-dir
-// they are re-queued on the next start). See docs/OBSERVABILITY.md
-// for the endpoint and event reference.
+// they are re-queued on the next start). Logs are JSON on stderr: at
+// the default -log-level info, one record per job at its end ("job
+// done", or "job failed" at error) plus warnings; -log-level debug
+// adds an access line per request and each job's submit and start.
+// See docs/OBSERVABILITY.md for the endpoint, event and log reference.
 package main
 
 import (

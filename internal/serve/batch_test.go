@@ -360,6 +360,7 @@ func TestBatchCrashRecovery(t *testing.T) {
 	if fin.State != StateDone {
 		t.Fatalf("fast member state = %q, want done before crash", fin.State)
 	}
+	<-srv1.getJob(fastID).Done() // its result record is appended by then
 	result1 := rawResult(t, ts1.URL, fastID)
 	if id := <-started; id != slowID {
 		t.Fatalf("running member is %s, want %s", id, slowID)

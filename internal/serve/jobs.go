@@ -79,6 +79,10 @@ type Job struct {
 	// admission is the tier the job was admitted at (TierDegrade
 	// only; the common accepted tier is left empty in JSON).
 	admission string
+	// tier is the tier initJobTrace recorded (accepted, degraded, or
+	// restored for a re-queued job), for the job's log record.
+	// Immutable after initJobTrace.
+	tier string
 	// effTimeout, when set, caps the job's synthesis budget — the
 	// degrade tier's tightened deadline.
 	effTimeout time.Duration
@@ -190,7 +194,9 @@ func (j *Job) State() string {
 	return j.state
 }
 
-// Done is closed when the job reaches a terminal state.
+// Done is closed once the job is terminal and its result record is
+// appended: later than the state turns terminal and the event stream
+// closes.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // httpError writes a JSON error body with the given status.
@@ -304,7 +310,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("serve/shed/" + tier).Add(1)
 	s.reg.Counter("serve/jobs_submitted").Add(1)
 	s.persistJob(j)
-	s.log.Info("job submitted",
+	s.log.Debug("job submitted",
 		"job_id", j.ID, "workload", j.Workload, "tier", tier, "load", load,
 		"trace_id", j.traceID, "queue_cap", s.cfg.MaxConcurrent)
 	s.startJob(j)
@@ -356,6 +362,7 @@ func (s *Server) initJobTrace(j *Job, parent obs.SpanContext, tier string, load 
 	adm := j.tracer.Start(j.span, "serve/admission",
 		obs.String("tier", tier), obs.Int("load", load))
 	j.tracer.End(adm)
+	j.tier = tier
 	j.events.SetTrace(j.traceID, j.sc.SpanID.String())
 }
 
@@ -424,19 +431,17 @@ func (s *Server) startJob(j *Job) {
 
 // runJob owns a job goroutine: wait for a concurrency slot, run the
 // synthesis with a per-job sink (shared metrics registry, private
-// event stream), record the outcome, close the stream so SSE tails
-// end.
+// event stream), end the job (finish), append its result record and
+// log its outcome once.
 func (s *Server) runJob(j *Job) {
 	defer s.wg.Done()
 	defer close(j.done)
-	defer j.events.Close()
 	defer func() {
 		s.mu.Lock()
 		s.active--
 		s.mu.Unlock()
 	}()
 
-	log := s.log.With("job_id", j.ID, "workload", j.Workload, "trace_id", j.traceID)
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
@@ -445,18 +450,14 @@ func (s *Server) runJob(j *Job) {
 		j.errMsg = "server shut down before the job started"
 		j.abandoned = true
 		j.mu.Unlock()
-		// Close out the trace before the state flips: a client that sees
-		// a terminal state must find the span forest complete.
 		j.tracer.End(j.queueSpan)
-		j.tracer.End(j.span, obs.String("outcome", "aborted"))
-		s.recordTrace(j.traceID, j.tracer.Roots())
-		j.setState(StateFailed)
-		s.reg.Counter("serve/jobs_failed").Add(1)
+		s.finish(j, StateFailed, "aborted")
 		// Deliberately not persisted as failed: in the durable log and
 		// the close-time snapshot the job stays queued, so the next
 		// start re-queues it instead of fossilizing a shutdown race as
 		// a permanent failure.
-		log.Warn("job aborted", "reason", "drain before start")
+		s.log.Warn("job aborted", "job_id", j.ID, "workload", j.Workload,
+			"trace_id", j.traceID, "reason", "drain before start")
 		return
 	}
 
@@ -468,7 +469,7 @@ func (s *Server) runJob(j *Job) {
 	inflight := s.reg.Gauge("serve/jobs_inflight")
 	inflight.Add(1)
 	defer inflight.Add(-1)
-	log.Info("job started", "channels", j.cg.NumChannels())
+	s.log.Debug("job started", "job_id", j.ID, "trace_id", j.traceID, "channels", j.cg.NumChannels())
 
 	// The job's sink: counters land in the server-wide registry (the
 	// /metrics scrape target), events go straight into the job's own
@@ -492,7 +493,8 @@ func (s *Server) runJob(j *Job) {
 	// returns its best incumbent at the cap instead of running long.
 	if j.effTimeout > 0 && (opt.Timeout == 0 || opt.Timeout > j.effTimeout) {
 		opt.Timeout = j.effTimeout
-		log.Info("degraded admission budget applied", "timeout", opt.Timeout.String())
+		s.log.Debug("degraded admission budget applied",
+			"job_id", j.ID, "trace_id", j.traceID, "timeout", opt.Timeout.String())
 	}
 
 	start := s.now()
@@ -504,14 +506,10 @@ func (s *Server) runJob(j *Job) {
 		j.mu.Lock()
 		j.errMsg = err.Error()
 		j.mu.Unlock()
-		// Trace first, state second: terminal state implies a complete
-		// span forest on /trace.
-		j.tracer.End(j.span, obs.String("outcome", "failed"))
-		s.recordTrace(j.traceID, j.tracer.Roots())
-		j.setState(StateFailed)
+		s.finish(j, StateFailed, "failed")
 		s.persistResult(j)
-		s.reg.Counter("serve/jobs_failed").Add(1)
-		log.Error("job failed", "error", err.Error())
+		s.log.Error("job failed", "job_id", j.ID, "workload", j.Workload,
+			"tier", j.tier, "trace_id", j.traceID, "error", err.Error())
 		return
 	}
 
@@ -538,19 +536,30 @@ func (s *Server) runJob(j *Job) {
 	j.mu.Lock()
 	j.result = res
 	j.mu.Unlock()
-	// Trace first, state second: terminal state implies a complete
-	// span forest on /trace.
-	j.tracer.End(j.span, obs.String("outcome", "done"))
-	s.recordTrace(j.traceID, j.tracer.Roots())
-	j.setState(StateDone)
+	s.finish(j, StateDone, "done")
 	s.persistResult(j)
-	s.reg.Counter("serve/jobs_completed").Add(1)
-	log.Info("job done",
-		"cost", res.Cost,
-		"optimal", res.Optimal,
-		"degraded", res.Degraded,
-		"elapsed_ms", res.ElapsedMs,
-	)
+	s.log.Info("job done", "job_id", j.ID, "workload", j.Workload,
+		"tier", j.tier, "trace_id", j.traceID,
+		"cost", res.Cost, "optimal", res.Optimal, "degraded", res.Degraded,
+		"elapsed_ms", res.ElapsedMs)
+}
+
+// finish turns j terminal. Its span forest is recorded and its outcome
+// counted before the state flips, so a client that sees a terminal
+// state finds the trace complete. Its event stream closes right after,
+// so an SSE tail ends as soon as GET can report the state. The caller
+// appends the result record afterwards; Done and the concurrency slot
+// are released only once runJob returns, after that append.
+func (s *Server) finish(j *Job, state, outcome string) {
+	j.tracer.End(j.span, obs.String("outcome", outcome))
+	s.recordTrace(j.traceID, j.tracer.Roots())
+	if state == StateDone {
+		s.reg.Counter("serve/jobs_completed").Add(1)
+	} else {
+		s.reg.Counter("serve/jobs_failed").Add(1)
+	}
+	j.setState(state)
+	j.events.Close()
 }
 
 func (s *Server) getJob(id string) *Job {
@@ -585,8 +594,8 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 // the stream by sequence number, so the events the client sees are
 // contiguous unless it falls more than the ring's size behind. Each
 // batch of ready events is written and then flushed once. The stream
-// ends when the job finishes (its event stream closes) or the client
-// disconnects.
+// ends when the job's state turns terminal (its event stream closes,
+// before the result record is appended) or the client disconnects.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.getJob(r.PathValue("id"))
 	if j == nil {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/durable/faultfs"
 	"repro/internal/obs"
 )
 
@@ -459,6 +460,81 @@ func TestJobWritesTwoRecords(t *testing.T) {
 	if c["durable/wal/records"] != 2 || c["durable/wal/fsyncs"] != 2 {
 		t.Errorf("one job wrote %d WAL records with %d fsyncs, want 2 and 2",
 			c["durable/wal/records"], c["durable/wal/fsyncs"])
+	}
+}
+
+// TestStreamEndsBeforeResultSync: a job's SSE stream ends, and GET
+// reports it done, while the fsync of its result record is still held.
+// Done stays open until that sync returns, and the WAL then holds the
+// result.
+func TestStreamEndsBeforeResultSync(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultfs.NewFaulty(nil)
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, DataDir: dir, Durable: durable.Options{FS: ffs}})
+
+	// The job record's sync is the first from here on, the result
+	// record's the second: hold that one.
+	held, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	releaseSync := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseSync()
+	var syncs atomic.Int32
+	ffs.Stall(func(op string) {
+		if op == "sync" && syncs.Add(1) == 2 {
+			close(held)
+			<-release
+		}
+	})
+
+	j, code := submit(t, ts, `{"example":"wan","options":{"workers":1}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d", code)
+	}
+	select {
+	case <-held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job never reached its result record's sync")
+	}
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get(ts.URL + j.Links.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("SSE stream did not end while the result sync was held: %v", err)
+	}
+	if trailer := ": stream closed (job done)\n\n"; !strings.HasSuffix(string(body), trailer) {
+		t.Errorf("SSE stream does not end with %q:\n%s", trailer, body)
+	}
+	if got, _ := getJobStatus(t, ts.URL, j.ID); got.State != StateDone {
+		t.Errorf("GET state = %q while the result sync is held, want done", got.State)
+	}
+	job := srv.getJob(j.ID)
+	select {
+	case <-job.Done():
+		t.Fatal("Done closed before the result record's sync returned")
+	default:
+	}
+
+	releaseSync()
+	<-job.Done()
+	wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, line := range strings.Split(strings.TrimSpace(string(wal)), "\n") {
+		var rec durable.Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("WAL line %q: %v", line, err)
+		}
+		found = found || rec.T == durable.RecordResult && rec.ID == j.ID
+	}
+	if !found {
+		t.Errorf("WAL holds no result record for %s:\n%s", j.ID, wal)
 	}
 }
 

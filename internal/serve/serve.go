@@ -38,13 +38,21 @@
 // With Config.DataDir the job table is durable (internal/durable):
 // every job writes two fsynced write-ahead log records, its submission
 // (before the 202, carrying any job its admission evicted) and its
-// terminal result (marked restarted for a re-execution). New replays
-// the log — finished jobs are restored queryable with byte-identical
-// results and a synthetic SSE history, interrupted jobs are re-queued
-// through the synth pipeline and marked restarted. Admission is
-// tiered (shed.go): at the degrade watermark new jobs get a tightened
-// timeout budget, at the shed watermark they get 429 + Retry-After,
-// and every decision is counted under serve/shed/* and logged.
+// terminal result (marked restarted for a re-execution). A job's
+// state turns terminal and its event stream closes before the result
+// record is appended; Job.Done and the job's concurrency slot wait for
+// the append. New replays the log — finished jobs are restored
+// queryable with byte-identical results and a synthetic SSE history,
+// interrupted jobs are re-queued through the synth pipeline and marked
+// restarted. Admission is tiered (shed.go): at the degrade watermark
+// new jobs get a tightened timeout budget, at the shed watermark they
+// get 429 + Retry-After, and every decision is counted under
+// serve/shed/* and logged.
+//
+// Each job writes one INFO log record, at its terminal state: "job
+// done" with its job_id, workload, tier, trace_id, cost, optimal,
+// degraded and elapsed_ms, or "job failed" at ERROR. Access lines and
+// the submit and start records are DEBUG.
 package serve
 
 import (
@@ -323,12 +331,18 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
+// logRequests counts every request and, at debug level only, writes
+// its access line; below debug it wraps nothing and builds no attrs.
 func (s *Server) logRequests(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer s.reg.Counter("serve/http_requests").Add(1)
+		if !s.log.Enabled(r.Context(), slog.LevelDebug) {
+			next.ServeHTTP(w, r)
+			return
+		}
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r)
-		s.reg.Counter("serve/http_requests").Add(1)
 		attrs := []any{
 			"method", r.Method,
 			"path", r.URL.Path,
@@ -341,6 +355,6 @@ func (s *Server) logRequests(next http.Handler) http.Handler {
 		if sc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
 			attrs = append(attrs, "trace_id", sc.TraceID.String())
 		}
-		s.log.Info("request", attrs...)
+		s.log.Debug("request", attrs...)
 	})
 }

@@ -393,6 +393,7 @@ func TestRestoreReplaysTraceIdentity(t *testing.T) {
 	if fin := waitJob(t, ts1, j1.ID); fin.State != StateDone {
 		t.Fatalf("job 1 state = %q", fin.State)
 	}
+	<-srv1.getJob(j1.ID).Done() // its result record is appended by then
 	j2, _ := submit(t, ts1, body)
 	if j1.TraceID == "" || j2.TraceID == "" {
 		t.Fatal("jobs submitted without trace IDs")

@@ -13,7 +13,9 @@
 # intact and only the interrupted member re-run. A trace leg asserts
 # the finished job's span forest on GET /v1/jobs/{id}/trace: rooted at
 # serve/job with the admission, queue-wait, and synth phase spans
-# nested below, plus a Chrome-format rendering of the same tree.
+# nested below, plus a Chrome-format rendering of the same tree. The
+# first daemon's log must hold exactly one INFO record for the wan
+# job: "job done", carrying the job's trace ID.
 # Used by `make serve-smoke` and CI's serve-smoke job. Requires curl
 # and jq; uses no other tooling beyond the Go toolchain and POSIX sh.
 set -eu
@@ -58,6 +60,7 @@ job=$(curl -fsS -X POST "http://$ADDR/v1/synthesize" \
     -d '{"example":"wan","options":{"workers":2}}')
 id=$(printf '%s' "$job" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
 [ -n "$id" ] || fail "no job id in submit response: $job"
+tid=$(printf '%s' "$job" | jq -r '.traceId')
 
 # Follow the job to a terminal state.
 state=""
@@ -135,6 +138,15 @@ while kill -0 "$PID" 2>/dev/null; do
     sleep 0.1
 done
 trap - EXIT INT TERM
+
+# One INFO record per job: the wan job's "job done", carrying its
+# trace ID. Its access lines and submit/start records are DEBUG. Read
+# after the drain, which waits for the job to write that record.
+info=$(jq -c --arg id "$id" 'select(.level == "INFO" and .job_id == $id)' "$LOG")
+n=$(printf '%s\n' "$info" | grep -c .) || true
+[ "$n" -eq 1 ] || fail "daemon log has $n INFO records for job $id, want 1: $info"
+printf '%s' "$info" | jq -e --arg tid "$tid" '.msg == "job done" and .trace_id == $tid' >/dev/null \
+    || fail "job $id's INFO record is not job done with trace_id $tid: $info"
 
 # ---- Crash-recovery leg: kill -9 mid-job, restart on the same data dir.
 DATA="$BIN/cdcsd-smoke-data"
