@@ -18,11 +18,11 @@
 // finished job its admission dropped, so eviction and admission
 // persist atomically) and a result record (terminal: done when Error
 // is empty, failed otherwise; Restarted marks a re-execution after a
-// crash). A batch record binds member jobs to their POST /v1/batch
-// envelope. Replay folds the stream into per-job final states; the
+// crash). Replay folds the stream into per-job final states; the
 // serving layer turns those into restored finished jobs and re-queued
-// interrupted ones. Any other record type — including the state and
-// evict records of older logs — is skipped and counted.
+// interrupted ones. Any other record type — the state, evict and
+// batch records of older logs — is skipped and counted, so an older
+// log still restores every job it names.
 //
 // Filesystem and clock are injectable through faultfs, which is how
 // the crash-recovery property tests sweep every kill point.
@@ -46,7 +46,6 @@ import (
 const (
 	RecordJob    = "job"
 	RecordResult = "result"
-	RecordBatch  = "batch"
 )
 
 // ErrClosed is returned by appends after Close (or the Crash test
@@ -82,32 +81,6 @@ type Record struct {
 	Result    json.RawMessage `json:"result,omitempty"`
 	Error     string          `json:"error,omitempty"`
 	Restarted bool            `json:"restarted,omitempty"`
-	// Batch records: the membership of a POST /v1/batch submission
-	// (Workload carries the batch's label). The member jobs persist
-	// as ordinary job records; this record only binds them to the
-	// batch envelope, so a restart re-queues unfinished members
-	// through the normal job path and still answers GET /v1/batch.
-	Members []BatchMember `json:"members,omitempty"`
-}
-
-// BatchMember is one named slot of a batch: either an admitted job
-// (JobID set, Tier accepted/degraded) or a refusal (Error set — an
-// undecodable spec, a shed, or a full job table).
-type BatchMember struct {
-	Name  string `json:"name,omitempty"`
-	JobID string `json:"jobId,omitempty"`
-	Tier  string `json:"tier,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// Batch is the replayed (and snapshotted) durable view of one batch
-// submission. Member job states are not duplicated here — they live
-// with the jobs themselves.
-type Batch struct {
-	ID       string        `json:"id"`
-	Workload string        `json:"workload,omitempty"`
-	Created  time.Time     `json:"created"`
-	Members  []BatchMember `json:"members"`
 }
 
 // Job is the replayed (and snapshotted) durable view of one job.
@@ -130,8 +103,6 @@ type Replay struct {
 	// Jobs are the recovered jobs, oldest first (snapshot order, then
 	// first WAL appearance).
 	Jobs []*Job
-	// Batches are the recovered batch envelopes, oldest first.
-	Batches []*Batch
 	// Records is how many WAL records were applied.
 	Records int
 	// Skipped counts truncated or garbled records that replay dropped
@@ -151,9 +122,9 @@ type Options struct {
 	// SnapshotEvery compacts the WAL into a snapshot after this many
 	// records. <=0 means 1024.
 	SnapshotEvery int
-	// Source supplies the current job table and batch envelopes for
-	// compaction; nil disables automatic and close-time snapshots.
-	Source func() ([]Job, []Batch)
+	// Source supplies the current job table for compaction; nil
+	// disables automatic and close-time snapshots.
+	Source func() []Job
 	// Registry receives the durable/wal/* instruments; nil disables.
 	Registry *obs.Registry
 	// Logger receives structured warnings; nil means slog.Default.
@@ -179,7 +150,7 @@ type Store struct {
 	sinceSnap int // records appended since the last snapshot
 	closed    bool
 	snapEvery int
-	source    func() ([]Job, []Batch)
+	source    func() []Job
 }
 
 // Open replays dir's snapshot and WAL — tolerating a torn tail — and
@@ -242,13 +213,6 @@ func (s *Store) AppendResult(id string, result json.RawMessage, errMsg string, r
 	return s.append(&Record{T: RecordResult, ID: id, Time: s.now(), Result: result, Error: errMsg, Restarted: restarted})
 }
 
-// AppendBatch records a batch envelope: its label and the per-member
-// admission outcomes. Member jobs are appended separately via
-// AppendJob; replaying the batch record alone restores the grouping.
-func (s *Store) AppendBatch(id, workload string, created time.Time, members []BatchMember) error {
-	return s.append(&Record{T: RecordBatch, ID: id, Time: created, Workload: workload, Members: members})
-}
-
 func (s *Store) append(rec *Record) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
@@ -285,12 +249,10 @@ func (s *Store) append(rec *Record) error {
 // new snapshot + stale-but-reapplyable WAL records (replay is
 // idempotent per job). Caller checks s.source != nil.
 func (s *Store) compactLocked() error {
-	jobs, batches := s.source()
 	data, err := json.Marshal(struct {
-		V       int     `json:"v"`
-		Jobs    []Job   `json:"jobs"`
-		Batches []Batch `json:"batches,omitempty"`
-	}{V: 1, Jobs: jobs, Batches: batches})
+		V    int   `json:"v"`
+		Jobs []Job `json:"jobs"`
+	}{V: 1, Jobs: s.source()})
 	if err != nil {
 		return fmt.Errorf("encode snapshot: %w", err)
 	}

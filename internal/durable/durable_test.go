@@ -261,7 +261,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	s, _, err := Open(dir, Options{
 		Logger: testLogger(), Now: testClock(), Registry: reg,
 		SnapshotEvery: 3,
-		Source:        func() ([]Job, []Batch) { return table, nil },
+		Source:        func() []Job { return table },
 	})
 	if err != nil {
 		t.Fatal(err)

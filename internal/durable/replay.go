@@ -16,13 +16,13 @@ import (
 func (s *Store) replay() *Replay {
 	rep := &Replay{}
 	byID := make(map[string]*Job)
-	batchByID := make(map[string]*Batch)
 
 	if data, err := s.fsys.ReadFile(filepath.Join(s.dir, snapshotFile)); err == nil {
+		// An older snapshot's batches array is an unknown field here
+		// and is ignored; its jobs are listed under jobs.
 		var snap struct {
-			V       int     `json:"v"`
-			Jobs    []Job   `json:"jobs"`
-			Batches []Batch `json:"batches"`
+			V    int   `json:"v"`
+			Jobs []Job `json:"jobs"`
 		}
 		if jerr := json.Unmarshal(data, &snap); jerr != nil {
 			rep.Skipped++
@@ -40,11 +40,6 @@ func (s *Store) replay() *Replay {
 				}
 				byID[j.ID] = &j
 				rep.Jobs = append(rep.Jobs, &j)
-			}
-			for i := range snap.Batches {
-				b := snap.Batches[i]
-				batchByID[b.ID] = &b
-				rep.Batches = append(rep.Batches, &b)
 			}
 		}
 	} else if !errors.Is(err, fs.ErrNotExist) {
@@ -72,7 +67,7 @@ func (s *Store) replay() *Replay {
 			rep.Skipped++
 			continue
 		}
-		if !s.apply(rep, byID, batchByID, &rec) {
+		if !s.apply(rep, byID, &rec) {
 			rep.Skipped++
 			continue
 		}
@@ -82,26 +77,14 @@ func (s *Store) replay() *Replay {
 }
 
 // apply folds one record into the replay state; false means the
-// record is malformed or references a job replay never saw (its job
-// record was itself lost) and should be counted as skipped.
-func (s *Store) apply(rep *Replay, byID map[string]*Job, batchByID map[string]*Batch, rec *Record) bool {
+// record is malformed, of a kind no longer written (an older log's
+// state, evict or batch record), or references a job replay never saw
+// (its job record was itself lost), and should be counted as skipped.
+func (s *Store) apply(rep *Replay, byID map[string]*Job, rec *Record) bool {
 	if rec.ID == "" {
 		return false
 	}
 	switch rec.T {
-	case RecordBatch:
-		if b, dup := batchByID[rec.ID]; dup {
-			// Snapshot + stale WAL overlap: refresh in place, keeping
-			// the original replay position.
-			b.Workload = rec.Workload
-			b.Created = rec.Time
-			b.Members = rec.Members
-			return true
-		}
-		b := &Batch{ID: rec.ID, Workload: rec.Workload, Created: rec.Time, Members: rec.Members}
-		batchByID[rec.ID] = b
-		rep.Batches = append(rep.Batches, b)
-		return true
 	case RecordJob:
 		// The job this admission evicted may already be absent: a
 		// snapshot taken after the eviction no longer lists it.

@@ -71,30 +71,6 @@ func TestDegreeSumProperty(t *testing.T) {
 	}
 }
 
-// Property: weakly connected components partition the vertices, and
-// every arc stays within one component.
-func TestComponentsPartitionProperty(t *testing.T) {
-	f := func(seed int64, n, m uint8) bool {
-		g := buildRandom(seed, n, m)
-		comp, count := g.WeaklyConnectedComponents()
-		for _, c := range comp {
-			if c < 0 || c >= count {
-				return false
-			}
-		}
-		for id := 0; id < g.NumArcs(); id++ {
-			a := g.Arc(ArcID(id))
-			if comp[a.From] != comp[a.To] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: every path returned by SimplePaths validates and respects
 // the interior filter.
 func TestSimplePathsValidProperty(t *testing.T) {

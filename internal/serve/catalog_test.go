@@ -102,7 +102,7 @@ func TestMetricCatalogMatchesDocs(t *testing.T) {
 // docMetricNames extracts every metric name from the "## Metric
 // catalog" section of docs/OBSERVABILITY.md: backticked tokens that
 // look like registry names (lowercase path with a '/'), excluding
-// prefix mentions that end in a slash, like `serve/batch/`.
+// prefix mentions that end in a slash, like `serve/shed/`.
 func docMetricNames(t *testing.T) map[string]bool {
 	t.Helper()
 	data, err := os.ReadFile("../../docs/OBSERVABILITY.md")

@@ -196,7 +196,7 @@ func (j *Job) State() string {
 
 // Done is closed once the job is terminal and its result record is
 // appended: later than the state turns terminal and the event stream
-// closes.
+// closes. Only tests read it, to wait for that append.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // httpError writes a JSON error body with the given status.
@@ -217,7 +217,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // decodeJSON decodes one request body into v, rejecting unknown
-// fields. Both POST handlers decode their bodies through it.
+// fields.
 func decodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -306,7 +306,11 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	j := s.newJobLocked(req, cg, lib, workload, tier, parent, load, evicted)
 	s.mu.Unlock()
 
-	s.countRoot(propagated)
+	if propagated {
+		s.reg.Counter("trace/roots_propagated").Add(1)
+	} else {
+		s.reg.Counter("trace/roots_new").Add(1)
+	}
 	s.reg.Counter("serve/shed/" + tier).Add(1)
 	s.reg.Counter("serve/jobs_submitted").Add(1)
 	s.persistJob(j)

@@ -51,27 +51,6 @@ func (s *Server) persistResult(j *Job) {
 	}
 }
 
-// persistBatch logs a batch envelope. Member jobs are persisted as
-// ordinary job records — the envelope only binds the membership, so a
-// crash mid-batch re-queues exactly the unfinished members through
-// the normal job replay.
-func (s *Server) persistBatch(b *batch) {
-	if s.store == nil {
-		return
-	}
-	if err := s.store.AppendBatch(b.id, b.workload, b.created, b.durableMembers()); err != nil {
-		s.walWarn("batch", b.id, err)
-	}
-}
-
-func (b *batch) durableMembers() []durable.BatchMember {
-	out := make([]durable.BatchMember, len(b.members))
-	for i, m := range b.members {
-		out[i] = durable.BatchMember{Name: m.name, JobID: m.jobID, Tier: m.tier, Error: m.err}
-	}
-	return out
-}
-
 func (s *Server) walWarn(kind, id string, err error) {
 	if errors.Is(err, durable.ErrClosed) {
 		return // shutdown/crash race: persistence is over by design
@@ -103,10 +82,10 @@ func decodeSpec(spec json.RawMessage) (SynthesizeRequest, *cdcs.ConstraintGraph,
 	return req, cg, lib, err
 }
 
-// snapshotTable renders the current job table and batch envelopes
-// for WAL compaction — the durable.Options.Source hook. Takes s.mu,
-// so the store must never be called while holding it.
-func (s *Server) snapshotTable() ([]durable.Job, []durable.Batch) {
+// snapshotTable renders the current job table for WAL compaction —
+// the durable.Options.Source hook. Takes s.mu, so the store must never
+// be called while holding it.
+func (s *Server) snapshotTable() []durable.Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	jobs := make([]durable.Job, 0, len(s.order))
@@ -115,18 +94,7 @@ func (s *Server) snapshotTable() ([]durable.Job, []durable.Batch) {
 			jobs = append(jobs, j.durable())
 		}
 	}
-	batches := make([]durable.Batch, 0, len(s.batchOrder))
-	for _, id := range s.batchOrder {
-		if b := s.batches[id]; b != nil {
-			batches = append(batches, durable.Batch{
-				ID:       b.id,
-				Workload: b.workload,
-				Created:  b.created,
-				Members:  b.durableMembers(),
-			})
-		}
-	}
-	return jobs, batches
+	return jobs
 }
 
 // durable renders the job's current durable view. Lock order is
@@ -213,34 +181,9 @@ func (s *Server) restore(rep *durable.Replay) {
 		s.wg.Add(1)
 		s.startJob(j)
 	}
-	// Rebind batch envelopes to their (restored or re-queued) member
-	// jobs, oldest dropped beyond the retention bound. Members whose
-	// jobs aged out stay listed without a live job view.
-	dbs := rep.Batches
-	if over := len(dbs) - s.cfg.MaxJobs; over > 0 {
-		dbs = dbs[over:]
-	}
-	for _, db := range dbs {
-		var n int
-		if _, err := fmt.Sscanf(db.ID, "b-%d", &n); err == nil && n > s.nextBatch {
-			s.nextBatch = n
-		}
-		b := &batch{
-			id:       db.ID,
-			workload: db.Workload,
-			created:  db.Created,
-			restored: true,
-			members:  make([]batchMember, len(db.Members)),
-		}
-		for i, m := range db.Members {
-			b.members[i] = batchMember{name: m.Name, jobID: m.JobID, tier: m.Tier, err: m.Error}
-		}
-		s.batches[b.id] = b
-		s.batchOrder = append(s.batchOrder, b.id)
-	}
-	if restoredDone > 0 || len(requeued) > 0 || len(dbs) > 0 {
+	if restoredDone > 0 || len(requeued) > 0 {
 		s.log.Info("job table restored",
-			"finished", restoredDone, "requeued", len(requeued), "batches", len(dbs),
+			"finished", restoredDone, "requeued", len(requeued),
 			"replayed_records", rep.Records, "skipped", rep.Skipped)
 	}
 }

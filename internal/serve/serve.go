@@ -10,10 +10,6 @@
 //
 //	POST /v1/synthesize        submit a job (JSON graph+library or a
 //	                           built-in example); 202 + job id
-//	POST /v1/batch             submit many named graphs at once; 202 +
-//	                           per-member admission envelope, or
-//	                           ?stream=ndjson for results as they land
-//	GET  /v1/batch/{id}        batch envelope with live member state
 //	GET  /v1/jobs              list jobs, oldest first
 //	GET  /v1/jobs/{id}         job state + result
 //	GET  /v1/jobs/{id}/events  SSE: replayed history, then live tail
@@ -25,6 +21,11 @@
 //	GET  /healthz              liveness + version
 //	GET  /readyz               readiness (503 while draining)
 //	/debug/pprof/...           only with Config.EnablePprof
+//
+// Each job is one constraint graph. A client with many graphs posts
+// each to /v1/synthesize; sending them one traceparent header makes
+// their jobs one distributed trace, which GET /v1/traces/{traceID}
+// returns whole.
 //
 // Every job shares one obs.Registry, so /metrics accumulates the
 // algorithm counters (ucp_incumbents_total, merging_sets_tested_total,
@@ -40,8 +41,8 @@
 // (before the 202, carrying any job its admission evicted) and its
 // terminal result (marked restarted for a re-execution). A job's
 // state turns terminal and its event stream closes before the result
-// record is appended; Job.Done and the job's concurrency slot wait for
-// the append. New replays the log — finished jobs are restored
+// record is appended; the job's concurrency slot waits for the
+// append. New replays the log — finished jobs are restored
 // queryable with byte-identical results and a synthetic SSE history,
 // interrupted jobs are re-queued through the synth pipeline and marked
 // restarted. Admission is tiered (shed.go): at the degrade watermark
@@ -153,12 +154,6 @@ type Server struct {
 	nextID   int
 	active   int // unfinished jobs (queued + running): the shed load
 	draining bool
-
-	// batches binds member jobs of POST /v1/batch submissions; bounded
-	// to MaxJobs envelopes, oldest dropped first.
-	batches    map[string]*batch
-	batchOrder []string
-	nextBatch  int
 }
 
 // New returns a ready-to-serve Server. With Config.DataDir set it
@@ -189,7 +184,6 @@ func New(cfg Config) (*Server, error) {
 		runCtx:    ctx,
 		cancelRun: cancel,
 		jobs:      make(map[string]*Job),
-		batches:   make(map[string]*batch),
 		ids:       cfg.TraceIDs,
 		traces:    newTraceRing(cfg.TraceRing),
 	}
@@ -197,13 +191,10 @@ func New(cfg Config) (*Server, error) {
 		s.ids = obs.NewIDSource(0)
 	}
 	s.sem = make(chan struct{}, cfg.MaxConcurrent)
-	// Register the admission and batch counters eagerly so /metrics
-	// (and the catalog-drift test) always expose the full split.
+	// Register the admission counters eagerly so /metrics (and the
+	// catalog-drift test) always expose the full split.
 	for _, tier := range []string{TierAccept, TierDegrade, TierShed} {
 		s.reg.Counter("serve/shed/" + tier)
-	}
-	for _, name := range []string{"submitted", "members", "rejected"} {
-		s.reg.Counter("serve/batch/" + name)
 	}
 	for _, name := range []string{
 		"spans_started", "spans_dropped", "ring_evictions",
@@ -243,8 +234,6 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/synthesize", s.handleSynthesize)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/batch/{id}", s.handleBatchGet)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)

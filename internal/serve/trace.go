@@ -11,11 +11,11 @@ import (
 // GET /v1/traces/{traceID} when Config.TraceRing is zero.
 const DefaultTraceRing = 256
 
-// traceRing retains the span forests of finished work keyed by trace
+// traceRing retains the span forests of finished jobs keyed by trace
 // ID, bounded and drop-oldest: when a new trace would exceed the cap,
 // the oldest retained trace is evicted whole. Forests recorded for an
-// already-retained trace merge into its entry (a batch root and its
-// member jobs share one trace).
+// already-retained trace merge into its entry, so jobs submitted with
+// one traceparent read back as one trace.
 type traceRing struct {
 	mu    sync.Mutex
 	cap   int
@@ -76,16 +76,6 @@ func (s *Server) recordTrace(traceID string, roots []*obs.Span) {
 	if evictedTraces > 0 {
 		s.reg.Counter("trace/ring_evictions").Add(int64(evictedTraces))
 		s.reg.Counter("trace/spans_dropped").Add(int64(evictedSpans))
-	}
-}
-
-// countRoot classifies a newly-created root span: did it continue a
-// propagated upstream trace or start a fresh one?
-func (s *Server) countRoot(propagated bool) {
-	if propagated {
-		s.reg.Counter("trace/roots_propagated").Add(1)
-	} else {
-		s.reg.Counter("trace/roots_new").Add(1)
 	}
 }
 

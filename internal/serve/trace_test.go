@@ -69,6 +69,31 @@ func findSpan(spans []*obs.Span, name string) *obs.Span {
 	return nil
 }
 
+// submitTraced POSTs body to /v1/synthesize with traceparent as its
+// traceparent header (none when empty) and requires a 202.
+func submitTraced(t *testing.T, ts *httptest.Server, body, traceparent string) jobJSON {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/synthesize", strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	if traceparent != "" {
+		req.Header.Set(obs.TraceparentHeader, traceparent)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("submit status = %d: %s", resp.StatusCode, raw)
+	}
+	var j jobJSON
+	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
 // TestWALAppendSpanPrecedesQueueWait: on a durable server the job
 // record's append is its own serve/wal-append child of serve/job, and
 // it ends before serve/queue-wait opens, so the queue wait times only
@@ -220,31 +245,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	srv, ts := newTestServer(t, Config{TraceIDs: obs.NewIDSource(42)})
 	remote := obs.NewIDSource(999).NewRoot()
 
-	submitWithHeader := func(tp string) jobJSON {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/synthesize",
-			strings.NewReader(`{"example":"wan","options":{"workers":1}}`))
-		req.Header.Set("Content-Type", "application/json")
-		if tp != "" {
-			req.Header.Set(obs.TraceparentHeader, tp)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			body, _ := io.ReadAll(resp.Body)
-			t.Fatalf("submit status = %d: %s", resp.StatusCode, body)
-		}
-		var j jobJSON
-		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-
-	j := submitWithHeader(remote.Traceparent())
+	j := submitTraced(t, ts, `{"example":"wan","options":{"workers":1}}`, remote.Traceparent())
 	if j.TraceID != remote.TraceID.String() {
 		t.Errorf("propagated job traceId = %q, want remote %s", j.TraceID, remote.TraceID)
 	}
@@ -259,13 +260,13 @@ func TestTraceparentPropagation(t *testing.T) {
 
 	// Malformed headers must not fail admission; they root fresh traces.
 	for _, bad := range []string{"not-a-traceparent", "00-zz-zz-01"} {
-		jb := submitWithHeader(bad)
+		jb := submitTraced(t, ts, `{"example":"wan","options":{"workers":1}}`, bad)
 		if jb.TraceID == "" || jb.TraceID == remote.TraceID.String() {
 			t.Errorf("malformed header %q: traceId = %q, want a fresh root", bad, jb.TraceID)
 		}
 		waitJob(t, ts, jb.ID)
 	}
-	jf := submitWithHeader("")
+	jf := submitTraced(t, ts, `{"example":"wan","options":{"workers":1}}`, "")
 	if jf.TraceID == "" {
 		t.Error("headerless submission must still root a trace")
 	}
@@ -283,49 +284,56 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 }
 
-// TestBatchMembersJoinBatchTrace: batch member jobs share the batch's
-// trace ID, their serve/job spans parent under the serve/batch root,
-// and the merged forest is retrievable from the ring under one ID.
-func TestBatchMembersJoinBatchTrace(t *testing.T) {
+// TestSharedTraceparentGroupsJobs: two submissions sent one
+// traceparent report its trace ID, the ring merges their forests into
+// one trace with both serve/job roots under the remote span, and each
+// job's own /trace still holds only that job's forest.
+func TestSharedTraceparentGroupsJobs(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 2, TraceIDs: obs.NewIDSource(42)})
-	env, code := submitBatch(t, ts, "/v1/batch", `{"workload":"bt","graphs":[
-		{"name":"a","example":"wan","options":{"workers":1}},
-		{"name":"b","example":"lan","options":{"workers":1}}]}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("batch status = %d", code)
+	remote := obs.NewIDSource(999).NewRoot()
+	tid := remote.TraceID.String()
+
+	jobs := []jobJSON{
+		submitTraced(t, ts, `{"example":"wan","options":{"workers":1}}`, remote.Traceparent()),
+		submitTraced(t, ts, `{"example":"lan","options":{"workers":1}}`, remote.Traceparent()),
 	}
-	if env.TraceID == "" {
-		t.Fatal("batch envelope has no traceId")
-	}
-	fin := waitBatch(t, ts, env.ID)
-	for _, m := range fin.Members {
-		if m.Job == nil {
-			t.Fatalf("member %s has no job", m.Name)
+	for _, j := range jobs {
+		if j.TraceID != tid {
+			t.Errorf("job %s traceId = %q, want the shared %s", j.ID, j.TraceID, tid)
 		}
-		if m.Job.TraceID != env.TraceID {
-			t.Errorf("member %s traceId = %q, want the batch's %q", m.Name, m.Job.TraceID, env.TraceID)
+		if fin := waitJob(t, ts, j.ID); fin.State != StateDone {
+			t.Fatalf("job %s state = %q (error %q)", j.ID, fin.State, fin.Error)
 		}
 	}
 
-	ring, code := getRingTrace(t, ts, env.TraceID)
+	ring, code := getRingTrace(t, ts, tid)
 	if code != http.StatusOK {
 		t.Fatalf("ring lookup status = %d", code)
 	}
-	broot := findSpan(ring.Spans, "serve/batch")
-	if broot == nil {
-		t.Fatalf("serve/batch root not in the ring: %v", ring.Spans)
-	}
-	jobs := 0
+	roots := make(map[string]bool)
 	for _, sp := range ring.Spans {
-		if sp.Name == "serve/job" {
-			jobs++
-			if sp.ParentID != broot.SpanID || sp.TraceID != env.TraceID {
-				t.Errorf("member span = parent %q trace %q, want under batch root %q", sp.ParentID, sp.TraceID, broot.SpanID)
-			}
+		if sp.Name != "serve/job" {
+			t.Errorf("ring root %q, want only serve/job roots", sp.Name)
+			continue
 		}
+		if sp.ParentID != remote.SpanID.String() || sp.TraceID != tid {
+			t.Errorf("serve/job = parent %q trace %q, want under remote span %s of %s", sp.ParentID, sp.TraceID, remote.SpanID, tid)
+		}
+		id, _ := sp.Attr("job_id")
+		roots[id] = true
 	}
-	if jobs != 2 {
-		t.Errorf("ring holds %d serve/job forests, want 2", jobs)
+	if len(ring.Spans) != 2 || !roots[jobs[0].ID] || !roots[jobs[1].ID] {
+		t.Errorf("ring holds roots for %v, want one each for %s and %s", roots, jobs[0].ID, jobs[1].ID)
+	}
+
+	for _, j := range jobs {
+		raw, env := getJobTrace(t, ts, j.ID)
+		if len(env.Spans) != 1 || env.Spans[0].Name != "serve/job" {
+			t.Fatalf("job %s trace has %d roots, want its own serve/job only:\n%s", j.ID, len(env.Spans), raw)
+		}
+		if id, _ := env.Spans[0].Attr("job_id"); id != j.ID {
+			t.Errorf("job %s trace is rooted at job %q", j.ID, id)
+		}
 	}
 }
 

@@ -7,10 +7,7 @@
 # A second leg proves crash recovery: a daemon with -data-dir is
 # kill -9'd mid-job, restarted on the same directory, and must serve
 # the finished job's result unchanged while re-running the
-# interrupted job marked "restarted". Batch legs ride along in both:
-# a 3-graph POST /v1/batch must yield 3 results, and a batch caught
-# by the kill -9 must come back with its finished members' results
-# intact and only the interrupted member re-run. A trace leg asserts
+# interrupted job marked "restarted". A trace leg asserts
 # the finished job's span forest on GET /v1/jobs/{id}/trace: rooted at
 # serve/job with the admission, queue-wait, and synth phase spans
 # nested below, plus a Chrome-format rendering of the same tree. The
@@ -108,27 +105,6 @@ printf '%s\n' "$metrics" | grep -q '^serve_jobs_completed_total 1$' \
 printf '%s\n' "$metrics" | grep -Eq '^ucp_nodes_total [0-9]+$' \
     || fail "/metrics has no ucp_nodes_total sample"
 
-# ---- Batch leg: three named graphs in one request, three results.
-batch=$(curl -fsS -X POST "http://$ADDR/v1/batch" \
-    -d '{"workload":"smoke-batch","graphs":[{"name":"a","example":"wan","options":{"workers":1}},{"name":"b","example":"lan","options":{"workers":1}},{"name":"c","example":"mcm","options":{"workers":1}}]}')
-bid=$(printf '%s' "$batch" | sed -n 's/.*"id": *"\(b-[0-9]*\)".*/\1/p' | head -n 1)
-[ -n "$bid" ] || fail "no batch id in response: $batch"
-bjson=""
-bdone=""
-for _ in $(seq 1 100); do
-    bjson=$(curl -fsS "http://$ADDR/v1/batch/$bid")
-    if printf '%s' "$bjson" | grep -q '"done": *true'; then
-        bdone=yes
-        break
-    fi
-    sleep 0.1
-done
-[ "$bdone" = yes ] || fail "batch $bid did not finish: $bjson"
-n=$(printf '%s' "$bjson" | grep -c '"state": *"done"') || true
-[ "$n" -eq 3 ] || fail "batch $bid has $n done members, want 3: $bjson"
-curl -fsS "http://$ADDR/metrics" | grep -q '^serve_batch_members_total 3$' \
-    || fail "/metrics did not count the 3 batch members"
-
 # Graceful shutdown: SIGTERM drains and the process exits cleanly.
 kill "$PID"
 i=0
@@ -179,40 +155,16 @@ slow=$(jq -nc --slurpfile g scripts/testdata/soc12.graph.json \
     --slurpfile l scripts/testdata/soc12.lib.json \
     '{graph: $g[0], library: $l[0], options: {workers: 1}}')
 
-# A batch with two fast members and one slow one: the fast members
-# finish before the crash, the slow one is caught mid-run. Submitted
-# while both job slots are free so the fast members cannot starve
-# behind a pair of big jobs.
-cbatch=$(jq -nc --argjson slow "$slow" '{workload: "crash-batch", graphs: [
-    {name: "fast-wan", example: "wan", options: {workers: 1}},
-    {name: "fast-lan", example: "lan", options: {workers: 1}},
-    ({name: "slow"} + $slow)]}' \
-    | curl -fsS -X POST "http://$ADDR/v1/batch" -d @-)
-cbid=$(printf '%s' "$cbatch" | sed -n 's/.*"id": *"\(b-[0-9]*\)".*/\1/p' | head -n 1)
-[ -n "$cbid" ] || fail "no batch id in durable batch response: $cbatch"
-fastdone=""
-for _ in $(seq 1 300); do
-    n=$(curl -fsS "http://$ADDR/v1/batch/$cbid" | grep -c '"state": *"done"') || true
-    if [ "$n" -ge 2 ]; then
-        fastdone=yes
-        break
-    fi
-    sleep 0.1
-done
-[ "$fastdone" = yes ] || fail "fast batch members did not finish before the crash"
-
-# Job B is the slow instance too: the kill below lands mid-run, so
-# the restarted daemon must re-queue it.
+# Job B is the slow instance: the kill below lands mid-run, so the
+# restarted daemon must re-queue it.
 jobB=$(printf '%s' "$slow" | curl -fsS -X POST "http://$ADDR/v1/synthesize" -d @-)
 idB=$(printf '%s' "$jobB" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
 [ -n "$idB" ] || fail "no job id in durable submit response: $jobB"
 
-# Both slow jobs must still be running, or the legs below would test
-# nothing; a host fast enough to finish them first fails here.
+# Job B must still be running, or the leg below would test nothing; a
+# host fast enough to finish it first fails here.
 state=$(curl -fsS "http://$ADDR/v1/jobs/$idB" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
 [ "$state" != done ] || fail "slow job B finished before the kill -9; the crash leg needs a slower instance"
-n=$(curl -fsS "http://$ADDR/v1/batch/$cbid" | grep -c '"state": *"done"') || true
-[ "$n" -eq 2 ] || fail "batch $cbid has $n done members before the kill -9, want 2; the crash leg needs a slower instance"
 
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
@@ -246,27 +198,6 @@ done
 curl -fsS "http://$ADDR/v1/jobs/$idB" | grep -q '"restarted": *true' \
     || fail "re-run job B is not marked restarted"
 
-# The batch must survive the crash: restored envelope, finished
-# members untouched, only the interrupted member re-run.
-bjson=$(curl -fsS "http://$ADDR/v1/batch/$cbid") \
-    || fail "batch $cbid not restored after kill -9"
-printf '%s' "$bjson" | grep -q '"restored": *true' \
-    || fail "restored batch is not marked restored: $bjson"
-bdone=""
-for _ in $(seq 1 300); do
-    bjson=$(curl -fsS "http://$ADDR/v1/batch/$cbid")
-    if printf '%s' "$bjson" | grep -q '"done": *true'; then
-        bdone=yes
-        break
-    fi
-    sleep 0.1
-done
-[ "$bdone" = yes ] || fail "restored batch did not finish: $bjson"
-n=$(printf '%s' "$bjson" | grep -c '"state": *"done"') || true
-[ "$n" -eq 3 ] || fail "restored batch has $n done members, want 3: $bjson"
-n=$(printf '%s' "$bjson" | grep -c '"restarted": *true') || true
-[ "$n" -eq 1 ] || fail "restored batch has $n restarted members, want exactly the interrupted one: $bjson"
-
 # The durability and admission instruments are on /metrics.
 metrics=$(curl -fsS "http://$ADDR/metrics")
 printf '%s\n' "$metrics" | grep -Eq '^durable_wal_records_total [0-9]+$' \
@@ -283,4 +214,4 @@ while kill -0 "$PID" 2>/dev/null; do
 done
 trap - EXIT INT TERM
 
-echo "serve-smoke: OK (job $id optimal, batch $bid complete, SSE incumbents seen, trace spans asserted, metrics scraped; crash recovery: $idA restored, $idB re-run, batch $cbid survived)"
+echo "serve-smoke: OK (job $id optimal, SSE incumbents seen, trace spans asserted, metrics scraped; crash recovery: $idA restored, $idB re-run)"
